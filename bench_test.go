@@ -15,7 +15,6 @@
 package repro_test
 
 import (
-	"flag"
 	"fmt"
 	"testing"
 
@@ -26,24 +25,6 @@ import (
 	"repro/internal/phys"
 	"repro/internal/schedule"
 )
-
-// benchSweepFresh disables cross-point simulator reuse in the sweep
-// benchmarks, so the CI gate can price the netsim.Reset reuse path as an
-// A/B against fresh per-point allocation:
-//
-//	go test -run NONE -bench Fig2fSweepQuick                   # pooled
-//	go test -run NONE -bench Fig2fSweepQuick -benchsweepfresh  # fresh
-var benchSweepFresh = flag.Bool("benchsweepfresh", false,
-	"allocate a fresh simulator per sweep point instead of reusing pooled ones")
-
-// benchDense runs the sweep benchmarks' simulations on netsim's dense
-// reference engine instead of the default active-set engine, so the
-// ci.sh dense-vs-active gate can price the two on one machine:
-//
-//	go test -run NONE -bench Fig2fSweepQuick             # active-set
-//	go test -run NONE -bench Fig2fSweepQuick -benchdense # dense oracle
-var benchDense = flag.Bool("benchdense", false,
-	"run simulations on the dense reference engine instead of the active-set engine")
 
 // reportSweepMetrics records the ledger metadata benchjson renders for
 // sweep benchmarks: the point count and the wall-clock cost per point.
@@ -184,11 +165,9 @@ func BenchmarkFigure2fSimulated(b *testing.B) {
 // (eleven x points, 25000+25000 slots each) through the bounded-parallel
 // sweep engine with the shared build cache and pooled simulators — the
 // headline wall-clock number for the sweep engine, tracked in the
-// BENCH_netsim.json ledger. -benchsweepfresh disables the simulator pool.
+// BENCH_netsim.json ledger.
 func BenchmarkFig2fSweep(b *testing.B) {
 	cfg := experiments.DefaultFig2fConfig()
-	cfg.NoSimReuse = *benchSweepFresh
-	cfg.Dense = *benchDense
 	var pts []experiments.Fig2fPoint
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -202,16 +181,14 @@ func BenchmarkFig2fSweep(b *testing.B) {
 }
 
 // BenchmarkFig2fSweepQuick is the CI-sized variant of BenchmarkFig2fSweep
-// (three x points, 1500+1500 slots): fast enough for the ci.sh fresh-vs-
-// pooled A/B gate, same code path as the full sweep.
+// (three x points, 1500+1500 slots): fast enough for quick ledger runs,
+// same code path as the full sweep.
 func BenchmarkFig2fSweepQuick(b *testing.B) {
 	cfg := experiments.DefaultFig2fConfig()
 	cfg.N, cfg.Nc = 64, 8
 	cfg.Step = 0.5
 	cfg.WarmupSlots, cfg.MeasureSlots = 1500, 1500
 	cfg.SizeCap = 512
-	cfg.NoSimReuse = *benchSweepFresh
-	cfg.Dense = *benchDense
 	var pts []experiments.Fig2fPoint
 	for i := 0; i < b.N; i++ {
 		var err error

@@ -40,8 +40,6 @@ func main() {
 	flag.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "simulation seed")
 	flag.IntVar(&cfg.Workers, "workers", cfg.Workers, "step-shard goroutines per simulation (0 = one per CPU, 1 = serial; results identical)")
 	flag.IntVar(&cfg.SweepWorkers, "sweepworkers", cfg.SweepWorkers, "concurrent sweep points (0 = one per CPU, 1 = serial; results identical)")
-	flag.BoolVar(&cfg.NoSimReuse, "nosimreuse", cfg.NoSimReuse, "allocate a fresh simulator per point instead of reusing pooled ones (A/B knob; results identical)")
-	flag.BoolVar(&cfg.Dense, "dense", cfg.Dense, "run points on the dense reference engine instead of the active-set engine (A/B knob; results identical)")
 	csvOut := flag.Bool("csv", false, "emit CSV instead of an aligned table")
 	tracePath := flag.String("trace", "", "write each simulated point's event trace as JSONL to this file")
 	metricsPath := flag.String("metrics", "", "write each simulated point's slot-resolved metric series as CSV to this file")

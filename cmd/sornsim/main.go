@@ -53,7 +53,6 @@ func main() {
 	planes := flag.Int("planes", 1, "parallel uplinks per node")
 	qlimit := flag.Int("qlimit", 0, "per-VOQ queue limit in cells (0 = unbounded)")
 	workers := flag.Int("workers", 0, "step-shard goroutines (0 = one per CPU, 1 = serial; results identical)")
-	dense := flag.Bool("dense", false, "use the dense reference engine instead of the active-set engine (A/B oracle knob; results identical)")
 	sweepWorkers := flag.Int("sweepworkers", 0, "concurrent sweep points in avail mode (0 = one per CPU, 1 = serial; results identical)")
 	hist := flag.Bool("hist", false, "print a log2 histogram of cell latencies")
 	tracePath := flag.String("trace", "", "write the event trace (flow/failure/reconfig) as JSONL to this file")
@@ -147,7 +146,6 @@ func main() {
 		Planes:             *planes,
 		Workers:            *workers,
 		Obs:                ob,
-		Dense:              *dense,
 	}
 
 	var st *netsim.Stats
@@ -165,7 +163,7 @@ func main() {
 			Schedule: nw.Schedule, Router: nw.Router,
 			SlotNS: *slotNS, PropNS: *propNS, Seed: *seed,
 			LatencySampleEvery: 16, Planes: *planes, QueueLimit: *qlimit,
-			Workers: *workers, Obs: ob, Dense: *dense,
+			Workers: *workers, Obs: ob,
 		})
 		if serr != nil {
 			fatal(serr)
@@ -195,8 +193,7 @@ func main() {
 				sim.Step()
 				// Once the network drains, nothing happens until the
 				// next arrival or fault event; skip straight there.
-				// FastForwardTo checks quiescence itself (and is a
-				// no-op under -dense).
+				// FastForwardTo checks quiescence itself.
 				target := total
 				if fs, ok := drv.NextSlot(); ok && fs < target {
 					target = fs
@@ -232,7 +229,6 @@ func main() {
 			Slots: *slots, Window: *window, EpochSlots: *epochSlots,
 			OutageStart: oStart, OutageEnd: oEnd,
 			Plan: plan, Seed: *seed, Workers: *workers, SweepWorkers: *sweepWorkers, Obs: ob,
-			Dense: *dense,
 		})
 		if aerr != nil {
 			fatal(aerr)

@@ -4,21 +4,17 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/model"
 	"repro/internal/netsim"
 )
 
-// buildKey identifies one immutable network build. It is the cache key
-// the sweep engine documents: (kind, N, Nc, q, planes). The planes field
-// is carried for forward compatibility — every current design builds the
-// same schedule regardless of the uplink count (planes only phase-stagger
-// the schedule inside netsim), so today's entries key it at 0 — and keeps
-// a future plane-dependent build from silently colliding with these.
+// buildKey identifies one immutable network build: (kind, N, Nc, q).
+// The uplink count is not part of it — every design builds the same
+// schedule regardless of planes, which only phase-stagger the schedule
+// inside netsim.
 type buildKey struct {
-	kind   string
-	n, nc  int
-	planes int
-	qbits  uint64 // math.Float64bits of q; NaN never reaches here (SORNQ* reject it)
+	kind  string
+	n, nc int
+	qbits uint64 // math.Float64bits of q
 }
 
 // BuildCache memoizes schedule/topology/routing construction. A dense
@@ -82,7 +78,11 @@ func (c *BuildCache) get(key buildKey, build func() (*Network, error)) (*Network
 // memoized NewSORN. Localities mapping to the same clamped q* share one
 // entry.
 func (c *BuildCache) SORN(n, nc int, locality float64) (*Network, error) {
-	return c.SORNWithQ(n, nc, model.SORNQClamped(locality, 16))
+	q, err := sornQ(locality)
+	if err != nil {
+		return nil, err
+	}
+	return c.SORNWithQ(n, nc, q)
 }
 
 // SORNWithQ returns the cached semi-oblivious network with an explicit
@@ -126,19 +126,7 @@ func NewSimPool(workers int) *SimPool {
 // schedule, planes, seed, and observer changes); a different N — the one
 // dimension Reset refuses — rebuilds the slot.
 func (p *SimPool) Acquire(w int, nw *Network, opts SimOptions) (*netsim.Sim, error) {
-	opts = opts.withDefaults()
-	cfg := netsim.Config{
-		Schedule:           nw.Schedule,
-		Router:             nw.Router,
-		SlotNS:             opts.SlotNS,
-		PropNS:             opts.PropNS,
-		Seed:               opts.Seed,
-		LatencySampleEvery: opts.LatencySampleEvery,
-		Planes:             opts.Planes,
-		Workers:            opts.Workers,
-		Obs:                opts.Obs,
-		Dense:              opts.Dense,
-	}
+	cfg := nw.simConfig(opts)
 	if s := p.sims[w]; s != nil && s.N() == nw.Schedule.N {
 		if err := s.Reset(cfg); err != nil {
 			return nil, err

@@ -43,9 +43,22 @@ type Network struct {
 
 // NewSORN builds a semi-oblivious network for the expected locality ratio
 // x, using the throughput-optimal oversubscription q* = 2/(1−x) (clamped
-// to 16 so the schedule keeps inter-clique slots).
+// to 16 so the schedule keeps inter-clique slots). x must lie in [0, 1].
 func NewSORN(n, nc int, locality float64) (*Network, error) {
-	return NewSORNWithQ(n, nc, model.SORNQClamped(locality, 16))
+	q, err := sornQ(locality)
+	if err != nil {
+		return nil, err
+	}
+	return NewSORNWithQ(n, nc, q)
+}
+
+// sornQ returns NewSORN's oversubscription for locality x, or an error
+// for an x outside [0, 1] (NaN included) instead of the model's panic.
+func sornQ(locality float64) (float64, error) {
+	if !(locality >= 0 && locality <= 1) {
+		return 0, fmt.Errorf("core: locality ratio %v outside [0,1]", locality)
+	}
+	return model.SORNQClamped(locality, 16), nil
 }
 
 // NewSORNWithQ builds a semi-oblivious network with an explicit
@@ -64,8 +77,11 @@ func NewSORNWithQ(n, nc int, q float64) (*Network, error) {
 }
 
 // NewORN1D builds the flat round-robin oblivious baseline (Sirius-like):
-// full uniform connectivity, 2-hop VLB routing.
+// full uniform connectivity, 2-hop VLB routing. n must be at least 2.
 func NewORN1D(n int) (*Network, error) {
+	if n < 2 {
+		return nil, fmt.Errorf("core: 1D ORN needs at least 2 nodes, got %d", n)
+	}
 	sched := schedule.RoundRobin1D(n)
 	v, err := routing.NewVLB(matching.Compile(sched))
 	if err != nil {
@@ -129,10 +145,6 @@ type SimOptions struct {
 	// series, phase timing, event trace). nil disables it; enabling it
 	// never changes simulation results.
 	Obs *obs.Observer
-	// Dense selects netsim's dense reference engine instead of the
-	// default active-set engine (bit-identical results; see
-	// netsim.Config.Dense).
-	Dense bool
 }
 
 func (o SimOptions) withDefaults() SimOptions {
@@ -157,10 +169,12 @@ func (o SimOptions) withDefaults() SimOptions {
 	return o
 }
 
-// NewSim builds a packet-level simulator for this network.
-func (nw *Network) NewSim(opts SimOptions) (*netsim.Sim, error) {
+// simConfig maps opts onto a simulator configuration for this network —
+// the one place SimOptions reach netsim.Config, shared by NewSim and
+// SimPool.Acquire.
+func (nw *Network) simConfig(opts SimOptions) netsim.Config {
 	opts = opts.withDefaults()
-	return netsim.New(netsim.Config{
+	return netsim.Config{
 		Schedule:           nw.Schedule,
 		Router:             nw.Router,
 		SlotNS:             opts.SlotNS,
@@ -170,8 +184,12 @@ func (nw *Network) NewSim(opts SimOptions) (*netsim.Sim, error) {
 		Planes:             opts.Planes,
 		Workers:            opts.Workers,
 		Obs:                opts.Obs,
-		Dense:              opts.Dense,
-	})
+	}
+}
+
+// NewSim builds a packet-level simulator for this network.
+func (nw *Network) NewSim(opts SimOptions) (*netsim.Sim, error) {
+	return netsim.New(nw.simConfig(opts))
 }
 
 // SimulateSaturated measures saturation throughput at the packet level:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -156,5 +157,40 @@ func TestSimOptionsDefaults(t *testing.T) {
 	o := SimOptions{}.withDefaults()
 	if o.SlotNS != 100 || o.PropNS != 500 || o.MeasureSlots == 0 || o.TargetBacklog == 0 {
 		t.Fatalf("defaults not applied: %+v", o)
+	}
+}
+
+// TestConstructorsRejectBadInput pins that out-of-domain inputs come back
+// as errors, never panics: a locality ratio outside [0, 1] (NaN included)
+// and a flat ORN with fewer than two nodes, through both the direct
+// constructors and their memoized BuildCache forms.
+func TestConstructorsRejectBadInput(t *testing.T) {
+	type badInput struct {
+		name  string
+		build func() (*Network, error)
+	}
+	cache := NewBuildCache()
+	var cases []badInput
+	for _, x := range []float64{-0.1, 1.5, math.NaN()} {
+		cases = append(cases,
+			badInput{fmt.Sprintf("NewSORN/x=%v", x), func() (*Network, error) { return NewSORN(64, 8, x) }},
+			badInput{fmt.Sprintf("BuildCache.SORN/x=%v", x), func() (*Network, error) { return cache.SORN(64, 8, x) }})
+	}
+	for _, n := range []int{0, 1} {
+		cases = append(cases,
+			badInput{fmt.Sprintf("NewORN1D/n=%d", n), func() (*Network, error) { return NewORN1D(n) }},
+			badInput{fmt.Sprintf("BuildCache.ORN1D/n=%d", n), func() (*Network, error) { return cache.ORN1D(n) }})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			if nw, err := c.build(); err == nil {
+				t.Fatalf("want an error, got network %+v", nw)
+			}
+		})
 	}
 }

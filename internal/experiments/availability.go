@@ -50,10 +50,6 @@ type AvailabilityConfig struct {
 	// Obs, when non-nil, captures both runs' metric series and the
 	// fault/fallback/recovery event trace.
 	Obs *obs.Observer
-	// Dense runs both designs on netsim's dense reference engine instead
-	// of the default active-set engine (bit-identical results; disables
-	// quiescence fast-forward).
-	Dense bool
 }
 
 func (cfg AvailabilityConfig) withDefaults() AvailabilityConfig {
@@ -198,7 +194,6 @@ func runAvailability(cfg AvailabilityConfig, simWorkers int, nw *core.Network, t
 	}
 	sim, err := nw.NewSim(core.SimOptions{
 		Seed: cfg.Seed, Workers: simWorkers, LatencySampleEvery: 16, Obs: cfg.Obs,
-		Dense: cfg.Dense,
 	})
 	if err != nil {
 		return nil, netsim.Stats{}, err
@@ -267,7 +262,7 @@ func runAvailability(cfg AvailabilityConfig, simWorkers int, nw *core.Network, t
 		// arrival, fault event, control epoch, or window-report slot —
 		// quiescent windows still report (zero throughput, zero
 		// backlog), so report boundaries cap the skip. FastForwardTo
-		// checks quiescence itself and no-ops under cfg.Dense.
+		// checks quiescence itself.
 		target := cfg.Slots - 1
 		if fs, ok := drv.NextSlot(); ok && fs < target {
 			target = fs

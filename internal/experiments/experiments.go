@@ -62,18 +62,10 @@ type Fig2fConfig struct {
 	// (sweep.Config.Concurrency: 0 = one worker per CPU, 1 = serial).
 	// Results are bit-identical for every value.
 	SweepWorkers int
-	// NoSimReuse disables the per-worker simulator pool, allocating a
-	// fresh Sim per point — an A/B knob for benchmarking the Reset reuse
-	// path; results are bit-identical either way.
-	NoSimReuse bool
 	// ObsEvery, when positive, attaches an Observer to every simulated
 	// point, snapshotting the metric series every ObsEvery slots; each
 	// point's capture is returned in Fig2fPoint.Obs.
 	ObsEvery int64
-	// Dense runs every simulated point on netsim's dense reference engine
-	// instead of the default active-set engine — an A/B knob for
-	// benchmarking; results are bit-identical either way.
-	Dense bool
 }
 
 // DefaultFig2fConfig is the paper's setup: 128 nodes, 8 cliques,
@@ -149,18 +141,12 @@ func fig2fPoint(cfg Fig2fConfig, sw sweep.Config, points int, x float64, size wo
 			TargetBacklog: cfg.Backlog,
 			Workers:       sw.SimWorkers(points, cfg.Workers),
 			Obs:           pt.Obs,
-			Dense:         cfg.Dense,
 		}
-		var st *netsim.Stats
-		if cfg.NoSimReuse {
-			st, err = nw.SimulateSaturated(opts, tm, size)
-		} else {
-			sim, perr := pool.Acquire(p.Worker, nw, opts)
-			if perr != nil {
-				return Fig2fPoint{}, perr
-			}
-			st, err = core.RunSaturatedOn(sim, opts, tm, size)
+		sim, err := pool.Acquire(p.Worker, nw, opts)
+		if err != nil {
+			return Fig2fPoint{}, err
 		}
+		st, err := core.RunSaturatedOn(sim, opts, tm, size)
 		if err != nil {
 			return Fig2fPoint{}, err
 		}

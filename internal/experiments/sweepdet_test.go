@@ -11,9 +11,9 @@ import (
 // TestSweepDeterminismAcrossConcurrency pins the sweep engine's contract
 // at the experiment level: a sweep's results are bit-identical whether
 // its points run serially inline (Concurrency 1), on a small fixed pool,
-// or one worker per point — across a simulation-heavy sweep (Fig2f, with
-// and without the pooled-simulator reuse path), an analytical sweep
-// (QSweep), and the stateful two-design availability run.
+// or one worker per point — across a simulation-heavy sweep (Fig2f), an
+// analytical sweep (QSweep), and the stateful two-design availability
+// run.
 func TestSweepDeterminismAcrossConcurrency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the packet simulator")
@@ -21,26 +21,24 @@ func TestSweepDeterminismAcrossConcurrency(t *testing.T) {
 
 	t.Run("Fig2f", func(t *testing.T) {
 		cfg := fig2fTestConfig()
-		run := func(sweepWorkers int, noReuse bool) string {
+		run := func(sweepWorkers int) string {
 			cfg.SweepWorkers = sweepWorkers
-			cfg.NoSimReuse = noReuse
 			pts, err := Fig2f(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return fmt.Sprintf("%+v", pts)
 		}
-		ref := run(1, false)
+		// This also covers pooled ≡ fresh simulators. The grid has three
+		// points, so the serial reference Resets one pooled simulator
+		// between points, while SweepWorkers 3 and 7 give the pool one
+		// simulator per point and start each point on a freshly built
+		// one. (TestSimResetBitIdentity pins Reset ≡ New in netsim
+		// directly.)
+		ref := run(1)
 		for _, workers := range []int{0, 2, 3, 7} {
-			if got := run(workers, false); got != ref {
+			if got := run(workers); got != ref {
 				t.Fatalf("SweepWorkers=%d diverged:\nserial: %s\ngot:    %s", workers, ref, got)
-			}
-		}
-		// Fresh-per-point simulators must match the pooled ones exactly:
-		// Reset reuse is invisible in the results.
-		for _, workers := range []int{1, 2} {
-			if got := run(workers, true); got != ref {
-				t.Fatalf("NoSimReuse at SweepWorkers=%d diverged:\npooled: %s\nfresh:  %s", workers, ref, got)
 			}
 		}
 	})

@@ -1,0 +1,137 @@
+package netsim
+
+// The dense reference engine: the per-slot algorithm the active-set
+// engine replaced, kept as the executable specification it must match
+// bit for bit. Its landing phase scans every (destination, plane) ring
+// entry and its transmit phase every (source, plane) pair, each slot;
+// it never fast-forwards. Production Step reaches these bodies only
+// through Sim.reference, which only this package's tests set.
+
+// denseEngine is the dense reference engine's pair of phase bodies.
+var denseEngine = &phaseBodies{land: (*Sim).landShardDense, transmit: (*Sim).transmitShardDense}
+
+// useDense switches s to the dense reference engine (or back to the
+// active engine). Call it right after New or Reset, before the first
+// Step: the active engine's source lists and staged arrivals are not
+// maintained by the dense bodies, so switching mid-run is unsupported.
+func useDense(s *Sim, dense bool) {
+	s.reference = nil
+	if dense {
+		s.reference = denseEngine
+	}
+}
+
+// newEngine builds a simulator on the dense reference engine when dense
+// is set, on the production active-set engine otherwise.
+func newEngine(cfg Config, dense bool) (*Sim, error) {
+	s, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	useDense(s, dense)
+	return s, nil
+}
+
+// landShardDense processes this slot's arrivals at destination nodes
+// [lo, hi) by scanning every (node, plane) ring entry — the reference
+// engine's landing phase.
+func (s *Sim) landShardDense(lo, hi int, sh *shard) {
+	cur := int(s.slot % int64(s.ringSlots))
+	if s.ringCount[cur] == 0 {
+		return
+	}
+	s.landScanRange(cur, lo, hi, sh)
+}
+
+// transmitShardDense pops one cell per plane per source node in
+// [lo, hi) onto the node's active circuits, writing arrivals into the
+// delay line slot each destination owns — the reference engine's
+// transmit phase, scanning every (source, plane) pair.
+//
+// The loop is plane-major so the dominant single-plane case is one flat
+// pass over the match row. Unlike the landing phase, transmit order
+// across nodes carries no state: every mutation is per-source (pops,
+// backlog, fresh counters — a node's pops still occur in ascending
+// plane order), commutative (counter and loss sums), uniquely addressed
+// (delay-line entries), or order-canonicalized downstream (the
+// dirty-pair worklist is sorted before each drain), so any iteration
+// layout yields the same result for every worker count.
+func (s *Sim) transmitShardDense(lo, hi int, sh *shard) {
+	n := s.n
+	st := &s.stats
+	if sh != nil {
+		st = &sh.stats
+	}
+	landBase := int((s.slot+s.propSlots)%int64(s.ringSlots)) * n * s.planes
+	landed := int32(0)
+	idle := int64(0)
+	dBacklog := int64(0)
+	measuring := s.measuring
+	planes := s.planes
+	rows := s.matchRows
+	voq := s.voq
+	backlog := s.backlog
+	failedNode := s.failedNode
+	failedLink := s.failedLink
+	hasFailedLink := failedLink != nil
+	for p := 0; p < planes; p++ {
+		row := rows[p]
+		for u := lo; u < hi; u++ {
+			if failedNode[u] {
+				continue
+			}
+			v := row[u]
+			vq := voq[u]
+			if vq == nil {
+				// Never queued anything: idle on this circuit (a
+				// validated schedule has no self-circuits, so u != v).
+				idle++
+				continue
+			}
+			c, ok := vq[v].pop()
+			if !ok {
+				if u != v {
+					idle++
+				}
+				continue
+			}
+			backlog[u]--
+			dBacklog--
+			if c.fresh {
+				s.noteFreshConsumed(sh, u, c.dst())
+				c.fresh = false
+			}
+			if failedNode[v] || (hasFailedLink && failedLink[u] != nil && failedLink[u][v]) {
+				if sh != nil {
+					sh.losses = append(sh.losses, flowLoss{flow: c.flow, cells: 1})
+				} else {
+					s.flow(c.flow).lost++
+				}
+				if measuring {
+					st.LostCells++
+				}
+				continue
+			}
+			if measuring {
+				st.SentCells++
+			}
+			// Within a slot each plane's circuits form a matching, so
+			// (v, p) identifies this arrival's slot uniquely: no other
+			// shard can write it.
+			j := landBase + v*s.planes + p
+			s.ringCells[j] = *c
+			s.ringOcc[j] = true
+			landed++
+		}
+	}
+	if measuring {
+		st.IdleSlots += idle
+	}
+	if sh != nil {
+		sh.landed = landed
+		sh.dBacklog += dBacklog
+	} else {
+		s.ringCount[(s.slot+s.propSlots)%int64(s.ringSlots)] += landed
+		s.totalBacklog += dBacklog
+	}
+}

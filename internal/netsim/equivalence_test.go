@@ -10,9 +10,10 @@ import (
 	"repro/internal/workload"
 )
 
-// The dense engine is kept as the executable specification of the
-// per-slot algorithm: every test here replays one scenario under
-// Config.Dense true and false and requires bit-identical results —
+// The dense reference engine (dense_test.go) is the executable
+// specification of the per-slot algorithm: every test here replays one
+// scenario under it and under the production active-set engine and
+// requires bit-identical results —
 // Stats counters, sample streams, queue/flow state, and (where an
 // observer is attached) the metric series rows and the event trace.
 // This is the active-set engine's headline invariant; the scenarios
@@ -89,9 +90,9 @@ func TestDenseActiveEquivalenceSparseOpenLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(Config{Schedule: sc.Schedule, Router: routing.NewSORN(sc),
+		s, err := newEngine(Config{Schedule: sc.Schedule, Router: routing.NewSORN(sc),
 			SlotNS: 100, PropNS: 500, Seed: 5, LatencySampleEvery: 2,
-			Dense: dense, Workers: workers})
+			Workers: workers}, dense)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,9 +115,9 @@ func TestDenseActiveEquivalenceFaultChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(Config{Schedule: sc.Schedule, Router: routing.NewSORN(sc),
+		s, err := newEngine(Config{Schedule: sc.Schedule, Router: routing.NewSORN(sc),
 			SlotNS: 100, PropNS: 400, Seed: 23, LatencySampleEvery: 1,
-			QueueLimit: 8, Planes: 2, Dense: dense, Workers: workers})
+			QueueLimit: 8, Planes: 2, Workers: workers}, dense)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,9 +156,9 @@ func TestDenseActiveEquivalenceReconfigure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(Config{Schedule: sc.Schedule, Router: routing.NewSORN(sc),
+		s, err := newEngine(Config{Schedule: sc.Schedule, Router: routing.NewSORN(sc),
 			SlotNS: 100, PropNS: 300, Seed: 31, LatencySampleEvery: 2,
-			Dense: dense, Workers: workers})
+			Workers: workers}, dense)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,32 +190,29 @@ func TestDenseActiveEquivalenceReconfigure(t *testing.T) {
 }
 
 func TestDenseActiveEquivalenceResetReuse(t *testing.T) {
-	// Pooled reuse across engine modes: a simulator dirtied under one
-	// engine and Reset into the other must be indistinguishable from a
-	// fresh simulator of that mode — Reset rebuilds the active set from
-	// scratch and Dense follows the new Config, not the old one.
+	// Pooled reuse across engines: a simulator dirtied under one engine
+	// and Reset must be indistinguishable from a fresh simulator. Reset
+	// rebuilds the active set from scratch and clears the reference
+	// hook, so a dense-dirtied sim comes back on the active engine, and
+	// an active-dirtied one switched to dense after Reset matches a
+	// fresh dense sim.
 	for _, towardsDense := range []bool{false, true} {
 		t.Run(fmt.Sprintf("toDense=%v", towardsDense), func(t *testing.T) {
 			cfg := sornResetConfig(t, 1)
-			cfg.Dense = towardsDense
-			fresh, err := New(cfg)
+			fresh, err := newEngine(cfg, towardsDense)
 			if err != nil {
 				t.Fatal(err)
 			}
 			runSaturatedTarget(t, fresh)
 
-			dirty := dirtySim(t, 1) // dirtySim runs the default (active) engine
-			if towardsDense {
-				d := dirtySim(t, 1)
-				dcfg := sornResetConfig(t, 1)
-				if err := d.Reset(dcfg); err != nil {
-					t.Fatal(err)
-				}
-				dirty = d
-			}
+			dirty := dirtySim(t, 1, !towardsDense)
 			if err := dirty.Reset(cfg); err != nil {
 				t.Fatal(err)
 			}
+			if dirty.reference != nil {
+				t.Fatal("Reset kept the reference engine hook")
+			}
+			useDense(dirty, towardsDense)
 			runSaturatedTarget(t, dirty)
 			compareSims(t, fresh, dirty)
 		})
@@ -235,9 +233,9 @@ func TestDenseActiveObsSeriesEquivalence(t *testing.T) {
 		}
 		ob := obs.New(obs.Options{MetricsEvery: 7, TraceFlows: true})
 		ob.StartRun("equiv")
-		s, err := New(Config{Schedule: sc.Schedule, Router: routing.NewSORN(sc),
+		s, err := newEngine(Config{Schedule: sc.Schedule, Router: routing.NewSORN(sc),
 			SlotNS: 100, PropNS: 500, Seed: 41, LatencySampleEvery: 2,
-			Dense: dense, Obs: ob})
+			Obs: ob}, dense)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,15 +315,15 @@ func TestFastForwardToNoOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	mk := func(dense bool) *Sim {
-		s, err := New(Config{Schedule: sc.Schedule, Router: routing.NewSORN(sc),
-			SlotNS: 100, PropNS: 300, Seed: 3, Dense: dense})
+		s, err := newEngine(Config{Schedule: sc.Schedule, Router: routing.NewSORN(sc),
+			SlotNS: 100, PropNS: 300, Seed: 3}, dense)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
 	if s := mk(true); s.FastForwardTo(100) != 0 || s.Slot() != 0 {
-		t.Fatal("dense engine must never fast-forward")
+		t.Fatal("the dense reference engine must never fast-forward")
 	}
 	s := mk(false)
 	if s.FastForwardTo(0) != 0 {

@@ -87,15 +87,6 @@ type Config struct {
 	// costs the hot path one predictable branch per slot phase, and an
 	// enabled observer never perturbs Stats (see TestObsNonPerturbation).
 	Obs *obs.Observer
-	// Dense selects the dense reference engine: transmit scans every
-	// (source, plane) slot and landing scans every (destination, plane)
-	// ring entry each slot, and quiescence fast-forward is disabled. The
-	// default active-set engine iterates only occupied entries and is
-	// bit-identical to the dense scan (the equivalence is pinned by
-	// TestDenseActiveEquivalence* and gated in ci.sh); the dense engine
-	// is kept as that oracle and as the A/B baseline behind the CLIs'
-	// -dense flag.
-	Dense bool
 }
 
 // FlowState tracks one flow through the simulator.
@@ -481,13 +472,13 @@ type Sim struct {
 	// both engines; InFlight() sums it in O(ringSlots).
 	ringCount []int32
 
-	// Active-set engine state (Config.Dense false). activeSrc[i] is
-	// shard i's unordered list of sources with queued cells; srcPos
-	// gives each node's position in its shard's list (-1 when absent)
-	// for O(1) swap-removal, and shardOf maps a node to its owning
-	// shard. liveShard[i] counts shard i's non-failed nodes and
-	// failedCount the failed total, keeping idle-slot accounting and the
-	// quiescence fast-forward O(1). A shard only appends nodes it owns
+	// Active-set engine state. activeSrc[i] is shard i's unordered list
+	// of sources with queued cells; srcPos gives each node's position in
+	// its shard's list (-1 when absent) for O(1) swap-removal, and
+	// shardOf maps a node to its owning shard. liveShard[i] counts shard
+	// i's non-failed nodes and failedCount the failed total, keeping
+	// idle-slot accounting and the quiescence fast-forward O(1). A
+	// shard only appends nodes it owns
 	// (landing-phase activations) and transmit only removes its own
 	// drained sources, so the lists are race-free by partition.
 	activeSrc [][]int32 //sornlint:staged
@@ -521,7 +512,13 @@ type Sim struct {
 	// sharding-invariant. Written serially in Step, read-only in the
 	// transmit phase.
 	stageSkip bool
-	dense     bool
+
+	// reference, when non-nil, replaces Step's land and transmit phase
+	// bodies and disables FastForwardTo. Only the package's tests set it,
+	// to run the dense reference engine the active engine must match bit
+	// for bit; init clears it, so production sims always run the active
+	// engine and Reset still yields New's state.
+	reference *phaseBodies
 
 	routeBuf routing.Route
 
@@ -681,7 +678,7 @@ func (s *Sim) init(cfg Config) error {
 	}
 	s.totalBacklog = 0
 	s.failedCount = 0
-	s.dense = cfg.Dense
+	s.reference = nil
 	// The xor constants just decorrelate the stream roots from the
 	// workload seed; splitmix64 inside rng.New takes care of the rest.
 	// Each root is split serially into one stream per node.
@@ -762,9 +759,8 @@ func (s *Sim) init(cfg Config) error {
 	}
 
 	// Active-set state: no source active, per-shard live counts full,
-	// all arrival staging empty. Allocated even for a dense run — a
-	// Reset may switch engines — but sized by (n, Workers, ring)
-	// geometry, which is tiny next to the queues.
+	// all arrival staging empty. Sized by (n, Workers, ring) geometry,
+	// which is tiny next to the queues.
 	if len(s.shardOf) != n {
 		s.shardOf = make([]int32, n)
 		s.srcPos = make([]int32, n)
@@ -1124,7 +1120,7 @@ func (s *Sim) enqueue(sh *shard, u int, c *cell) {
 	} else {
 		s.totalBacklog++
 	}
-	if !s.dense && s.backlog[u] == 1 {
+	if s.backlog[u] == 1 {
 		s.activateSrc(u)
 	}
 }
@@ -1232,31 +1228,27 @@ func (s *Sim) Step() {
 		s.matchRows[p] = s.sched.Slots[(s.slot+s.offsets[p])%period]
 	}
 	timed := s.phaseTimed()
-	if s.dense {
-		s.runPhase(obs.PhaseLand, timed, (*Sim).landShardDense)
-	} else {
-		s.runPhase(obs.PhaseLand, timed, (*Sim).landShardActive)
+	land, transmit := (*Sim).landShardActive, (*Sim).transmitShardActive
+	if s.reference != nil {
+		land, transmit = s.reference.land, s.reference.transmit
 	}
+	s.runPhase(obs.PhaseLand, timed, land)
 	cur := s.slot % int64(s.ringSlots)
 	s.ringCount[cur] = 0
 	s.landScan[cur] = false
-	if s.dense {
-		s.runPhase(obs.PhaseTransmit, timed, (*Sim).transmitShardDense)
-	} else {
-		// Active sources (backlog > 0) bound this slot's transmissions
-		// at active×planes; if that already crosses the land-scan
-		// threshold, the staged arrival lists would be discarded, so
-		// tell the transmit shards not to build them. Computed after
-		// the landing phase (which activates sources) and before
-		// transmit, serially — the set of active sources is identical
-		// across worker counts, so the decision is too.
-		active := 0
-		for i := range s.activeSrc {
-			active += len(s.activeSrc[i])
-		}
-		s.stageSkip = int32(active)*int32(s.planes) >= s.landScanThreshold
-		s.runPhase(obs.PhaseTransmit, timed, (*Sim).transmitShardActive)
+	// Active sources (backlog > 0) bound this slot's transmissions at
+	// active×planes; if that already crosses the land-scan threshold,
+	// the staged arrival lists would be discarded, so tell the transmit
+	// shards not to build them. Computed after the landing phase (which
+	// activates sources) and before transmit, serially — the set of
+	// active sources is identical across worker counts, so the decision
+	// is too.
+	active := 0
+	for i := range s.activeSrc {
+		active += len(s.activeSrc[i])
 	}
+	s.stageSkip = int32(active)*int32(s.planes) >= s.landScanThreshold
+	s.runPhase(obs.PhaseTransmit, timed, transmit)
 	if len(s.shards) > 1 {
 		if timed {
 			t0 := s.obs.Clock()
@@ -1266,9 +1258,7 @@ func (s *Sim) Step() {
 			s.mergeShards()
 		}
 	}
-	if !s.dense {
-		s.stageArrivals()
-	}
+	s.stageArrivals()
 	if s.om != nil {
 		s.obsEndSlot()
 	}
@@ -1328,15 +1318,15 @@ func (s *Sim) stageArrivals() {
 // all of which are accounted here (see obsFastForward for the metric
 // series). Schedule rows, plane offsets, and ring indices are derived
 // from the slot counter at the next Step, so they need no adjustment.
-// The dense reference engine never fast-forwards — it is the per-slot
-// oracle — and a non-quiescent or mid-Step simulator is left untouched,
-// so drivers call this unconditionally with the next slot at which
+// A non-quiescent or mid-Step simulator is left untouched (as is one
+// running the tests' per-slot reference engine, see Sim.reference), so
+// drivers call this unconditionally with the next slot at which
 // anything is due: an arrival, a fault-plan event, a control epoch, a
 // report boundary. Only wall-clock phase timings can tell the
 // difference (skipped slots are never phase-timed); they are
 // deliberately outside the determinism contract.
 func (s *Sim) FastForwardTo(target int64) int64 {
-	if s.dense || s.stepping || target <= s.slot {
+	if s.reference != nil || s.stepping || target <= s.slot {
 		return 0
 	}
 	if s.totalBacklog != 0 || s.InFlight() != 0 {
@@ -1355,6 +1345,13 @@ func (s *Sim) FastForwardTo(target int64) int64 {
 	}
 	s.slot = target
 	return skipped
+}
+
+// phaseBodies is a pair of per-shard phase bodies for Step: the landing
+// phase (sharded by destination) and the transmit phase (sharded by
+// source).
+type phaseBodies struct {
+	land, transmit func(s *Sim, lo, hi int, sh *shard)
 }
 
 // runPhase executes one phase across all shards. Serial runs inline
@@ -1432,26 +1429,10 @@ func (s *Sim) mergeShards() {
 	}
 }
 
-// landShardDense processes this slot's arrivals at destination nodes
-// [lo, hi) by scanning every (node, plane) ring entry — the reference
-// engine's landing phase. It is a worker-phase body (writes outside the
-// shard's staged state are shardsafety violations) and the per-cell hot
-// loop (heap allocation is a hotalloc violation).
-//
-//sornlint:shardphase
-//sornlint:hotpath
-func (s *Sim) landShardDense(lo, hi int, sh *shard) {
-	cur := int(s.slot % int64(s.ringSlots))
-	if s.ringCount[cur] == 0 {
-		return
-	}
-	s.landScanRange(cur, lo, hi, sh)
-}
-
 // landScanRange lands everything in ring slot cur addressed to [lo, hi),
-// in (node, plane) order — the canonical landing order both engines
-// produce. Shared by the dense engine and the active engine's
-// heavy-slot fallback.
+// in (node, plane) order — the canonical landing order. The active
+// engine's heavy-slot fallback, and the whole landing phase of the
+// tests' dense reference engine.
 //
 //sornlint:shardphase
 //sornlint:hotpath
@@ -1590,102 +1571,6 @@ func (s *Sim) emitEvent(sh *shard, e obs.Event) {
 	s.obs.Emit(e)
 }
 
-// transmitShardDense pops one cell per plane per source node in
-// [lo, hi) onto the node's active circuits, writing arrivals into the
-// delay line slot each destination owns — the reference engine's
-// transmit phase, scanning every (source, plane) pair.
-//
-// The loop is plane-major so the dominant single-plane case is one flat
-// pass over the match row. Unlike the landing phase, transmit order
-// across nodes carries no state: every mutation is per-source (pops,
-// backlog, fresh counters — a node's pops still occur in ascending
-// plane order), commutative (counter and loss sums), uniquely addressed
-// (delay-line entries), or order-canonicalized downstream (the
-// dirty-pair worklist is sorted before each drain), so any iteration
-// layout yields the same result for every worker count.
-//
-//sornlint:shardphase
-//sornlint:hotpath
-func (s *Sim) transmitShardDense(lo, hi int, sh *shard) {
-	n := s.n
-	st := &s.stats
-	if sh != nil {
-		st = &sh.stats
-	}
-	landBase := int((s.slot+s.propSlots)%int64(s.ringSlots)) * n * s.planes
-	landed := int32(0)
-	idle := int64(0)
-	dBacklog := int64(0)
-	measuring := s.measuring
-	planes := s.planes
-	rows := s.matchRows
-	voq := s.voq
-	backlog := s.backlog
-	failedNode := s.failedNode
-	failedLink := s.failedLink
-	hasFailedLink := failedLink != nil
-	for p := 0; p < planes; p++ {
-		row := rows[p]
-		for u := lo; u < hi; u++ {
-			if failedNode[u] {
-				continue
-			}
-			v := row[u]
-			vq := voq[u]
-			if vq == nil {
-				// Never queued anything: idle on this circuit (a
-				// validated schedule has no self-circuits, so u != v).
-				idle++
-				continue
-			}
-			c, ok := vq[v].pop()
-			if !ok {
-				if u != v {
-					idle++
-				}
-				continue
-			}
-			backlog[u]--
-			dBacklog--
-			if c.fresh {
-				s.noteFreshConsumed(sh, u, c.dst())
-				c.fresh = false
-			}
-			if failedNode[v] || (hasFailedLink && failedLink[u] != nil && failedLink[u][v]) {
-				if sh != nil {
-					sh.losses = append(sh.losses, flowLoss{flow: c.flow, cells: 1})
-				} else {
-					s.flow(c.flow).lost++
-				}
-				if measuring {
-					st.LostCells++
-				}
-				continue
-			}
-			if measuring {
-				st.SentCells++
-			}
-			// Within a slot each plane's circuits form a matching, so
-			// (v, p) identifies this arrival's slot uniquely: no other
-			// shard can write it.
-			j := landBase + v*s.planes + p
-			s.ringCells[j] = *c
-			s.ringOcc[j] = true
-			landed++
-		}
-	}
-	if measuring {
-		st.IdleSlots += idle
-	}
-	if sh != nil {
-		sh.landed = landed
-		sh.dBacklog += dBacklog
-	} else {
-		s.ringCount[(s.slot+s.propSlots)%int64(s.ringSlots)] += landed
-		s.totalBacklog += dBacklog
-	}
-}
-
 // transmitShardActive is the active-set transmit phase: instead of
 // scanning all of [lo, hi) per plane, it visits only the shard's
 // sources with queued cells, removing each from the list the moment it
@@ -1693,13 +1578,17 @@ func (s *Sim) transmitShardDense(lo, hi int, sh *shard) {
 // drained tail of an open-loop run — and every lightly loaded slot of a
 // sparse one — costs O(cells moved), not O(n).
 //
-// Equivalence with the dense scan: each active source still tries its
-// planes in ascending order, every non-list mutation is per-source,
-// commutative, uniquely addressed, or canonicalized downstream (see
-// transmitShardDense), and the idle total is computed by identity —
-// live sources × planes − successful pops — rather than counted, which
-// matches the dense count exactly because a validated schedule has no
-// self-circuits. List order is irrelevant to all of it.
+// Equivalence with a dense scan of every (source, plane) pair — the
+// tests' reference engine: transmit order across nodes carries no
+// state. Each active source still tries its planes in ascending order,
+// and every other mutation is per-source (pops, backlog, fresh
+// counters), commutative (counter and loss sums), uniquely addressed
+// (delay-line entries), or order-canonicalized downstream (the
+// dirty-pair worklist is sorted before each drain). The idle total is
+// computed by identity — live sources × planes − successful pops —
+// rather than counted, which matches the dense count exactly because a
+// validated schedule has no self-circuits. List order is irrelevant to
+// all of it.
 //
 //sornlint:shardphase
 //sornlint:hotpath
@@ -1732,10 +1621,10 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 	list := s.activeSrc[shIdx]
 	if len(list)*2 >= hi-lo {
 		// Saturated shard: most of the node range is active, so the
-		// list buys nothing — switch to the dense engine's plane-major
-		// layout (hoisted match row, nodes visited in address order)
-		// and skip the few inactive sources via srcPos. Iteration
-		// layout carries no state (see transmitShardDense), so this is
+		// list buys nothing — switch to a dense plane-major layout
+		// (hoisted match row, nodes visited in address order) and skip
+		// the few inactive sources via srcPos. Iteration layout carries
+		// no state (see above), so this is
 		// purely a memory-access-pattern choice; sources that drain
 		// are swept from the list after the scan instead of
 		// swap-removed mid-iteration, which changes only list order —
@@ -1923,8 +1812,7 @@ func (s *Sim) RunOpenLoop(flows []workload.Flow, until int64) error {
 		s.Step()
 		// Nothing can happen before the next arrival (or the horizon)
 		// once the network drains; skip the empty slots in O(1).
-		// FastForwardTo checks quiescence itself and is disabled on the
-		// dense reference engine.
+		// FastForwardTo checks quiescence itself.
 		next := until
 		if i < len(flows) && flows[i].Arrival < next {
 			next = flows[i].Arrival

@@ -28,11 +28,11 @@ import (
 // separately (see obs.Options.TraceFlows).
 var benchObs = flag.Bool("benchobs", false, "attach an Observer in the saturated benchmarks (obs overhead gate)")
 
-// benchDense runs the benchmarks on the dense reference engine instead
-// of the default active-set engine, for same-machine A/B comparisons
-// (ci.sh's dense-vs-active gate, and the OpenLoopSparse speedup the
-// acceptance criteria track). Results are bit-identical either way —
-// only the per-slot iteration strategy differs.
+// benchDense runs the benchmarks on the test-only dense reference engine
+// (dense_test.go) instead of the production active-set engine, for
+// same-machine A/B comparisons (ci.sh's active-engine gate, and the
+// OpenLoopSparse speedup the ledger tracks). Results are bit-identical
+// either way — only the per-slot iteration strategy differs.
 var benchDense = flag.Bool("benchdense", false, "run benchmarks on the dense reference engine (dense-vs-active A/B gate)")
 
 func newSim(t *testing.T, sched *matching.Schedule, router routing.Router, seed uint64) *Sim {
@@ -353,7 +353,7 @@ func BenchmarkStepSaturated(b *testing.B) {
 	if *benchObs {
 		ob = obs.New(obs.Options{})
 	}
-	s, err := New(Config{Schedule: built.Schedule, Router: router, SlotNS: 100, PropNS: 500, Seed: 1, Obs: ob, Dense: *benchDense})
+	s, err := newEngine(Config{Schedule: built.Schedule, Router: router, SlotNS: 100, PropNS: 500, Seed: 1, Obs: ob}, *benchDense)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func BenchmarkStepSaturatedFull(b *testing.B) {
 		b.Fatal(err)
 	}
 	router := routing.NewSORN(built)
-	s, err := New(Config{Schedule: built.Schedule, Router: router, SlotNS: 100, PropNS: 500, Seed: 1, Dense: *benchDense})
+	s, err := newEngine(Config{Schedule: built.Schedule, Router: router, SlotNS: 100, PropNS: 500, Seed: 1}, *benchDense)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1098,7 +1098,7 @@ func BenchmarkInjectSaturated(b *testing.B) {
 	if *benchObs {
 		ob = obs.New(obs.Options{})
 	}
-	s, err := New(Config{Schedule: built.Schedule, Router: router, SlotNS: 100, PropNS: 500, Seed: 1, Obs: ob, Dense: *benchDense})
+	s, err := newEngine(Config{Schedule: built.Schedule, Router: router, SlotNS: 100, PropNS: 500, Seed: 1, Obs: ob}, *benchDense)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1136,7 +1136,7 @@ func BenchmarkOpenLoopSparse(b *testing.B) {
 	cfg := Config{
 		Schedule: built.Schedule, Router: routing.NewSORN(built),
 		SlotNS: 100, PropNS: 500, Seed: 1,
-		LatencySampleEvery: 16, Dense: *benchDense,
+		LatencySampleEvery: 16,
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -1153,6 +1153,7 @@ func BenchmarkOpenLoopSparse(b *testing.B) {
 		if err := s.Reset(cfg); err != nil {
 			b.Fatal(err)
 		}
+		useDense(s, *benchDense)
 		s.StartMeasuring()
 		if err := s.RunOpenLoop(flows, 205000); err != nil {
 			b.Fatal(err)
@@ -1183,11 +1184,11 @@ func BenchmarkLargeN(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := New(Config{
+		s, err := newEngine(Config{
 			Schedule: built.Schedule, Router: router,
 			SlotNS: 100, PropNS: 500, Seed: 1,
-			LatencySampleEvery: 16, Dense: *benchDense,
-		})
+			LatencySampleEvery: 16,
+		}, *benchDense)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -41,8 +41,9 @@ func runSaturatedTarget(t *testing.T, s *Sim) {
 // configuration (flat schedule, two planes, queue limit, observer
 // attached) and drags it through everything that leaves residue: queue
 // growth, failures and repairs, a purge, a mid-run reconfiguration.
-// What comes back is the worst case a pooled Sim hands to Reset.
-func dirtySim(t *testing.T, workers int) *Sim {
+// What comes back is the worst case a pooled Sim hands to Reset. dense
+// runs it all on the dense reference engine.
+func dirtySim(t *testing.T, workers int, dense bool) *Sim {
 	t.Helper()
 	n := 32
 	sched := matching.RoundRobin(n)
@@ -50,9 +51,9 @@ func dirtySim(t *testing.T, workers int) *Sim {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Schedule: sched, Router: v, SlotNS: 100, PropNS: 500,
+	s, err := newEngine(Config{Schedule: sched, Router: v, SlotNS: 100, PropNS: 500,
 		Seed: 99, LatencySampleEvery: 2, Planes: 2, QueueLimit: 64,
-		Workers: workers, Obs: obs.New(obs.Options{})})
+		Workers: workers, Obs: obs.New(obs.Options{})}, dense)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestSimResetBitIdentity(t *testing.T) {
 			runSaturatedTarget(t, fresh)
 
 			t.Run("after-faulty-run", func(t *testing.T) {
-				pooled := dirtySim(t, workers)
+				pooled := dirtySim(t, workers, false)
 				if err := pooled.Reset(cfg); err != nil {
 					t.Fatal(err)
 				}
@@ -197,7 +198,7 @@ func TestSimResetOpenLoopAfterPlaneChange(t *testing.T) {
 	}
 	runTarget(fresh)
 
-	pooled := dirtySim(t, 1) // dirty run used Planes 2 with PropNS 500 on the same n... but a different schedule
+	pooled := dirtySim(t, 1, false) // dirty run used Planes 2 with PropNS 500 on the same n... but a different schedule
 	if err := pooled.Reset(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestSimResetOpenLoopAfterPlaneChange(t *testing.T) {
 }
 
 func TestSimResetRejectsNodeCountChange(t *testing.T) {
-	s := dirtySim(t, 1)
+	s := dirtySim(t, 1, false)
 	small := matching.RoundRobin(16)
 	v, err := routing.NewVLB(matching.Compile(small))
 	if err != nil {

@@ -186,52 +186,6 @@ func (u *Update) PreservesNeighborSuperset() bool {
 	return u.DrainsRequired() == 0
 }
 
-// Fabric ties a switch, a current schedule, and its compiled node states
-// together, and applies updates with synchronized-epoch semantics: an
-// update takes effect at a slot that is a multiple of the new period, as
-// a logically centralized control plane would arrange (paper §5, [9]).
-type Fabric struct {
-	sw       *Switch
-	schedule *matching.Schedule
-	states   []NodeState
-	epoch    int // number of applied updates
-}
-
-// NewFabric creates a fabric running an initial schedule.
-func NewFabric(sw *Switch, s *matching.Schedule) (*Fabric, error) {
-	states, err := CompileNodeStates(sw, s)
-	if err != nil {
-		return nil, err
-	}
-	return &Fabric{sw: sw, schedule: s, states: states}, nil
-}
-
-// Schedule returns the active schedule.
-func (f *Fabric) Schedule() *matching.Schedule { return f.schedule }
-
-// States returns the compiled per-node transmit states.
-func (f *Fabric) States() []NodeState { return f.states }
-
-// Epoch returns how many updates have been applied.
-func (f *Fabric) Epoch() int { return f.epoch }
-
-// Apply transitions the fabric to a new schedule, first planning the
-// update. It returns the plan so callers can account for drains.
-func (f *Fabric) Apply(s *matching.Schedule) (*Update, error) {
-	u, err := PlanUpdate(f.schedule, s)
-	if err != nil {
-		return nil, err
-	}
-	states, err := CompileNodeStates(f.sw, s)
-	if err != nil {
-		return nil, err
-	}
-	f.schedule = s
-	f.states = states
-	f.epoch++
-	return u, nil
-}
-
 // setDiff returns elements of a not present in b; both must be sorted.
 func setDiff(a, b []int) []int {
 	var out []int

@@ -162,36 +162,6 @@ func TestPlanUpdateErrors(t *testing.T) {
 	}
 }
 
-func TestFabricApply(t *testing.T) {
-	sw, _ := NewAWGR(8)
-	f, err := NewFabric(sw, matching.RoundRobin(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Epoch() != 0 {
-		t.Fatal("fresh fabric epoch != 0")
-	}
-	a := schedule.TopologyA()
-	u, err := f.Apply(a.Schedule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Epoch() != 1 {
-		t.Fatal("epoch did not advance")
-	}
-	if f.Schedule() != a.Schedule {
-		t.Fatal("schedule not swapped")
-	}
-	if len(f.States()) != 8 {
-		t.Fatal("states not recompiled")
-	}
-	// Moving from full round robin to topology A drops inter-clique
-	// neighbors: drains must be reported.
-	if u.DrainsRequired() == 0 {
-		t.Fatal("RR -> topology A should require drains")
-	}
-}
-
 func TestLCMPeriodDiffing(t *testing.T) {
 	// Two schedules equal as infinite sequences but with different
 	// written periods must diff to zero changes.
@@ -208,28 +178,6 @@ func TestLCMPeriodDiffing(t *testing.T) {
 	}
 	if u.TotalSlotChanges() != 0 {
 		t.Fatalf("equivalent schedules show %d slot changes", u.TotalSlotChanges())
-	}
-}
-
-func TestNewFabricRejectsMismatch(t *testing.T) {
-	sw, _ := NewAWGR(8)
-	if _, err := NewFabric(sw, matching.RoundRobin(4)); err == nil {
-		t.Fatal("size mismatch accepted")
-	}
-}
-
-func TestFabricApplyRejectsInvalid(t *testing.T) {
-	sw, _ := NewAWGR(8)
-	f, err := NewFabric(sw, matching.RoundRobin(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := &matching.Schedule{N: 8}
-	if _, err := f.Apply(bad); err == nil {
-		t.Fatal("invalid schedule applied")
-	}
-	if f.Epoch() != 0 {
-		t.Fatal("failed apply advanced the epoch")
 	}
 }
 

@@ -25,8 +25,9 @@
 #                               Stats), Sim.Reset bit-identity vs a
 #                               fresh simulator, sweep results
 #                               bit-identical across sweep concurrency,
-#                               and the active-set engine bit-identical
-#                               to the dense reference engine (Stats,
+#                               and the production active-set engine
+#                               bit-identical to the dense reference
+#                               engine the netsim tests keep (Stats,
 #                               series, traces) through fault churn,
 #                               reconfiguration, and fast-forward
 #   7. oracle corpus         -- the differential-testing corpus gate
@@ -53,24 +54,17 @@
 #                               committed ledger entries from other
 #                               hosts are not comparable in absolute
 #                               ns/op.)
-#  11. sweep reuse gate      -- BenchmarkFig2fSweepQuick (the CI-sized
-#                               Figure 2(f) sweep) run fresh-per-point
-#                               (-benchsweepfresh) then with the pooled
-#                               Reset reuse path, compared via
-#                               `benchjson compare`; fails if the pool
-#                               is >5% slower than fresh allocation,
-#                               i.e. if Reset reuse ever becomes a
-#                               pessimization
-#  12. active engine gate    -- the slot-level saturated benchmarks
+#  11. active engine gate    -- the slot-level saturated benchmarks
 #                               (BenchmarkStepSaturated: stepping a
 #                               primed 128-node sim to drain, and
 #                               BenchmarkStepSaturatedFull: Step with
 #                               the backlog held at the saturation
 #                               target, injection outside the timed
-#                               region) run on the dense reference
-#                               engine (-benchdense) then on the default
-#                               active-set engine, compared via
-#                               `benchjson compare`; fails if the
+#                               region) run on the netsim tests' dense
+#                               reference engine (the test binary's
+#                               -benchdense flag) then on the
+#                               production active-set engine, compared
+#                               via `benchjson compare`; fails if the
 #                               active-set bookkeeping makes the
 #                               *saturated* regime — where the active
 #                               set is every (src, plane) pair and the
@@ -120,15 +114,16 @@ go test ./...
 # the fault-plan variant (scripted outages + random churn between Steps).
 # TestSimResetBitIdentity pins Reset-reused sims to fresh ones, and
 # TestSweepDeterminismAcrossConcurrency pins sweep results across worker
-# counts (including the pooled vs fresh-sim paths).
+# counts (including pooled-Reset vs freshly built simulators).
 echo "== go test -race -run 'TestParallelDeterminism|TestObsNonPerturbation|TestSimResetBitIdentity' ./internal/netsim/"
 go test -race -run 'TestParallelDeterminism|TestObsNonPerturbation|TestSimResetBitIdentity' ./internal/netsim/
 
 echo "== go test -race -run 'TestSweepDeterminismAcrossConcurrency' ./internal/experiments/"
 go test -race -run 'TestSweepDeterminismAcrossConcurrency' ./internal/experiments/
 
-# The dense engine is the executable specification of the per-slot
-# algorithm; the active-set engine must reproduce it bit-identically —
+# The dense reference engine, kept in the netsim test package, is the
+# executable specification of the per-slot algorithm; the production
+# active-set engine must reproduce it bit-identically —
 # Stats, series rows, event traces — through fault churn, mid-run
 # reconfiguration, pooled Reset reuse, and quiescence fast-forward.
 echo "== go test -race -run 'TestDenseActiveEquivalence|TestFastForwardTo' ./internal/netsim/"
@@ -168,32 +163,20 @@ done
 "$obsdir/benchjson" -label obs-on -out "$obsdir/ledger.json" <"$obsdir/on.txt"
 "$obsdir/benchjson" compare -out "$obsdir/ledger.json" obs-off obs-on
 
-echo "== sweep reuse gate (Fig2fSweepQuick, fresh vs pooled sims, 5% budget)"
-# Same same-machine A/B shape as the obs gate: prebuilt binary,
-# interleaved passes, best ns/op per label kept by benchjson.
-go test -run NONE -c -o "$obsdir/repro.test" .
-for pass in 1 2 3; do
-  "$obsdir/repro.test" -test.run NONE -test.bench 'BenchmarkFig2fSweepQuick$' \
-    -test.benchtime 2x -test.count 2 -benchsweepfresh >>"$obsdir/fresh.txt"
-  "$obsdir/repro.test" -test.run NONE -test.bench 'BenchmarkFig2fSweepQuick$' \
-    -test.benchtime 2x -test.count 2 >>"$obsdir/pooled.txt"
-done
-"$obsdir/benchjson" -label sweep-fresh -out "$obsdir/sweep.json" <"$obsdir/fresh.txt"
-"$obsdir/benchjson" -label sweep-pooled -out "$obsdir/sweep.json" <"$obsdir/pooled.txt"
-"$obsdir/benchjson" compare -out "$obsdir/sweep.json" sweep-fresh sweep-pooled
-
 echo "== active engine gate (StepSaturated + StepSaturatedFull, dense vs active, 5% budget)"
 # Saturation is the active-set engine's worst case: every source is
 # backlogged, so the incremental occupancy tracking buys nothing and
 # must at least not lose. Slot-level, injection-free benchmarks only —
 # on a shared host the CI-sized sweep's wall clock and the injection
 # path's RNG/allocation jitter both drift past the budget between
-# identical configs, so those live in the ledger, not a gate. Same
-# same-machine A/B shape as the gates above, reusing the prebuilt test
-# binary. StepSaturatedFull runs long (100000x, count 3) so each
-# measurement averages across host-load drift and the kept minimum —
-# nine runs per label, interleaved — sits at the genuine floor rather
-# than whichever label drew the quieter minute.
+# identical configs, so those live in the ledger, not a gate. The dense
+# reference engine is test-only: the prebuilt netsim test binary's
+# -benchdense flag selects it. Same same-machine A/B shape as the obs
+# gate above, reusing that binary. StepSaturatedFull runs long
+# (100000x, count 3) so each measurement averages across host-load
+# drift and the kept minimum — nine runs per label, interleaved — sits
+# at the genuine floor rather than whichever label drew the quieter
+# minute.
 for pass in 1 2 3; do
   (cd internal/netsim && "$obsdir/netsim.test" -test.run NONE \
     -test.bench 'BenchmarkStepSaturated$' -test.benchtime 20000x -test.count 2 -benchdense) \
