@@ -39,7 +39,7 @@ func BenchmarkTable1(b *testing.B) {
 	var rows []model.Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = model.Table1()
+		rows, err = model.Table1(model.Table1Params(), 0.56, true)
 		if err != nil {
 			b.Fatal(err)
 		}

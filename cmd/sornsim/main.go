@@ -17,7 +17,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	_ "net/http/pprof" // -pprof serves the default mux
 	"os"
@@ -289,14 +288,8 @@ func main() {
 	}
 
 	if ob != nil {
-		if *tracePath != "" {
-			writeFile(*tracePath, ob.WriteTraceJSONL)
-			if d := ob.TraceDropped(); d > 0 {
-				fmt.Fprintf(os.Stderr, "sornsim: trace ring overwrote %d oldest events\n", d)
-			}
-		}
-		if *metricsPath != "" {
-			writeFile(*metricsPath, ob.WriteMetricsCSV)
+		if err := obs.WriteFiles(ob, *tracePath, *metricsPath, os.Stderr); err != nil {
+			fatal(err)
 		}
 		if err := ob.WritePhaseReport(os.Stderr); err != nil {
 			fatal(err)
@@ -373,20 +366,6 @@ func runSelfcheck(specLine string, seed uint64, iters, seconds int) {
 		res.Iterations, len(res.Reports), len(res.Errors))
 	if res.Failed() {
 		os.Exit(1)
-	}
-}
-
-// writeFile creates path and streams one observer emitter into it.
-func writeFile(path string, emit func(w io.Writer) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := emit(f); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Localitysweep: reproduce the Figure 2(f) sweep through the public API —
 // worst-case throughput of SORN as traffic locality varies, against the
 // 1D (50%) and 2D (25%) oblivious reference lines. Uses the fluid solver
-// only, so it runs in milliseconds; see cmd/fig2f for the packet-level
-// simulation series.
+// only, so it runs in milliseconds; see `repro -exp fig2f` (cmd/repro)
+// for the packet-level simulation series.
 package main
 
 import (

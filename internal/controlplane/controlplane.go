@@ -64,25 +64,14 @@ func (e *Estimator) Observe(tm *workload.Matrix) error {
 
 // Estimate returns a read-only view of the smoothed matrix (nil before
 // any observation). The view stays live — subsequent Observes update it
-// in place — and must not be mutated by callers; use EstimateClone for a
-// snapshot. It used to clone: PlanNext reads the estimate three times
-// per epoch (existence check, locality, re-clustering affinity), which
-// made the replanning loop allocate three N×N matrices per decision for
-// no reason.
+// in place — and must not be mutated by callers; Clone it for a
+// snapshot. PlanNext reads the estimate three times per epoch (existence
+// check, locality, re-clustering affinity), so a cloning read would make
+// the replanning loop allocate three N×N matrices per decision.
 //
 //sornlint:hotpath -- replanning-loop read path; must not allocate
 func (e *Estimator) Estimate() *workload.Matrix {
 	return e.ewma
-}
-
-// EstimateClone returns an independent snapshot of the smoothed matrix
-// (nil before any observation), for callers that need to hold or mutate
-// the estimate across further observations.
-func (e *Estimator) EstimateClone() *workload.Matrix {
-	if e.ewma == nil {
-		return nil
-	}
-	return e.ewma.Clone()
 }
 
 // Observations returns how many matrices have been folded in.

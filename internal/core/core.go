@@ -218,21 +218,12 @@ func RunSaturatedOn(sim *netsim.Sim, opts SimOptions, tm *workload.Matrix, dist 
 	})
 }
 
-// SimulateOpenLoop runs a Poisson flow workload at the given offered load
-// (fraction of node bandwidth) for `slots` slots and returns the stats
-// (FCTs, latencies, deliveries).
-func (nw *Network) SimulateOpenLoop(opts SimOptions, tm *workload.Matrix, dist workload.SizeDist, load float64, slots int64) (*netsim.Stats, error) {
-	sim, err := nw.NewSim(opts)
-	if err != nil {
-		return nil, err
-	}
-	return RunOpenLoopOn(sim, opts, tm, dist, load, slots)
-}
-
-// RunOpenLoopOn drives the open-loop experiment of SimulateOpenLoop on an
-// already-built simulator — the pooled-sweep counterpart of
-// RunSaturatedOn. The flow trace is regenerated per run from the opts
-// seed, so a pooled and a fresh simulator see the identical workload.
+// RunOpenLoopOn runs a Poisson flow workload at the given offered load
+// (fraction of node bandwidth) for `slots` slots on an already-built
+// simulator and returns the stats (FCTs, latencies, deliveries) — the
+// open-loop counterpart of RunSaturatedOn. The flow trace is regenerated
+// per run from the opts seed, so a pooled and a fresh simulator see the
+// identical workload.
 func RunOpenLoopOn(sim *netsim.Sim, opts SimOptions, tm *workload.Matrix, dist workload.SizeDist, load float64, slots int64) (*netsim.Stats, error) {
 	opts = opts.withDefaults()
 	gen, err := workload.NewPoissonFlows(tm, dist, load, opts.Seed+1)

@@ -76,24 +76,6 @@ func TestSimulateSaturatedSmoke(t *testing.T) {
 	}
 }
 
-func TestSimulateOpenLoopSmoke(t *testing.T) {
-	nw, err := NewORN1D(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tm, _ := nw.LocalityMatrix(0)
-	st, err := nw.SimulateOpenLoop(SimOptions{Seed: 2}, tm, workload.FixedSize(2), 0.2, 4000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.CompletedFlows == 0 {
-		t.Fatal("no flows completed")
-	}
-	if st.FCTSlots.Count() == 0 {
-		t.Fatal("no FCT samples")
-	}
-}
-
 func TestAdaptiveLoopImprovesAfterShift(t *testing.T) {
 	a, err := NewAdaptive(32, 4, 0.2, false)
 	if err != nil {

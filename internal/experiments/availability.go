@@ -141,13 +141,7 @@ func Availability(cfg AvailabilityConfig) (*AvailabilityResult, error) {
 		windows []AvailabilityWindow
 		stats   netsim.Stats
 	}
-	sw := sweep.Config{Concurrency: cfg.SweepWorkers, Seed: cfg.Seed}
-	if cfg.Obs != nil {
-		// One Observer serves one simulation at a time, and its run labels
-		// must appear in design order: a shared capture forces the sweep
-		// serial regardless of the requested concurrency.
-		sw.Concurrency = 1
-	}
+	sw := observedSweep(cfg.SweepWorkers, cfg.Seed, cfg.Obs)
 	runs, err := sweep.Run(sw, 2, func(p sweep.Point) (designRun, error) {
 		simWorkers := sw.SimWorkers(2, cfg.Workers)
 		if p.Index == 0 {

@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // fig2fTestConfig is a small-but-real sweep: three points with the
@@ -38,6 +41,41 @@ func TestFig2fDeterministic(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		if again := run(); again != first {
 			t.Fatalf("identical seeded runs diverged:\nrun 0: %s\nrun %d: %s", first, i+1, again)
+		}
+	}
+}
+
+// TestFig2fSharedObserver checks Fig2f's capture model: one Observer
+// attached to the whole sweep changes no point at any requested sweep
+// concurrency, and its series rows carry one "x=…" run label per
+// simulated point, in x order.
+func TestFig2fSharedObserver(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the packet simulator")
+	}
+	for _, workers := range []int{1, 3} {
+		cfg := fig2fTestConfig()
+		cfg.SweepWorkers = workers
+		want, err := Fig2f(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Obs = obs.New(obs.Options{MetricsEvery: 64})
+		got, err := Fig2f(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("SweepWorkers=%d: observed sweep diverged:\nwithout: %+v\nwith:    %+v", workers, want, got)
+		}
+		var labels []string
+		for _, row := range cfg.Obs.SeriesRows() {
+			if len(labels) == 0 || labels[len(labels)-1] != row[0] {
+				labels = append(labels, row[0])
+			}
+		}
+		if wantLabels := []string{"x=0.00", "x=0.50", "x=1.00"}; !reflect.DeepEqual(labels, wantLabels) {
+			t.Fatalf("SweepWorkers=%d: series run labels %q, want %q", workers, labels, wantLabels)
 		}
 	}
 }

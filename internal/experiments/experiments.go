@@ -36,10 +36,6 @@ type Fig2fPoint struct {
 	Theory float64 // r = 1/(3−x)
 	Fluid  float64 // exact link-load θ of the built schedule + router
 	Sim    float64 // saturated 128-node packet simulation (0 if skipped)
-	// Obs is the point's observability capture (slot-resolved metric
-	// series and event trace); nil unless Fig2fConfig.ObsEvery is set.
-	// Points run concurrently, so each gets its own Observer.
-	Obs *obs.Observer
 }
 
 // Fig2fConfig parameterizes the sweep.
@@ -60,12 +56,13 @@ type Fig2fConfig struct {
 	Workers int
 	// SweepWorkers bounds how many points run concurrently
 	// (sweep.Config.Concurrency: 0 = one worker per CPU, 1 = serial).
-	// Results are bit-identical for every value.
+	// Results are bit-identical for every value. Forced serial when Obs
+	// is set (see observedSweep).
 	SweepWorkers int
-	// ObsEvery, when positive, attaches an Observer to every simulated
-	// point, snapshotting the metric series every ObsEvery slots; each
-	// point's capture is returned in Fig2fPoint.Obs.
-	ObsEvery int64
+	// Obs, when non-nil, captures every simulated point's metric series
+	// and event trace, labeled "x=…" per point so one capture carries the
+	// whole sweep.
+	Obs *obs.Observer
 }
 
 // DefaultFig2fConfig is the paper's setup: 128 nodes, 8 cliques,
@@ -108,11 +105,22 @@ func Fig2f(cfg Fig2fConfig) ([]Fig2fPoint, error) {
 	}
 	xs := fig2fGrid(cfg.Step)
 	size := workload.NewCapped(workload.WebSearch(), cfg.SizeCap)
-	sw := sweep.Config{Concurrency: cfg.SweepWorkers, Seed: cfg.Seed}
+	sw := observedSweep(cfg.SweepWorkers, cfg.Seed, cfg.Obs)
 	pool := core.NewSimPool(sw.Workers(len(xs)))
 	return sweep.Run(sw, len(xs), func(p sweep.Point) (Fig2fPoint, error) {
 		return fig2fPoint(cfg, sw, len(xs), xs[p.Index], size, p, pool)
 	})
+}
+
+// observedSweep returns the sweep settings for a sweep whose simulations
+// may share one Observer. An Observer serves one simulation at a time
+// and its run labels must land in point order, so a shared capture
+// forces the sweep serial whatever concurrency was asked for.
+func observedSweep(concurrency int, seed uint64, ob *obs.Observer) sweep.Config {
+	if ob != nil {
+		concurrency = 1
+	}
+	return sweep.Config{Concurrency: concurrency, Seed: seed}
 }
 
 func fig2fPoint(cfg Fig2fConfig, sw sweep.Config, points int, x float64, size workload.SizeDist, p sweep.Point, pool *core.SimPool) (Fig2fPoint, error) {
@@ -130,9 +138,8 @@ func fig2fPoint(cfg Fig2fConfig, sw sweep.Config, points int, x float64, size wo
 	}
 	pt := Fig2fPoint{X: x, Theory: model.SORNThroughput(x), Fluid: fl.Theta}
 	if cfg.RunSim {
-		if cfg.ObsEvery > 0 {
-			pt.Obs = obs.New(obs.Options{MetricsEvery: cfg.ObsEvery, TraceFlows: true})
-			pt.Obs.StartRun(fmt.Sprintf("x=%.2f", x))
+		if cfg.Obs != nil {
+			cfg.Obs.StartRun(fmt.Sprintf("x=%.2f", x))
 		}
 		opts := core.SimOptions{
 			Seed:          p.RNG.Uint64(),
@@ -140,7 +147,7 @@ func fig2fPoint(cfg Fig2fConfig, sw sweep.Config, points int, x float64, size wo
 			MeasureSlots:  cfg.MeasureSlots,
 			TargetBacklog: cfg.Backlog,
 			Workers:       sw.SimWorkers(points, cfg.Workers),
-			Obs:           pt.Obs,
+			Obs:           cfg.Obs,
 		}
 		sim, err := pool.Acquire(p.Worker, nw, opts)
 		if err != nil {
@@ -919,13 +926,7 @@ func FCTvsLoad(cfg FCTConfig) ([]FCTPoint, error) {
 			cell{flat, flatTM, "1D ORN", load})
 	}
 
-	sw := sweep.Config{Concurrency: cfg.SweepWorkers, Seed: cfg.Seed}
-	if cfg.Obs != nil {
-		// One Observer serves one simulation at a time, and its run labels
-		// must appear in point order: a shared capture forces the sweep
-		// serial regardless of the requested concurrency.
-		sw.Concurrency = 1
-	}
+	sw := observedSweep(cfg.SweepWorkers, cfg.Seed, cfg.Obs)
 	pool := core.NewSimPool(sw.Workers(len(cells)))
 	return sweep.Run(sw, len(cells), func(p sweep.Point) (FCTPoint, error) {
 		c := cells[p.Index]

@@ -436,12 +436,13 @@ func SORN(p Params, sp SORNParams) ([]Row, error) {
 	return rows, nil
 }
 
-// Table1 regenerates the paper's Table 1: all systems at the paper's
-// deployment parameters with locality ratio x = 0.56 (the production-trace
-// median the paper assumes).
-func Table1() ([]Row, error) {
-	p := Table1Params()
-	const x = 0.56
+// Table1 regenerates the paper's Table 1 at deployment p and locality
+// ratio x: the 1D ORN, Opera, the 2D ORN, then SORN at Nc=64 and Nc=32,
+// skipping a clique count that does not divide p.N. The paper's table is
+// Table1(Table1Params(), 0.56, true) — x = 0.56 is the production-trace
+// median it assumes; tableVariant selects the inter-clique δm formula
+// (see SORNParams.TableVariant).
+func Table1(p Params, x float64, tableVariant bool) ([]Row, error) {
 	rows := []Row{ORN1D(p)}
 	rows = append(rows, Opera(p, DefaultOperaParams())...)
 	orn2, err := ORN(p, 2)
@@ -450,7 +451,10 @@ func Table1() ([]Row, error) {
 	}
 	rows = append(rows, orn2)
 	for _, nc := range []int{64, 32} {
-		sr, err := SORN(p, SORNParams{Nc: nc, X: x, TableVariant: true})
+		if p.N%nc != 0 {
+			continue
+		}
+		sr, err := SORN(p, SORNParams{Nc: nc, X: x, TableVariant: tableVariant})
 		if err != nil {
 			return nil, err
 		}

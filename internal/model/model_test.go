@@ -199,7 +199,7 @@ func TestSORNErrors(t *testing.T) {
 }
 
 func TestTable1Complete(t *testing.T) {
-	rows, err := Table1()
+	rows, err := Table1(Table1Params(), 0.56, true)
 	if err != nil {
 		t.Fatal(err)
 	}

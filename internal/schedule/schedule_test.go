@@ -227,10 +227,88 @@ func TestBuildSORNErrors(t *testing.T) {
 		{N: 8, Nc: 2, Q: 0},
 		{N: 8, Nc: 2, Q: -3},
 		{N: 1, Nc: 1, Q: 1},
+		{N: 16, Nc: 4, Q: math.NaN()},
+		{N: 16, Nc: 4, Q: math.Inf(1)},
+		{N: 16, Nc: 4, Q: math.Inf(-1)},
 	}
 	for _, c := range cases {
 		if _, err := BuildSORN(c); err == nil {
 			t.Errorf("BuildSORN(%+v) accepted", c)
+		}
+	}
+}
+
+// TestBuildSORNWeights pins the integer weights realizing q. A huge
+// finite q saturates at the weight cap, like q = maxW·(k−1)/(Nc−1),
+// instead of overflowing the numerator search; every q the experiments
+// and benchmarks build keeps its weights.
+func TestBuildSORNWeights(t *testing.T) {
+	huge, err := BuildSORN(SORNConfig{N: 16, Nc: 4, Q: 1e300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	capped, err := BuildSORN(SORNConfig{N: 16, Nc: 4, Q: 32 * 3 / 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if huge.RealizedQ != capped.RealizedQ || huge.WIntra != capped.WIntra || huge.WInter != capped.WInter {
+		t.Errorf("q=1e300 realized q=%v (%d:%d), want the cap's q=%v (%d:%d)",
+			huge.RealizedQ, huge.WIntra, huge.WInter, capped.RealizedQ, capped.WIntra, capped.WInter)
+	}
+
+	cases := []struct {
+		n, nc, maxW    int
+		q              float64
+		wIntra, wInter int
+	}{
+		// Fig 2f at N=128, q* = min(2/(1−x), 16) for x = 0, 0.1, …, 1.
+		{128, 8, 0, 2, 14, 15},
+		{128, 8, 0, 2.2222222222222223, 28, 27},
+		{128, 8, 0, 2.5, 7, 6},
+		{128, 8, 0, 2.857142857142857, 4, 3},
+		{128, 8, 0, 3.3333333333333335, 14, 9},
+		{128, 8, 0, 4, 28, 15},
+		{128, 8, 0, 5.000000000000001, 7, 3},
+		{128, 8, 0, 6.666666666666668, 28, 9},
+		{128, 8, 0, 10.000000000000002, 14, 3},
+		{128, 8, 0, 16, 15, 2},
+		// Fig 2f at N=32, x = 0, 0.5, 1.
+		{32, 4, 0, 2, 6, 7},
+		{32, 4, 0, 4, 12, 7},
+		{32, 4, 0, 16, 27, 4},
+		// The q sweep, gravity and blast-radius ablations.
+		{64, 8, 0, 1, 1, 1},
+		{64, 8, 0, 2, 2, 1},
+		{64, 8, 0, 3, 3, 1},
+		{64, 8, 0, 4, 4, 1},
+		{64, 8, 0, 4.545454545454546, 32, 7},
+		{64, 8, 0, 6, 6, 1},
+		{64, 8, 0, 8, 8, 1},
+		{64, 8, 0, 12, 12, 1},
+		{64, 8, 0, 16, 16, 1},
+		// Availability: the oblivious q=2 and SORN at x=0.6.
+		{16, 4, 0, 2, 2, 1},
+		{16, 4, 0, 5, 5, 1},
+		// The Nc sweep's capped builds and the NIC-state scaling.
+		{256, 8, 64, 4.545454545454546, 39, 38},
+		{256, 16, 64, 4.545454545454546, 50, 11},
+		{256, 32, 64, 4.545454545454546, 20, 1},
+		{256, 64, 64, 4.545454545454546, 64, 1},
+		{256, 128, 64, 4.545454545454546, 64, 1},
+		{256, 4, 0, 4.545454545454546, 5, 23},
+		{512, 8, 0, 4.545454545454546, 1, 2},
+		{1024, 16, 0, 4.545454545454546, 13, 12},
+		{2048, 32, 0, 4.545454545454546, 29, 13},
+		{4096, 64, 0, 4.545454545454546, 32, 7},
+	}
+	for _, c := range cases {
+		s, err := BuildSORN(SORNConfig{N: c.n, Nc: c.nc, Q: c.q, MaxWeight: c.maxW})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.WIntra != c.wIntra || s.WInter != c.wInter {
+			t.Errorf("N=%d Nc=%d maxW=%d q=%v: weights %d:%d, want %d:%d",
+				c.n, c.nc, c.maxW, c.q, s.WIntra, s.WInter, c.wIntra, c.wInter)
 		}
 	}
 }

@@ -54,6 +54,9 @@ func BuildSORN(cfg SORNConfig) (*SORN, error) {
 	if cfg.Nc < 1 {
 		return nil, fmt.Errorf("schedule: SORN needs at least 1 clique, got %d", cfg.Nc)
 	}
+	if math.IsNaN(cfg.Q) || math.IsInf(cfg.Q, 0) {
+		return nil, fmt.Errorf("schedule: SORN oversubscription q must be finite, got %v", cfg.Q)
+	}
 	cl, err := EqualCliques(cfg.N, cfg.Nc)
 	if err != nil {
 		return nil, err
@@ -191,12 +194,15 @@ func approxRatio(target float64, maxW int) (num, den int) {
 	bestErr := math.Inf(1)
 	num, den = 1, 1
 	for d := 1; d <= maxW; d++ {
-		n := int(math.Round(target * float64(d)))
+		// Compare in float first: target·d can exceed the int range, and
+		// the overflowed conversion would wrap to a tiny numerator.
+		f := math.Round(target * float64(d))
+		if f > float64(maxW) {
+			continue
+		}
+		n := int(f)
 		if n < 1 {
 			n = 1
-		}
-		if n > maxW {
-			continue
 		}
 		err := math.Abs(float64(n)/float64(d) - target)
 		if err < bestErr-1e-12 {

@@ -13,9 +13,9 @@
 //     scheduling can never reorder draws;
 //   - points write only their own slot of the result and error arrays,
 //     merged implicitly by index;
-//   - observers are per-point or the sweep is forced serial (an
-//     obs.Observer serves one simulation at a time), so event streams
-//     also come out in point-index order.
+//   - a sweep that shares an observer runs serially (an obs.Observer
+//     serves one simulation at a time), so event streams also come out
+//     in point-index order.
 //
 // Per-point work composes with netsim's own Workers sharding through
 // SimWorkers: a concurrent sweep demotes "auto" per-sim parallelism to
