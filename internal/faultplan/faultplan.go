@@ -22,6 +22,7 @@ package faultplan
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -186,6 +187,12 @@ type ChurnConfig struct {
 	Seed       uint64  // dedicated stream seed; decorrelated internally
 }
 
+// maxChurnSlots caps a churn window's length. Churn materializes its
+// whole window ahead of time, one draw per slot, so an unbounded window
+// from a typo'd spec would hang the caller. 2^22 slots is over 40 times
+// the longest churn window the experiments and benchmark use.
+const maxChurnSlots = 1 << 22
+
 // churnSeedXor decorrelates the churn stream from every other consumer
 // of the same user seed (netsim's traffic, latency sampling, per-node
 // streams all xor their own constants), so turning churn on or off — or
@@ -209,8 +216,15 @@ func Churn(cfg ChurnConfig) (*Plan, error) {
 		return nil, fmt.Errorf("faultplan: churn rates (%g links, %g nodes) outside [0,1]",
 			cfg.LinkRate, cfg.NodeRate)
 	}
+	if cfg.End-cfg.Start > maxChurnSlots {
+		return nil, fmt.Errorf("faultplan: churn window [%d,%d) longer than %d slots",
+			cfg.Start, cfg.End, maxChurnSlots)
+	}
 	if (cfg.LinkRate > 0 || cfg.NodeRate > 0) && cfg.Down <= 0 {
 		return nil, fmt.Errorf("faultplan: churn outage duration %d must be positive", cfg.Down)
+	}
+	if cfg.Down > math.MaxInt64-cfg.End {
+		return nil, fmt.Errorf("faultplan: churn outage duration %d overflows past slot %d", cfg.Down, cfg.End)
 	}
 	r := rng.New(cfg.Seed ^ churnSeedXor)
 	n := cfg.N

@@ -1,6 +1,7 @@
 package faultplan
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -126,26 +127,27 @@ func TestChurnDeterministicAndWellFormed(t *testing.T) {
 		t.Fatal("different seeds produced identical churn plans")
 	}
 
-	// Well-formed lifecycle: per entity, strictly alternating fail/repair
-	// starting with fail, and every fail at a slot where the entity is up.
-	type state struct {
-		down bool
-	}
-	nodes := make([]state, 16)
-	links := make([]state, 16*16)
-	for _, e := range a.Events() {
-		var st *state
-		switch e.Kind {
-		case FailNode, RepairNode:
-			st = &nodes[e.U]
-		default:
-			st = &links[e.U*16+e.V]
+	checkLifecycle(t, a)
+}
+
+// checkLifecycle asserts a well-formed lifecycle: per entity, strictly
+// alternating fail/repair starting with fail, and every fail at a slot
+// where the entity is up — what Churn guarantees by construction.
+func checkLifecycle(t *testing.T, p *Plan) {
+	t.Helper()
+	n := p.N()
+	nodeDown := make([]bool, n)
+	linkDown := make([]bool, n*n)
+	for _, e := range p.Events() {
+		down := &nodeDown[e.U]
+		if e.Kind == FailLink || e.Kind == RepairLink {
+			down = &linkDown[e.U*n+e.V]
 		}
 		failing := e.Kind == FailNode || e.Kind == FailLink
-		if failing == st.down {
-			t.Fatalf("lifecycle violation at %+v (down=%v)", e, st.down)
+		if failing == *down {
+			t.Fatalf("lifecycle violation at %+v (down=%v)", e, *down)
 		}
-		st.down = failing
+		*down = failing
 	}
 }
 
@@ -156,6 +158,8 @@ func TestChurnRejectsBadConfig(t *testing.T) {
 		{N: 8, End: 10, LinkRate: 1.5, Down: 5},
 		{N: 8, End: 10, NodeRate: -0.1, Down: 5},
 		{N: 8, End: 10, LinkRate: 0.1, Down: 0},
+		{N: 8, End: maxChurnSlots + 1, LinkRate: 0.1, Down: 5},                       // window too long to materialize
+		{N: 8, Start: math.MaxInt64 - 10, End: math.MaxInt64, NodeRate: 1, Down: 20}, // repair slot overflows
 	}
 	for _, cfg := range bad {
 		if _, err := Churn(cfg); err == nil {
@@ -204,21 +208,23 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
+// badSpecs are fault-plan specs ParseSpec must reject over 16 nodes.
+var badSpecs = []string{
+	"node7",                       // missing @
+	"nodeX@5",                     // bad id
+	"link3@5",                     // missing :v
+	"link3:x@5",                   // bad endpoint
+	"node7@10-5",                  // end before start
+	"node99@5",                    // out of range
+	"churn@100",                   // churn needs start-end
+	"churn@0-10,bogus=1",          // unknown option
+	"churn@0-10,links=xyz",        // bad value
+	"churn@0-10,links=0.1,down=0", // zero duration
+	"widget@5",                    // unknown entry
+}
+
 func TestParseSpecErrors(t *testing.T) {
-	bad := []string{
-		"node7",                       // missing @
-		"nodeX@5",                     // bad id
-		"link3@5",                     // missing :v
-		"link3:x@5",                   // bad endpoint
-		"node7@10-5",                  // end before start
-		"node99@5",                    // out of range
-		"churn@100",                   // churn needs start-end
-		"churn@0-10,bogus=1",          // unknown option
-		"churn@0-10,links=xyz",        // bad value
-		"churn@0-10,links=0.1,down=0", // zero duration
-		"widget@5",                    // unknown entry
-	}
-	for _, spec := range bad {
+	for _, spec := range badSpecs {
 		if _, err := ParseSpec(spec, 16, 0); err == nil {
 			t.Errorf("ParseSpec accepted %q", spec)
 		}

@@ -48,55 +48,47 @@ func Solve(s *matching.Schedule, router routing.Router, tm *workload.Matrix) (*R
 	}
 
 	// Capacities from the schedule: count integer slots per directed link
-	// and divide once by the period, so every capacity is an exact
-	// multiple of 1/period. (Accumulating float64 increments of 1/period
-	// drifts for non-power-of-2 periods once a link repeats.)
-	slotCount := make([][]int, s.N)
-	for u := range slotCount {
-		slotCount[u] = make([]int, s.N)
-	}
+	// u→v (flat index u·n+v) and divide once by the period in the
+	// bottleneck scan, so every capacity is an exact multiple of
+	// 1/period. (Accumulating float64 increments of 1/period drifts for
+	// non-power-of-2 periods once a link repeats.)
+	n := s.N
+	slotCount := make([]int, n*n)
 	for _, m := range s.Slots {
 		for u, v := range m {
-			slotCount[u][v]++
-		}
-	}
-	period := float64(s.Period())
-	cap := make([][]float64, s.N)
-	for u := range cap {
-		cap[u] = make([]float64, s.N)
-		for v, c := range slotCount[u] {
-			if c > 0 {
-				cap[u][v] = float64(c) / period
-			}
+			slotCount[u*n+v]++
 		}
 	}
 
-	// Expected loads from the router's path distribution.
-	load := make([][]float64, s.N)
-	for u := range load {
-		load[u] = make([]float64, s.N)
+	// Expected loads from the router's path distribution, accumulated in
+	// src, dst, Paths, hop order. One visit closure serves every pair; it
+	// reads the pair's rate and must not keep the lent path.
+	load := make([]float64, n*n)
+	var (
+		rate, hopWeighted float64
+		pathErr           error
+	)
+	visit := func(p routing.Route, prob float64) {
+		hopWeighted += rate * prob * float64(p.Hops())
+		for i := 0; i+1 < len(p); i++ {
+			u, v := p[i], p[i+1]
+			if uint(u) >= uint(n) || uint(v) >= uint(n) || slotCount[u*n+v] == 0 {
+				pathErr = fmt.Errorf("fluid: router %s uses link %d->%d absent from schedule",
+					router.Name(), u, v)
+				return
+			}
+			load[u*n+v] += rate * prob
+		}
 	}
-	hopWeighted, demandTotal := 0.0, 0.0
+	demandTotal := 0.0
 	for src := 0; src < tm.N; src++ {
 		for dst := 0; dst < tm.N; dst++ {
-			rate := tm.Rates[src][dst]
+			rate = tm.Rates[src][dst]
 			if rate <= 0 {
 				continue
 			}
 			demandTotal += rate
-			var pathErr error
-			router.Paths(src, dst, func(p routing.Route, prob float64) {
-				hopWeighted += rate * prob * float64(p.Hops())
-				for i := 0; i+1 < len(p); i++ {
-					u, v := p[i], p[i+1]
-					if cap[u][v] <= 0 {
-						pathErr = fmt.Errorf("fluid: router %s uses link %d->%d absent from schedule",
-							router.Name(), u, v)
-						return
-					}
-					load[u][v] += rate * prob
-				}
-			})
+			router.Paths(src, dst, visit)
 			if pathErr != nil {
 				return nil, pathErr
 			}
@@ -107,20 +99,19 @@ func Solve(s *matching.Schedule, router routing.Router, tm *workload.Matrix) (*R
 		return nil, fmt.Errorf("fluid: traffic matrix is empty")
 	}
 
+	period := float64(s.Period())
 	res := &Result{Theta: math.Inf(1), BottleneckSrc: -1, BottleneckDst: -1}
-	for u := 0; u < s.N; u++ {
-		for v := 0; v < s.N; v++ {
-			l := load[u][v]
-			if l <= 0 {
-				continue
-			}
-			res.LinkCount++
-			theta := cap[u][v] / l
-			if theta < res.Theta {
-				res.Theta = theta
-				res.BottleneckSrc, res.BottleneckDst = u, v
-				res.BottleneckLoad, res.BottleneckCap = l, cap[u][v]
-			}
+	for i, l := range load {
+		if l <= 0 {
+			continue
+		}
+		res.LinkCount++
+		c := float64(slotCount[i]) / period
+		theta := c / l
+		if theta < res.Theta {
+			res.Theta = theta
+			res.BottleneckSrc, res.BottleneckDst = i/n, i%n
+			res.BottleneckLoad, res.BottleneckCap = l, c
 		}
 	}
 	res.MeanHops = hopWeighted / demandTotal

@@ -210,6 +210,12 @@ func TestRouterUsingAbsentLinkRejected(t *testing.T) {
 	if _, err := Solve(partial, d, workload.Uniform(8)); err == nil {
 		t.Error("router using absent links accepted")
 	}
+	// A router over more nodes than the schedule relays through nodes
+	// the schedule does not have: an error, not an index panic.
+	wide, _ := routing.NewVLB(matching.Compile(matching.RoundRobin(16)))
+	if _, err := Solve(full, wide, workload.Uniform(8)); err == nil {
+		t.Error("router using nodes outside the schedule accepted")
+	}
 }
 
 func TestWorstCaseTheta(t *testing.T) {
@@ -253,8 +259,14 @@ func TestBottleneckReported(t *testing.T) {
 	}
 }
 
-func BenchmarkSolveSORN128(b *testing.B) {
-	built, err := schedule.BuildSORN(schedule.SORNConfig{N: 128, Nc: 8, Q: 4.5})
+func BenchmarkSolveSORN128(b *testing.B) { benchmarkSolveSORN(b, 128, 8, 4.5) }
+
+// BenchmarkSolveSORN512 is the fluid-n512 benchmark workload's solve size
+// at the paper's headline locality.
+func BenchmarkSolveSORN512(b *testing.B) { benchmarkSolveSORN(b, 512, 16, model.SORNQ(0.56)) }
+
+func benchmarkSolveSORN(b *testing.B, n, nc int, q float64) {
+	built, err := schedule.BuildSORN(schedule.SORNConfig{N: n, Nc: nc, Q: q})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -263,6 +275,7 @@ func BenchmarkSolveSORN128(b *testing.B) {
 		b.Fatal(err)
 	}
 	router := routing.NewSORN(built)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Solve(built.Schedule, router, tm); err != nil {

@@ -29,13 +29,19 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// malformedSpecs are spec lines ParseSpec must reject.
+var malformedSpecs = []string{
+	"design=sorn",                              // missing n/tm
+	"design=sorn n=12 tm=uniform bogus=1",      // unknown key
+	"design=sorn n=twelve tm=uniform",          // bad int
+	"design sorn n=12 tm=uniform",              // missing =
+	"design=sorn n=16 nc=4 q=NaN tm=uniform",   // NaN never round-trips
+	"design=sorn n=16 nc=4 x=+Inf tm=locality", // non-finite locality
+	"design=orn1 n=12 tm=hotspot tmparam=-Inf", // non-finite TM parameter
+}
+
 func TestParseSpecRejectsMalformed(t *testing.T) {
-	for _, line := range []string{
-		"design=sorn",                         // missing n/tm
-		"design=sorn n=12 tm=uniform bogus=1", // unknown key
-		"design=sorn n=twelve tm=uniform",     // bad int
-		"design sorn n=12 tm=uniform",         // missing =
-	} {
+	for _, line := range malformedSpecs {
 		if _, err := ParseSpec(line); err == nil {
 			t.Errorf("ParseSpec(%q) accepted a malformed spec", line)
 		}

@@ -27,6 +27,7 @@ package oracle
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -80,13 +81,13 @@ func ParseSpec(line string) (Spec, error) {
 		case "nc":
 			s.Nc, err = strconv.Atoi(val)
 		case "q":
-			s.Q, err = strconv.ParseFloat(val, 64)
+			s.Q, err = parseFinite(val)
 		case "x":
-			s.X, err = strconv.ParseFloat(val, 64)
+			s.X, err = parseFinite(val)
 		case "tm":
 			s.TM = val
 		case "tmparam":
-			s.TMParam, err = strconv.ParseFloat(val, 64)
+			s.TMParam, err = parseFinite(val)
 		case "planes":
 			s.Planes, err = strconv.Atoi(val)
 		case "workers":
@@ -108,6 +109,17 @@ func ParseSpec(line string) (Spec, error) {
 		return Spec{}, fmt.Errorf("oracle: spec %q missing design/n/tm", line)
 	}
 	return s, nil
+}
+
+// parseFinite parses a spec float, rejecting NaN (which would break the
+// String/ParseSpec round trip, since NaN != NaN) and ±Inf (which no
+// scenario can build).
+func parseFinite(val string) (float64, error) {
+	f, err := strconv.ParseFloat(val, 64)
+	if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		err = fmt.Errorf("%s is not finite", val)
+	}
+	return f, err
 }
 
 // localityGrid is the x values GenSpec draws from: sixteenths cover the

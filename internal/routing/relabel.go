@@ -57,12 +57,14 @@ func (r *Relabeled) RouteInto(buf Route, src, dst, slot int, g *rng.RNG) Route {
 	return buf
 }
 
-// Paths implements Router: the inner distribution with every hop renamed.
+// Paths implements Router: the inner distribution with every hop
+// renamed into one buffer per call, lent to fn like the inner path.
 func (r *Relabeled) Paths(src, dst int, fn func(Route, float64)) {
+	mapped := newPathBuf(r.MaxHops())
 	r.inner.Paths(r.inv[src], r.inv[dst], func(p Route, prob float64) {
-		mapped := make(Route, len(p))
-		for i, u := range p {
-			mapped[i] = r.perm[u]
+		mapped = mapped[:0]
+		for _, u := range p {
+			mapped = append(mapped, r.perm[u])
 		}
 		fn(mapped, prob)
 	})

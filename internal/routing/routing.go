@@ -64,6 +64,9 @@ type Router interface {
 	RouteInto(buf Route, src, dst, slot int, r *rng.RNG) Route
 	// Paths calls fn for every path of the time-averaged path
 	// distribution with its probability (summing to 1 per src→dst pair).
+	// The path is lent, not given: implementations build every path of
+	// one call into the same buffer, so fn must neither modify path nor
+	// keep it (or a subslice of it) after fn returns; copy it to keep it.
 	Paths(src, dst int, fn func(path Route, prob float64))
 }
 
@@ -74,6 +77,11 @@ func appendHop(p Route, next int) Route {
 	}
 	return append(p, next)
 }
+
+// newPathBuf returns the one path buffer a Paths call lends to fn for
+// every path it enumerates: a path of at most maxHops links has at most
+// maxHops+1 nodes, so building into it never reallocates.
+func newPathBuf(maxHops int) Route { return make(Route, 0, maxHops+1) }
 
 // Direct routes every packet on its single direct circuit. It requires a
 // schedule with full coverage and is the latency-optimal, throughput-1
@@ -162,11 +170,12 @@ func (v *VLB) RouteInto(buf Route, src, dst, slot int, r *rng.RNG) Route {
 // the direct path).
 func (v *VLB) Paths(src, dst int, fn func(Route, float64)) {
 	prob := 1 / float64(v.n-1)
+	p := newPathBuf(v.MaxHops())
 	for w := 0; w < v.n; w++ {
 		if w == src {
 			continue
 		}
-		p := Route{src}
+		p = append(p[:0], src)
 		p = appendHop(p, w)
 		p = appendHop(p, dst)
 		fn(p, prob)
@@ -222,8 +231,9 @@ func (o *ORN) RouteInto(buf Route, src, dst, slot int, r *rng.RNG) Route {
 // Paths implements Router: intermediates are uniform over all N nodes.
 func (o *ORN) Paths(src, dst int, fn func(Route, float64)) {
 	prob := 1 / float64(o.orn.N)
+	p := newPathBuf(o.MaxHops())
 	for w := 0; w < o.orn.N; w++ {
-		p := Route{src}
+		p = append(p[:0], src)
 		p = o.digitPath(p, w)
 		p = o.digitPath(p, dst)
 		fn(p, prob)
@@ -301,10 +311,11 @@ func (s *SORN) RouteInto(buf Route, src, dst, slot int, r *rng.RNG) Route {
 func (s *SORN) Paths(src, dst int, fn func(Route, float64)) {
 	cl := s.s.Cliques
 	mem := cl.Members(cl.CliqueOf(src))
+	p := newPathBuf(s.MaxHops())
 	if cl.SameClique(src, dst) {
 		// Intra: intermediate uniform over clique members except src.
 		if len(mem) == 1 {
-			fn(Route{src, dst}, 1)
+			fn(append(p, src, dst), 1)
 			return
 		}
 		prob := 1 / float64(len(mem)-1)
@@ -312,7 +323,7 @@ func (s *SORN) Paths(src, dst int, fn func(Route, float64)) {
 			if w == src {
 				continue
 			}
-			p := Route{src}
+			p = append(p[:0], src)
 			p = appendHop(p, w)
 			p = appendHop(p, dst)
 			fn(p, prob)
@@ -325,7 +336,7 @@ func (s *SORN) Paths(src, dst int, fn func(Route, float64)) {
 	tc := cl.CliqueOf(dst)
 	for _, w := range mem {
 		y := s.landing(w, tc)
-		p := Route{src}
+		p = append(p[:0], src)
 		p = appendHop(p, w)
 		p = appendHop(p, y)
 		p = appendHop(p, dst)

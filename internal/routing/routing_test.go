@@ -401,9 +401,17 @@ func TestSORNRouterOverDemandAwareSchedules(t *testing.T) {
 	}
 }
 
-// routersUnderTest builds one router of each scheme over 16 nodes, for
-// tests that must hold across every Router implementation.
-func routersUnderTest(t *testing.T) []Router {
+// testRouter is a router under test with the compiled schedule it
+// routes over.
+type testRouter struct {
+	Router
+	c *matching.Compiled
+}
+
+// routersUnderTest builds one router of each scheme over 16 nodes, plus
+// the oracle's relabel wrapper around SORN, for tests that must hold
+// across every Router implementation.
+func routersUnderTest(t *testing.T) []testRouter {
 	t.Helper()
 	rr := matching.Compile(matching.RoundRobin(16))
 	direct, err := NewDirect(rr)
@@ -422,7 +430,32 @@ func routersUnderTest(t *testing.T) []Router {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []Router{direct, vlb, NewORN(orn), NewSORN(sorn)}
+	perm := make([]int, 16)
+	for u := range perm {
+		perm[u] = (5*u + 3) % 16
+	}
+	relSched, err := sorn.Schedule.Relabel(perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	relabeled, err := NewRelabeled(NewSORN(sorn), perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []testRouter{
+		{direct, rr},
+		{vlb, rr},
+		{NewORN(orn), matching.Compile(orn.Schedule)},
+		{NewSORN(sorn), matching.Compile(sorn.Schedule)},
+		{relabeled, matching.Compile(relSched)},
+	}
+}
+
+func TestEveryRouterPathsAndRoutesValid(t *testing.T) {
+	for i, router := range routersUnderTest(t) {
+		checkPathsValid(t, router, router.c, 16)
+		checkRouteValid(t, router, router.c, 16, uint64(20+i))
+	}
 }
 
 func TestRouteIntoMatchesRoute(t *testing.T) {

@@ -1,6 +1,14 @@
 #!/usr/bin/env bash
-# fuzz.sh runs the budgeted differential/metamorphic fuzzing pass
-# (internal/oracle) on top of the fixed-corpus gate in ci.sh.
+# fuzz.sh runs two budgeted fuzzing passes on top of the fixed corpora
+# that ci.sh (and plain `go test ./...`) replays:
+#
+#   1. Go native fuzzing of the text parsers: FuzzParseSpec in
+#      internal/faultplan (fault-plan specs) and internal/oracle (oracle
+#      reproducer specs), 30s each. A failing input is written under the
+#      package's testdata/fuzz/ and replays as an ordinary test from then
+#      on. For a longer pass, run the same go test -fuzz command with a
+#      larger -fuzztime.
+#   2. The differential/metamorphic scenario fuzzer (internal/oracle).
 #
 #   ./scripts/fuzz.sh                 # default budget: 256 scenarios or 300s
 #   ./scripts/fuzz.sh 1024 1800       # up to 1024 scenarios, 30-minute cap
@@ -24,6 +32,11 @@ cd "$(dirname "$0")/.."
 iters="${1:-256}"
 seconds="${2:-300}"
 seed="${FUZZ_SEED:-$(date +%s)}"
+
+for pkg in ./internal/faultplan ./internal/oracle; do
+  echo "== go fuzz: FuzzParseSpec in $pkg for 30s"
+  go test "$pkg" -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 30s -parallel 1
+done
 
 echo "== oracle fuzz: up to $iters scenarios, ${seconds}s budget, seed $seed"
 go run ./cmd/sornsim -selfcheck -fuzziters "$iters" -fuzzseconds "$seconds" -seed "$seed"
