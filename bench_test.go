@@ -18,12 +18,14 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/controlplane"
 	"repro/internal/experiments"
 	"repro/internal/matching"
 	"repro/internal/model"
 	"repro/internal/ocs"
 	"repro/internal/phys"
 	"repro/internal/schedule"
+	"repro/internal/workload"
 )
 
 // reportSweepMetrics records the ledger metadata benchjson renders for
@@ -443,6 +445,66 @@ func BenchmarkFCTvsLoad(b *testing.B) {
 	for _, p := range pts {
 		b.ReportMetric(p.P50us, "fct_us_p50_"+metricName(p.Design, ""))
 	}
+}
+
+// BenchmarkDecideSteady is one control epoch under constant telemetry
+// (N=128, Nc=8, x=0.56): an Observe plus a Resilient.Decide that
+// confirms the incumbent plan — what almost every epoch of the
+// availability experiment does.
+func BenchmarkDecideSteady(b *testing.B) {
+	c, err := controlplane.NewController(128, 8, 0.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := controlplane.NewResilient(c)
+	cl, err := schedule.EqualCliques(128, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tm, err := workload.Locality(cl, 0.56)
+	if err != nil {
+		b.Fatal(err)
+	}
+	epoch := func() {
+		if err := c.Observe(tm); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := r.Decide(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	epoch() // install the first plan
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		epoch()
+	}
+}
+
+// BenchmarkPoissonWindow generates one 100k-slot open-loop flow window
+// at N=128, x=0.56, load 0.3, 8-cell flows (~480k flows, the
+// availability experiment's per-design workload).
+func BenchmarkPoissonWindow(b *testing.B) {
+	cl, err := schedule.EqualCliques(128, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tm, err := workload.Locality(cl, 0.56)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := workload.NewPoissonFlows(tm, workload.FixedSize(8), 0.3, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const span = 100000
+	var flows int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		flows = len(g.Window(int64(i)*span, int64(i+1)*span))
+	}
+	b.ReportMetric(float64(flows), "flows")
 }
 
 // metricName flattens a Table 1 row identity into a metric suffix.

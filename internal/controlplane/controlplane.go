@@ -93,8 +93,10 @@ type Plan struct {
 	X          float64 // estimated locality under those cliques
 	Q          float64 // chosen oversubscription (clamped q*)
 	PredictedR float64 // predicted worst-case throughput at Q
-	Built      *schedule.SORN
-	Update     *ocs.Update // nil until applied against a previous schedule
+	// Built is the schedule to run. Plans of epochs that change neither
+	// the cliques nor the realized weights share one Built (read-only).
+	Built  *schedule.SORN
+	Update *ocs.Update // nil until applied against a previous schedule
 }
 
 // Controller runs the periodic adaptation loop.
@@ -114,7 +116,8 @@ type Controller struct {
 	// chosen q*, clique count, predicted throughput) as a replan event.
 	Obs *obs.Observer
 
-	epoch int64 // planning decisions made, for event ordinals
+	built *schedule.SORN // last PlanNext build, reused while it still fits
+	epoch int64          // planning decisions made, for event ordinals
 }
 
 // NewController creates a controller for n nodes in nc cliques.
@@ -168,10 +171,7 @@ func (c *Controller) PlanNext() (*Plan, error) {
 	if math.IsNaN(q) || math.IsInf(q, 0) || q <= 0 {
 		return nil, fmt.Errorf("controlplane: planned q %f not finite and positive (x=%f, MaxQ=%f)", q, x, c.MaxQ)
 	}
-	// BuildSORN lays out contiguous equal cliques; rebuildOnCliques maps
-	// that construction onto the planned partition by relabeling nodes
-	// (the identity for the initial contiguous partition).
-	built, err := rebuildOnCliques(cl, q)
+	built, err := c.build(cl, q)
 	if err != nil {
 		return nil, err
 	}
@@ -190,9 +190,44 @@ func (c *Controller) PlanNext() (*Plan, error) {
 	return p, nil
 }
 
-// Apply commits a plan, diffing against the current schedule.
+// build returns the schedule for clique partition cl at oversubscription
+// q. A build depends only on the partition and on the integer weights q
+// realizes, so when both match the previous build that build is
+// returned as is: at the macro time scales the paper replans on, almost
+// every epoch confirms the incumbent, and reusing it skips the schedule
+// construction, relabel and validation.
+func (c *Controller) build(cl *schedule.Cliques, q float64) (*schedule.SORN, error) {
+	if last := c.built; last != nil && last.Cliques.Equal(cl) {
+		cfg := last.Config
+		cfg.Q = q
+		wIntra, wInter, err := cfg.Weights()
+		if err != nil {
+			return nil, err
+		}
+		if wIntra == last.WIntra && wInter == last.WInter {
+			return last, nil
+		}
+	}
+	// BuildSORN lays out contiguous equal cliques; rebuildOnCliques maps
+	// that construction onto the planned partition by relabeling nodes
+	// (the identity for the initial contiguous partition).
+	built, err := rebuildOnCliques(cl, q)
+	if err != nil {
+		return nil, err
+	}
+	c.built = built
+	return built, nil
+}
+
+// Apply commits a plan, diffing against the current schedule. Applying
+// the schedule already installed records the empty update without
+// re-validating or diffing it.
 func (c *Controller) Apply(p *Plan) error {
-	if c.current != nil {
+	switch {
+	case c.current == nil:
+	case p.Built == c.current:
+		p.Update = ocs.Unchanged(c.current.Schedule)
+	default:
 		u, err := ocs.PlanUpdate(c.current.Schedule, p.Built.Schedule)
 		if err != nil {
 			return err

@@ -105,6 +105,14 @@ func Availability(cfg AvailabilityConfig) (*AvailabilityResult, error) {
 	if cfg.Slots <= 0 {
 		return nil, fmt.Errorf("experiments: availability needs positive Slots, got %d", cfg.Slots)
 	}
+	if cfg.Window < 0 || cfg.EpochSlots < 0 {
+		return nil, fmt.Errorf("experiments: availability Window (%d) and EpochSlots (%d) must not be negative",
+			cfg.Window, cfg.EpochSlots)
+	}
+	if cfg.OutageStart > cfg.OutageEnd {
+		return nil, fmt.Errorf("experiments: availability outage starts at slot %d, after its end %d",
+			cfg.OutageStart, cfg.OutageEnd)
+	}
 	if cfg.Plan == nil {
 		var err error
 		cfg.Plan, err = faultplan.New(cfg.N, nil)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -152,5 +153,24 @@ func assertStatsIdentical(t *testing.T, workers int, label string, a, b *netsim.
 	}
 	if !reflect.DeepEqual(a.FCTSlots.Values(), b.FCTSlots.Values()) {
 		t.Fatalf("Workers=%d %s FCT samples differ", workers, label)
+	}
+}
+
+// TestAvailabilityRejectsBadConfig: a negative reporting window printed
+// negative throughputs, a negative epoch computed negative fast-forward
+// targets, an inverted outage window silently meant "no outage", and a
+// NaN load ran with no traffic at all. Each must be an error instead.
+func TestAvailabilityRejectsBadConfig(t *testing.T) {
+	for name, mutate := range map[string]func(*AvailabilityConfig){
+		"negative window": func(c *AvailabilityConfig) { c.Window = -3 },
+		"negative epoch":  func(c *AvailabilityConfig) { c.EpochSlots = -7 },
+		"inverted outage": func(c *AvailabilityConfig) { c.OutageStart, c.OutageEnd = 3000, 1000 },
+		"NaN load":        func(c *AvailabilityConfig) { c.Load = math.NaN() },
+	} {
+		cfg := availabilityScenario(t, 1)
+		mutate(&cfg)
+		if _, err := Availability(cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }

@@ -160,6 +160,19 @@ func PlanUpdate(old, new *matching.Schedule) (*Update, error) {
 	return u, nil
 }
 
+// Unchanged returns the update PlanUpdate(s, s) computes — no slot
+// changes, no neighbor changes — without re-validating s or diffing it
+// against itself. s must be valid.
+func Unchanged(s *matching.Schedule) *Update {
+	return &Update{
+		SlotChanges:      make([]int, s.N),
+		AddedNeighbors:   make([][]int, s.N),
+		RemovedNeighbors: make([][]int, s.N),
+		OldPeriod:        s.Period(),
+		NewPeriod:        s.Period(),
+	}
+}
+
 // DrainsRequired returns the total number of (node, neighbor) queues that
 // must be drained before the update can be applied safely.
 func (u *Update) DrainsRequired() int {

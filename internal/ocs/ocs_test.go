@@ -1,6 +1,7 @@
 package ocs
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/matching"
@@ -149,6 +150,10 @@ func TestPlanUpdateIdentity(t *testing.T) {
 	}
 	if u.TotalSlotChanges() != 0 || u.DrainsRequired() != 0 {
 		t.Fatal("identity update not a no-op")
+	}
+	// Unchanged is the same update without the validation and the diff.
+	if got := Unchanged(s); !reflect.DeepEqual(got, u) {
+		t.Fatalf("Unchanged = %+v, PlanUpdate(s, s) = %+v", got, u)
 	}
 }
 

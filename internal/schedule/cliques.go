@@ -4,7 +4,10 @@
 // SORN with a configurable oversubscription ratio q (paper §4).
 package schedule
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Cliques is a partition of N nodes into groups ("cliques" in the paper's
 // terminology: groups with uniform internal connectivity and stable
@@ -19,8 +22,8 @@ type Cliques struct {
 // EqualCliques partitions nodes 0..n-1 into nc contiguous cliques of equal
 // size. n must be divisible by nc.
 func EqualCliques(n, nc int) (*Cliques, error) {
-	if n <= 0 || nc <= 0 || n%nc != 0 {
-		return nil, fmt.Errorf("schedule: cannot split %d nodes into %d equal cliques", n, nc)
+	if err := checkEqualSplit(n, nc); err != nil {
+		return nil, err
 	}
 	assign := make([]int, n)
 	k := n / nc
@@ -28,6 +31,14 @@ func EqualCliques(n, nc int) (*Cliques, error) {
 		assign[i] = i / k
 	}
 	return NewCliques(assign)
+}
+
+// checkEqualSplit rejects an n-node, nc-clique split that is not equal.
+func checkEqualSplit(n, nc int) error {
+	if n <= 0 || nc <= 0 || n%nc != 0 {
+		return fmt.Errorf("schedule: cannot split %d nodes into %d equal cliques", n, nc)
+	}
+	return nil
 }
 
 // NewCliques builds a partition from an explicit assignment of clique ids
@@ -82,6 +93,10 @@ func (c *Cliques) Size(clique int) int { return len(c.members[clique]) }
 
 // SameClique reports whether u and v are in the same clique.
 func (c *Cliques) SameClique(u, v int) bool { return c.assign[u] == c.assign[v] }
+
+// Equal reports whether two partitions assign every node to the same
+// clique id.
+func (c *Cliques) Equal(o *Cliques) bool { return slices.Equal(c.assign, o.assign) }
 
 // Uniform reports whether all cliques have the same size, and that size.
 func (c *Cliques) Uniform() (int, bool) {

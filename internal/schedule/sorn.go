@@ -51,40 +51,15 @@ type SORN struct {
 // circuit's occurrences are nearly evenly spaced, keeping intrinsic
 // latency close to the paper's formulas.
 func BuildSORN(cfg SORNConfig) (*SORN, error) {
-	if cfg.Nc < 1 {
-		return nil, fmt.Errorf("schedule: SORN needs at least 1 clique, got %d", cfg.Nc)
-	}
-	if math.IsNaN(cfg.Q) || math.IsInf(cfg.Q, 0) {
-		return nil, fmt.Errorf("schedule: SORN oversubscription q must be finite, got %v", cfg.Q)
+	wIntra, wInter, err := cfg.Weights()
+	if err != nil {
+		return nil, err
 	}
 	cl, err := EqualCliques(cfg.N, cfg.Nc)
 	if err != nil {
 		return nil, err
 	}
 	k := cfg.N / cfg.Nc
-	if k < 2 && cfg.Nc < 2 {
-		return nil, fmt.Errorf("schedule: SORN over %d nodes is degenerate", cfg.N)
-	}
-	maxW := cfg.MaxWeight
-	if maxW == 0 {
-		maxW = 32
-	}
-
-	var wIntra, wInter int
-	switch {
-	case cfg.Nc == 1:
-		// Flat network: pure round robin inside the single clique.
-		wIntra, wInter = 1, 0
-	case k == 1:
-		// Cliques of one node: everything is inter-clique.
-		wIntra, wInter = 0, 1
-	default:
-		if cfg.Q <= 0 {
-			return nil, fmt.Errorf("schedule: SORN oversubscription q must be positive, got %f", cfg.Q)
-		}
-		// wIntra/wInter ≈ q·(Nc-1)/(k-1)
-		wIntra, wInter = approxRatio(cfg.Q*float64(cfg.Nc-1)/float64(k-1), maxW)
-	}
 
 	// Streams: one per intra shift (weight wIntra each), one per clique
 	// offset (weight wInter each).
@@ -142,6 +117,45 @@ func BuildSORN(cfg SORNConfig) (*SORN, error) {
 		WIntra:    wIntra,
 		WInter:    wInter,
 	}, nil
+}
+
+// Weights returns the integer circuit weights (wIntra, wInter) BuildSORN
+// realizes cfg.Q with: wIntra·(k-1) : wInter·(Nc-1) ≈ q : 1, each at most
+// MaxWeight. Two configs with equal weights build identical schedules,
+// which is how the control plane recognizes that a new q changes
+// nothing. It fails exactly when BuildSORN would reject cfg.
+func (cfg SORNConfig) Weights() (wIntra, wInter int, err error) {
+	if cfg.Nc < 1 {
+		return 0, 0, fmt.Errorf("schedule: SORN needs at least 1 clique, got %d", cfg.Nc)
+	}
+	if math.IsNaN(cfg.Q) || math.IsInf(cfg.Q, 0) {
+		return 0, 0, fmt.Errorf("schedule: SORN oversubscription q must be finite, got %v", cfg.Q)
+	}
+	if err := checkEqualSplit(cfg.N, cfg.Nc); err != nil {
+		return 0, 0, err
+	}
+	k := cfg.N / cfg.Nc
+	if k < 2 && cfg.Nc < 2 {
+		return 0, 0, fmt.Errorf("schedule: SORN over %d nodes is degenerate", cfg.N)
+	}
+	maxW := cfg.MaxWeight
+	if maxW == 0 {
+		maxW = 32
+	}
+	switch {
+	case cfg.Nc == 1:
+		// Flat network: pure round robin inside the single clique.
+		return 1, 0, nil
+	case k == 1:
+		// Cliques of one node: everything is inter-clique.
+		return 0, 1, nil
+	case cfg.Q <= 0:
+		return 0, 0, fmt.Errorf("schedule: SORN oversubscription q must be positive, got %f", cfg.Q)
+	default:
+		// wIntra/wInter ≈ q·(Nc-1)/(k-1)
+		wIntra, wInter = approxRatio(cfg.Q*float64(cfg.Nc-1)/float64(k-1), maxW)
+		return wIntra, wInter, nil
+	}
 }
 
 // OptimalQ returns the oversubscription ratio q* = 2/(1-x) that equalizes

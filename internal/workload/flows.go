@@ -1,9 +1,10 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/rng"
 )
@@ -130,8 +131,11 @@ type PoissonFlows struct {
 
 // NewPoissonFlows builds the generator with its own RNG stream.
 func NewPoissonFlows(tm *Matrix, size SizeDist, load float64, seed uint64) (*PoissonFlows, error) {
-	if load <= 0 {
-		return nil, fmt.Errorf("workload: load must be positive, got %f", load)
+	// NaN fails every ordered comparison and +Inf makes every
+	// inter-arrival gap zero (Window would never advance its clock), so
+	// both are rejected explicitly.
+	if math.IsNaN(load) || math.IsInf(load, 0) || load <= 0 {
+		return nil, fmt.Errorf("workload: load must be finite and positive, got %f", load)
 	}
 	if err := tm.Validate(); err != nil {
 		return nil, err
@@ -139,14 +143,30 @@ func NewPoissonFlows(tm *Matrix, size SizeDist, load float64, seed uint64) (*Poi
 	return &PoissonFlows{TM: tm, Size: size, Load: load, rng: rng.New(seed)}, nil
 }
 
+// maxPresize caps Window's up-front allocation (in flows) so an absurd
+// window cannot request more memory than generation will ever fill.
+const maxPresize = 1 << 24
+
 // Window generates all flows arriving in slots [from, to), sorted by
-// arrival slot. Each source's arrival process is Poisson with rate
-// load·rowSum(src)/meanSize flows per slot.
+// arrival slot then ID. Each source's arrival process is Poisson with
+// rate load·rowSum(src)/meanSize flows per slot. The output is allocated
+// once, sized from the expected arrival count plus a few standard
+// deviations, and sorted in place.
 func (g *PoissonFlows) Window(from, to int64) []Flow {
-	var out []Flow
 	mean := g.Size.MeanCells()
+	// The flow count is Poisson with mean Σ rate·(to−from): the mean plus
+	// 6σ (and a constant for tiny windows) practically never regrows.
+	expect := 0.0
+	if to > from {
+		for src := 0; src < g.TM.N; src++ {
+			if rate := g.rate(src, mean); rate > 0 {
+				expect += rate * float64(to-from)
+			}
+		}
+	}
+	out := make([]Flow, 0, int(math.Min(expect+6*math.Sqrt(expect)+16, maxPresize)))
 	for src := 0; src < g.TM.N; src++ {
-		rate := g.Load * g.TM.RowSum(src) / mean // flows per slot
+		rate := g.rate(src, mean)
 		if rate <= 0 {
 			continue
 		}
@@ -164,13 +184,18 @@ func (g *PoissonFlows) Window(from, to int64) []Flow {
 			t += g.rng.Exp(rate)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Arrival != out[j].Arrival {
-			return out[i].Arrival < out[j].Arrival
+	slices.SortFunc(out, func(a, b Flow) int {
+		if c := cmp.Compare(a.Arrival, b.Arrival); c != 0 {
+			return c
 		}
-		return out[i].ID < out[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	return out
+}
+
+// rate is src's arrival rate in flows per slot.
+func (g *PoissonFlows) rate(src int, mean float64) float64 {
+	return g.Load * g.TM.RowSum(src) / mean
 }
 
 // Capped truncates another size distribution at Max cells. Saturation-

@@ -355,8 +355,12 @@ func TestPoissonFlowsWindowContinuity(t *testing.T) {
 }
 
 func TestPoissonFlowsErrors(t *testing.T) {
-	if _, err := NewPoissonFlows(Uniform(4), FixedSize(1), 0, 1); err == nil {
-		t.Error("zero load accepted")
+	// +Inf load makes every inter-arrival gap zero, so Window would never
+	// return; NaN load silently generated nothing.
+	for _, load := range []float64{0, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewPoissonFlows(Uniform(4), FixedSize(1), load, 1); err == nil {
+			t.Errorf("load %v accepted", load)
+		}
 	}
 	bad := Uniform(4)
 	bad.Rates[0][0] = 1

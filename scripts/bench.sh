@@ -11,7 +11,10 @@
 # 64-node sweep, -count 3, best kept), BenchmarkFig2fSweep (the paper's
 # full default Figure 2(f) sweep through the bounded-parallel sweep
 # engine — the headline sweep wall-clock) and BenchmarkQSweep, plus the
-# netsim micro-benchmarks and the fluid solver at N=128 and N=512.
+# netsim micro-benchmarks, the fluid solver at N=128 and N=512, and
+# the two non-simulator layers of the open-loop workloads: a steady
+# control epoch (BenchmarkDecideSteady) and a 100k-slot flow window
+# (BenchmarkPoissonWindow, also run by -quick).
 # Everything runs -count 3 with the lowest
 # ns/op kept, so a single noisy pass can't masquerade as a regression.
 # Quick mode only proves the harness works — benchmarks build, run, and
@@ -42,6 +45,7 @@ if [ "$quick" = 1 ]; then
     go test -run NONE -bench 'BenchmarkOpenLoopSparse$|BenchmarkLargeN$' \
       -benchtime 1x -benchmem ./internal/netsim/
     go test -run NONE -bench 'BenchmarkSolveSORN128$' -benchtime 1x -benchmem ./internal/fluid/
+    go test -run NONE -bench 'BenchmarkPoissonWindow$' -benchtime 1x -benchmem .
   } | go run ./cmd/benchjson -label quick-smoke -out "$tmp"
   echo "bench.sh -quick: harness OK"
   exit 0
@@ -62,6 +66,7 @@ workers="${NETSIM_WORKERS:-auto}"
 {
   go test -run NONE -bench 'BenchmarkFigure2fSimulated$' -benchtime 1x -count 3 -benchmem .
   go test -run NONE -bench 'BenchmarkFig2fSweep$|BenchmarkQSweep$' -benchtime 1x -count 3 -benchmem .
+  go test -run NONE -bench 'BenchmarkDecideSteady$|BenchmarkPoissonWindow$' -count 3 -benchmem .
   go test -run NONE -bench 'BenchmarkStepSaturated|BenchmarkStepChurn|BenchmarkInjectSaturated' -count 3 -benchmem ./internal/netsim/
   go test -run NONE -bench 'BenchmarkOpenLoopSparse$|BenchmarkLargeN$' -benchtime 5x -count 3 -benchmem ./internal/netsim/
   go test -run NONE -bench 'BenchmarkSolveSORN128$|BenchmarkSolveSORN512$' -benchtime 3x -count 3 -benchmem ./internal/fluid/
