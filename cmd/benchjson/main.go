@@ -23,6 +23,11 @@
 //
 //	benchjson compare pr3-before pr3-after
 //
+// Two entries recorded on different CPUs are not comparable: the table
+// is still printed, but the result is marked NOT COMPARABLE and the exit
+// status is 3 whatever the deltas say, so a cross-host "regression" or
+// "speedup" can neither fail nor pass the gate.
+//
 // Benchmarks present in only one entry are listed explicitly as added
 // or removed; the regression gate judges only benchmarks shared by both
 // entries, and two entries with no shared benchmarks compare clean
@@ -79,6 +84,11 @@ type Ledger struct {
 // failing, as a fraction.
 const regressionLimit = 0.05
 
+// exitNotComparable is compare's exit status for entries recorded on
+// different CPUs, distinct from a pass (0), a regression (1) and a
+// usage or I/O error (2).
+const exitNotComparable = 3
+
 // benchLine matches "BenchmarkName[-procs] <iters> <value unit>..."
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
 
@@ -115,7 +125,8 @@ func main() {
 
 // compareMain implements `benchjson compare <labelA> <labelB>`: print
 // per-benchmark deltas and return 1 if any shared benchmark's ns/op
-// regressed more than regressionLimit, 2 on usage/IO errors.
+// regressed more than regressionLimit, 2 on usage/IO errors, and
+// exitNotComparable if the entries were recorded on different CPUs.
 func compareMain(args []string) int {
 	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
 	out := fs.String("out", "BENCH_netsim.json", "ledger file to read")
@@ -167,7 +178,7 @@ func (p printer) ln(args ...any)               { _, _ = fmt.Fprintln(p.w, args..
 // from compareMain so the output format is unit-testable.
 func compareRuns(w, errw io.Writer, a, b *Run) int {
 	out, eout := printer{w}, printer{errw}
-	warnEnvMismatch(eout, a, b)
+	crossCPU := warnEnvMismatch(eout, a, b)
 	// The suite's composition changes across PRs (benchmarks are added
 	// and retired), so the gate judges only benchmarks present in both
 	// runs; composition changes are reported explicitly instead of
@@ -200,7 +211,7 @@ func compareRuns(w, errw io.Writer, a, b *Run) int {
 				ba.NsPerOp/bb.NsPerOp,
 				(bb.NsPerOp/ba.NsPerOp-1)*100,
 				deltaPct(ba.AllocsPerOp, bb.AllocsPerOp))
-			if bb.NsPerOp > ba.NsPerOp*(1+regressionLimit) {
+			if !crossCPU && bb.NsPerOp > ba.NsPerOp*(1+regressionLimit) {
 				line += "  REGRESSION"
 				regressed = true
 			}
@@ -232,6 +243,11 @@ func compareRuns(w, errw io.Writer, a, b *Run) int {
 		out.f("geomean speedup: %.2fx over %d shared benchmark(s)\n",
 			math.Exp(logSpeedupSum/float64(speedups)), speedups)
 	}
+	if crossCPU {
+		out.f("benchjson: NOT COMPARABLE: %q and %q were recorded on different CPUs; the ns/op gate is not applied\n",
+			a.Label, b.Label)
+		return exitNotComparable
+	}
 	if regressed {
 		eout.f("benchjson: ns/op regression over %.0f%% between %q and %q\n",
 			regressionLimit*100, a.Label, b.Label)
@@ -241,30 +257,31 @@ func compareRuns(w, errw io.Writer, a, b *Run) int {
 }
 
 // warnEnvMismatch prints a loud warning when the two runs were recorded
-// under different hardware or parallelism (the ledger already mixes
-// 2.70GHz and 2.10GHz entries from earlier PRs): their wall-clock
-// numbers are not comparable, and a cross-host "speedup" or
-// "regression" is an artifact of the move, not of the code. The compare
-// still runs — the table is often still wanted — but the exit-code gate
-// should not be trusted across such a boundary, so the warning is
-// unmissable on stderr. Fields one side simply did not record (empty
-// CPU, zero GOMAXPROCS in old entries) are not treated as mismatches.
-func warnEnvMismatch(eout printer, a, b *Run) {
+// under different hardware or parallelism (the ledger mixes entries
+// from three CPUs): their wall-clock numbers are not comparable, and a
+// cross-host "speedup" or "regression" is an artifact of the move, not
+// of the code. It reports whether the CPUs differ, which takes the
+// result out of the gate; a GOMAXPROCS difference alone only warns.
+// Fields one side simply did not record (empty CPU, zero GOMAXPROCS in
+// old entries) are not treated as mismatches.
+func warnEnvMismatch(eout printer, a, b *Run) (crossCPU bool) {
 	var lines []string
-	if a.CPU != "" && b.CPU != "" && a.CPU != b.CPU {
+	crossCPU = a.CPU != "" && b.CPU != "" && a.CPU != b.CPU
+	if crossCPU {
 		lines = append(lines, fmt.Sprintf("cpu: %q vs %q", a.CPU, b.CPU))
 	}
 	if a.GOMAXPROCS != 0 && b.GOMAXPROCS != 0 && a.GOMAXPROCS != b.GOMAXPROCS {
 		lines = append(lines, fmt.Sprintf("gomaxprocs: %d vs %d", a.GOMAXPROCS, b.GOMAXPROCS))
 	}
 	if len(lines) == 0 {
-		return
+		return false
 	}
 	eout.f("benchjson: WARNING: %q and %q were recorded under different environments:\n", a.Label, b.Label)
 	for _, l := range lines {
 		eout.f("benchjson: WARNING:   %s\n", l)
 	}
 	eout.ln("benchjson: WARNING: wall-clock deltas between these entries are not meaningful")
+	return crossCPU
 }
 
 // sweepDetail renders the wall-clock/point-count metadata that sweep

@@ -138,8 +138,11 @@ func TestCompareSweepMetadata(t *testing.T) {
 
 // TestCompareWarnsOnEnvMismatch: entries recorded under different CPUs
 // or GOMAXPROCS get a loud stderr warning — the ledger spans hosts and
-// a cross-host delta is noise — but the warning never changes the exit
-// code, in either direction.
+// a cross-host delta is noise. Different CPUs also take the result out
+// of the gate: the table still prints, marked NOT COMPARABLE, and the
+// exit status is exitNotComparable whether the deltas look like a
+// regression or a speedup. A GOMAXPROCS difference on one CPU only
+// warns; the gate still judges it.
 func TestCompareWarnsOnEnvMismatch(t *testing.T) {
 	mk := func(cpu string, procs int, ns float64) *Run {
 		return &Run{Label: "r-" + cpu, CPU: cpu, GOMAXPROCS: procs,
@@ -147,8 +150,8 @@ func TestCompareWarnsOnEnvMismatch(t *testing.T) {
 	}
 	t.Run("cpu-and-procs-differ", func(t *testing.T) {
 		var out, errOut strings.Builder
-		if got := compareRuns(&out, &errOut, mk("2.70GHz", 1, 100), mk("2.10GHz", 8, 100)); got != 0 {
-			t.Fatalf("compareRuns = %d, want 0: a warning must not fail the gate", got)
+		if got := compareRuns(&out, &errOut, mk("2.70GHz", 1, 100), mk("2.10GHz", 8, 100)); got != exitNotComparable {
+			t.Fatalf("compareRuns = %d, want %d: entries from different CPUs are not comparable", got, exitNotComparable)
 		}
 		text := errOut.String()
 		for _, want := range []string{"WARNING", "2.70GHz", "2.10GHz", "gomaxprocs: 1 vs 8", "not meaningful"} {
@@ -156,14 +159,45 @@ func TestCompareWarnsOnEnvMismatch(t *testing.T) {
 				t.Errorf("stderr missing %q:\n%s", want, text)
 			}
 		}
+		for _, want := range []string{"Step", "geomean speedup", "NOT COMPARABLE"} {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("stdout missing %q:\n%s", want, out.String())
+			}
+		}
 	})
+	for _, tc := range []struct {
+		name   string
+		ns     float64
+		reason string
+	}{
+		{"cross-cpu-regression-does-not-fail", 200, "a cross-host slowdown must not fail the gate"},
+		{"cross-cpu-speedup-does-not-pass", 50, "a cross-host speedup must not pass the gate"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out, errOut strings.Builder
+			if got := compareRuns(&out, &errOut, mk("2.70GHz", 1, 100), mk("2.10GHz", 1, tc.ns)); got != exitNotComparable {
+				t.Fatalf("compareRuns = %d, want %d: %s", got, exitNotComparable, tc.reason)
+			}
+			if strings.Contains(out.String(), "REGRESSION") || strings.Contains(errOut.String(), "regression over") {
+				t.Errorf("a not-comparable result is judged as a regression:\n%s%s", out.String(), errOut.String())
+			}
+			if !strings.Contains(out.String(), "NOT COMPARABLE") {
+				t.Errorf("stdout missing NOT COMPARABLE:\n%s", out.String())
+			}
+		})
+	}
 	t.Run("regression-still-gates", func(t *testing.T) {
+		// Same CPU, different GOMAXPROCS: the warning prints, and the
+		// regression still fails the gate.
 		var out, errOut strings.Builder
-		if got := compareRuns(&out, &errOut, mk("2.70GHz", 1, 100), mk("2.10GHz", 1, 200)); got != 1 {
+		if got := compareRuns(&out, &errOut, mk("2.10GHz", 1, 100), mk("2.10GHz", 8, 200)); got != 1 {
 			t.Fatalf("compareRuns = %d, want 1: the warning must not mask a regression", got)
 		}
 		if !strings.Contains(errOut.String(), "WARNING") {
 			t.Errorf("stderr missing warning:\n%s", errOut.String())
+		}
+		if strings.Contains(out.String(), "NOT COMPARABLE") {
+			t.Errorf("same-CPU entries marked not comparable:\n%s", out.String())
 		}
 	})
 	t.Run("same-env-is-silent", func(t *testing.T) {

@@ -97,9 +97,9 @@ func (s *Sim) transmitShardDense(lo, hi int, sh *shard) {
 			}
 			backlog[u]--
 			dBacklog--
-			if c.fresh {
-				s.noteFreshConsumed(sh, u, c.dst())
-				c.fresh = false
+			if c.isFresh() {
+				s.noteFreshConsumed(sh, u, c.dst(v))
+				c.hops &^= freshBit
 			}
 			if failedNode[v] || (hasFailedLink && failedLink[u] != nil && failedLink[u][v]) {
 				if sh != nil {

@@ -44,8 +44,11 @@ import (
 	"repro/internal/workload"
 )
 
-// maxWaypoints bounds route length (3D ORN uses 6 hops; SORN uses 3).
-const maxWaypoints = 8
+// maxWaypoints bounds route length: a route names at most this many
+// nodes after its source, one per hop (SORN uses 3, a 3D ORN 6). A cell
+// stores all of them but the first, which the VOQ it sits in already
+// names, so the bound is what fixes the cell at 16 bytes (see cell).
+const maxWaypoints = 6
 
 // flowBlockBits sizes the flow arena blocks (1024 flows, ~40 KiB each):
 // flows are reachable by index without a per-flow allocation, stay
@@ -122,25 +125,47 @@ func (f *FlowState) Lost() int { return int(f.lost) }
 // Endpoints returns the flow's source and destination.
 func (f *FlowState) Endpoints() (src, dst int) { return int(f.src), int(f.dst) }
 
-// cell is one port-slot of data in flight. Waypoints are the nodes after
-// the source; idx points at the next one. The flow is referenced by its
-// index into the flow arena rather than by pointer, keeping the struct
+// cell is one port-slot of data in flight, 16 bytes. Its route's
+// waypoints are the nodes after the source, one per hop; idx counts the
+// hops already taken, so waypoint idx is the one the cell is queued or
+// in flight toward — v for a cell in VOQ [u][v] or on the circuit into
+// v. Waypoint 0 is therefore never stored: injection names it by the
+// source VOQ it picks. rest holds waypoints 1 onward (waypoint i is
+// rest[i-1]); landing reads the next one to pick the landing node's
+// VOQ, and dst reads the last. The flow is referenced by its index into
+// the flow arena rather than by pointer, keeping the struct
 // pointer-free: the n² virtual output queues then cost the garbage
 // collector no scan work and their writes no barriers. The injection
-// slot is not stored per cell — every cell of a flow is injected at the
-// flow's arrival slot, so latency accounting reads FlowState.arrival —
-// which keeps the struct at 24 bytes, and every queue push, ring write,
-// and pop copy 25% cheaper than a 32-byte layout.
+// slot is not stored either — every cell of a flow is injected at the
+// flow's arrival slot, so latency accounting reads FlowState.arrival.
+// At 16 bytes a cell never straddles a cache line, and every queue
+// push, ring write and pop copies a third less than the 24-byte layout
+// that stored every waypoint.
 type cell struct {
-	flow      int32
-	waypoints [maxWaypoints]int16
-	n, idx    int8
-	fresh     bool // still queued at its source, never transmitted
+	flow int32
+	rest [maxWaypoints - 1]int16
+	hops uint8 // hop count, with freshBit set while queued at its source
+	idx  uint8
 }
 
-// dst returns the cell's final destination (the last waypoint), saving
-// the flow-arena lookup on hot paths that only need the destination.
-func (c *cell) dst() int { return int(c.waypoints[c.n-1]) }
+// freshBit marks a cell still queued at its source, never transmitted.
+const freshBit = 0x80
+
+// hopCount returns the length of the cell's route in hops.
+func (c *cell) hopCount() int { return int(c.hops &^ freshBit) }
+
+// isFresh reports whether the cell is still queued at its source.
+func (c *cell) isFresh() bool { return c.hops&freshBit != 0 }
+
+// dst returns the cell's final destination without the flow-arena
+// lookup, given next, the waypoint the cell is queued or in flight
+// toward: that one for a 1-hop route, the last stored one otherwise.
+func (c *cell) dst(next int) int {
+	if n := c.hopCount(); n > 1 {
+		return int(c.rest[n-2])
+	}
+	return next
+}
 
 // fifo is a power-of-two circular buffer of cells: pushes and pops are
 // single indexed writes/reads with no compaction copies, and the buffer
@@ -244,10 +269,11 @@ type Stats struct {
 	// in slots. FCTSlots samples flow completion times. LatencyByHops
 	// breaks the latency samples down by path length, separating e.g.
 	// SORN's 2-hop intra-clique traffic from its 3-hop inter-clique
-	// traffic in a single run (index = hop count; 0 unused).
+	// traffic in a single run (index = hop count; 0 unused, and so is
+	// 7: no route is longer than maxWaypoints hops).
 	LatencySlots  stats.Sample
 	FCTSlots      stats.Sample
-	LatencyByHops [maxWaypoints]stats.Sample
+	LatencyByHops [8]stats.Sample
 }
 
 // mergeFrom folds a shard's staged deltas into s and resets them. Sample
@@ -613,8 +639,8 @@ func (s *Sim) init(cfg Config) error {
 	if cfg.PropNS < 0 {
 		return fmt.Errorf("netsim: negative propagation delay")
 	}
-	if cfg.Router.MaxHops()+1 > maxWaypoints {
-		return fmt.Errorf("netsim: router %s exceeds %d waypoints", cfg.Router.Name(), maxWaypoints)
+	if cfg.Router.MaxHops() > maxWaypoints {
+		return fmt.Errorf("netsim: router %s routes over %d hops, cells hold at most %d", cfg.Router.Name(), cfg.Router.MaxHops(), maxWaypoints)
 	}
 	n := cfg.Schedule.N
 	if n > 1<<15 {
@@ -955,8 +981,8 @@ func (s *Sim) FailNode(u int) {
 				if !ok {
 					break
 				}
-				if c.fresh {
-					s.noteFreshConsumed(nil, u, c.dst())
+				if c.isFresh() {
+					s.noteFreshConsumed(nil, u, c.dst(v))
 				}
 				s.flow(c.flow).lost++
 				purged++
@@ -1046,12 +1072,11 @@ func (s *Sim) InjectFlow(src, dst, size int) *FlowState {
 		s.routeBuf = p
 		var c cell
 		c.flow = fi
-		c.fresh = true
-		c.n = int8(len(p) - 1)
-		for h := 1; h < len(p); h++ {
-			c.waypoints[h-1] = int16(p[h])
+		c.hops = uint8(len(p)-1) | freshBit
+		for h := 2; h < len(p); h++ {
+			c.rest[h-2] = int16(p[h])
 		}
-		s.enqueue(nil, src, &c)
+		s.enqueue(nil, src, p[1], &c)
 	}
 	if s.measuring {
 		s.stats.InjectedCells += int64(size)
@@ -1080,25 +1105,24 @@ func (s *Sim) noteFreshConsumed(sh *shard, u, dst int) {
 	}
 }
 
-// enqueue places a cell into node u's VOQ for its next waypoint,
+// enqueue places a cell into node u's VOQ for next, its next waypoint,
 // dropping it if the queue is at its limit. It is called from the
 // landing phase with that node's owning shard (accounting is staged),
 // and from serial contexts — injection, reconfiguration — with sh nil
 // (accounting is applied directly). Only u's owning shard (or a serial
 // context) ever calls it, which is what makes the lazy row allocation
 // and the active-list append race-free.
-func (s *Sim) enqueue(sh *shard, u int, c *cell) {
-	next := int(c.waypoints[c.idx])
+func (s *Sim) enqueue(sh *shard, u, next int, c *cell) {
 	row := s.voq[u]
 	if row == nil {
 		row = s.voqRow(u)
 	}
 	q := &row[next]
 	if s.cfg.QueueLimit > 0 && q.len() >= s.cfg.QueueLimit {
-		if c.fresh {
+		if c.isFresh() {
 			// Fresh cells are dropped only from serial contexts: a
 			// cell never returns to its source once transmitted.
-			s.noteFreshConsumed(sh, u, c.dst())
+			s.noteFreshConsumed(sh, u, c.dst(next))
 		}
 		if sh != nil {
 			sh.losses = append(sh.losses, flowLoss{flow: c.flow, cells: 1})
@@ -1508,17 +1532,18 @@ func (s *Sim) land(sh *shard, v int, c *cell) {
 		return
 	}
 	c.idx++
-	if c.idx >= c.n {
+	if int(c.idx) >= c.hopCount() {
 		s.deliver(sh, v, c)
 		return
 	}
+	next := int(c.rest[c.idx-1])
 	// After a reconfiguration, the cell's next circuit may no longer
 	// exist; re-route it from its landing node.
-	if !s.circuits.has(v, int(c.waypoints[c.idx])) {
+	if !s.circuits.has(v, next) {
 		s.rerouteFrom(sh, v, c)
 		return
 	}
-	s.enqueue(sh, v, c)
+	s.enqueue(sh, v, next, c)
 }
 
 // deliver counts a final-hop delivery at node v.
@@ -1539,7 +1564,7 @@ func (s *Sim) deliver(sh *shard, v int, c *cell) {
 		if k := s.cfg.LatencySampleEvery; k > 0 && (k == 1 || s.latRngs[v].Float64() < s.sampleProb) {
 			lat := float64(s.slot - f.arrival)
 			st.LatencySlots.Add(lat)
-			st.LatencyByHops[c.n].Add(lat)
+			st.LatencyByHops[c.hopCount()].Add(lat)
 		}
 	}
 	if f.delivered == f.size {
@@ -1653,9 +1678,9 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 					drained++
 				}
 				dBacklog--
-				if c.fresh {
-					s.noteFreshConsumed(sh, u, c.dst())
-					c.fresh = false
+				if c.isFresh() {
+					s.noteFreshConsumed(sh, u, c.dst(v))
+					c.hops &^= freshBit
 				}
 				if failedNode[v] || (hasFailedLink && failedLink[u] != nil && failedLink[u][v]) {
 					if sh != nil {
@@ -1730,9 +1755,9 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 			pops++
 			backlog[u]--
 			dBacklog--
-			if c.fresh {
-				s.noteFreshConsumed(sh, u, c.dst())
-				c.fresh = false
+			if c.isFresh() {
+				s.noteFreshConsumed(sh, u, c.dst(v))
+				c.hops &^= freshBit
 			}
 			if failedNode[v] || (flRow != nil && flRow[v]) {
 				if sh != nil {
@@ -1789,8 +1814,14 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 
 // RunOpenLoop injects the given flows at their arrival slots and steps
 // until `until`. Flows must be sorted by arrival and arrive at or after
-// the current slot.
+// the current slot. Every flow is validated before any is injected, so a
+// malformed one returns an error and leaves the simulator untouched.
 func (s *Sim) RunOpenLoop(flows []workload.Flow, until int64) error {
+	for _, f := range flows {
+		if err := s.checkFlow(f); err != nil {
+			return err
+		}
+	}
 	i := 0
 	for s.slot < until {
 		timed := s.phaseTimed()
@@ -1800,9 +1831,6 @@ func (s *Sim) RunOpenLoop(flows []workload.Flow, until int64) error {
 		}
 		for i < len(flows) && flows[i].Arrival <= s.slot {
 			f := flows[i]
-			if f.Arrival < 0 {
-				return fmt.Errorf("netsim: flow %d has negative arrival", f.ID)
-			}
 			s.InjectFlow(f.Src, f.Dst, f.Size)
 			i++
 		}
@@ -1818,6 +1846,22 @@ func (s *Sim) RunOpenLoop(flows []workload.Flow, until int64) error {
 			next = flows[i].Arrival
 		}
 		s.FastForwardTo(next)
+	}
+	return nil
+}
+
+// checkFlow rejects a flow InjectFlow cannot carry: endpoints outside
+// the network or equal, no cells, or a negative arrival slot.
+func (s *Sim) checkFlow(f workload.Flow) error {
+	switch {
+	case f.Src < 0 || f.Src >= s.n || f.Dst < 0 || f.Dst >= s.n:
+		return fmt.Errorf("netsim: flow %d from %d to %d leaves the %d-node network", f.ID, f.Src, f.Dst, s.n)
+	case f.Src == f.Dst:
+		return fmt.Errorf("netsim: flow %d is a self flow at node %d", f.ID, f.Src)
+	case f.Size <= 0:
+		return fmt.Errorf("netsim: flow %d has %d cells", f.ID, f.Size)
+	case f.Arrival < 0:
+		return fmt.Errorf("netsim: flow %d has negative arrival", f.ID)
 	}
 	return nil
 }
@@ -1883,7 +1927,11 @@ func (s *Sim) RunSaturated(sc SaturationConfig) (*Stats, error) {
 		for _, u := range active {
 			for s.fresh[u] < sc.TargetBacklog {
 				dst := sc.TM.SampleDest(u, s.rng)
-				s.InjectFlow(u, dst, sc.Size.Sample(s.rng))
+				size := sc.Size.Sample(s.rng)
+				if size <= 0 {
+					return nil, errEmptyFlow(sc.Size, size)
+				}
+				s.InjectFlow(u, dst, size)
 			}
 		}
 		if timed {
@@ -1892,6 +1940,13 @@ func (s *Sim) RunSaturated(sc SaturationConfig) (*Stats, error) {
 		s.Step()
 	}
 	return &s.stats, nil
+}
+
+// errEmptyFlow reports a size draw of no cells. A saturation top-up
+// loop injects until the source's fresh backlog reaches its target, so
+// accepting one would inject empty flows forever.
+func errEmptyFlow(d workload.SizeDist, size int) error {
+	return fmt.Errorf("netsim: size distribution %s sampled %d cells", d.Name(), size)
 }
 
 // runSaturatedPerPair drives per-pair saturation with a deficit
@@ -1922,8 +1977,8 @@ func (s *Sim) runSaturatedPerPair(sc SaturationConfig, measureAt, end int64) (*S
 		for v := range row {
 			q := &row[v]
 			for i := q.head; i != q.tail; i++ {
-				if c := &q.buf[i&uint32(len(q.buf)-1)]; c.fresh {
-					s.freshPair[u*s.n+c.dst()]++
+				if c := &q.buf[i&uint32(len(q.buf)-1)]; c.isFresh() {
+					s.freshPair[u*s.n+c.dst(v)]++
 				}
 			}
 		}
@@ -1970,7 +2025,11 @@ func (s *Sim) runSaturatedPerPair(sc SaturationConfig, measureAt, end int64) (*S
 				continue
 			}
 			for s.freshPair[pair] < sc.PerPairBacklog {
-				s.InjectFlow(u, d, sc.Size.Sample(s.rng))
+				size := sc.Size.Sample(s.rng)
+				if size <= 0 {
+					return nil, errEmptyFlow(sc.Size, size)
+				}
+				s.InjectFlow(u, d, size)
 			}
 		}
 		s.dirtyPairs = s.dirtyPairs[:0]
@@ -1994,8 +2053,8 @@ func (s *Sim) Reconfigure(sched *matching.Schedule, router routing.Router) error
 	if sched.N != s.n {
 		return fmt.Errorf("netsim: new schedule over %d nodes, sim over %d", sched.N, s.n)
 	}
-	if router.MaxHops()+1 > maxWaypoints {
-		return fmt.Errorf("netsim: router %s exceeds %d waypoints", router.Name(), maxWaypoints)
+	if router.MaxHops() > maxWaypoints {
+		return fmt.Errorf("netsim: router %s routes over %d hops, cells hold at most %d", router.Name(), router.MaxHops(), maxWaypoints)
 	}
 	if s.obs != nil {
 		s.obs.Emit(obs.Event{Slot: s.slot, Type: obs.EvReconfigBegin, Src: -1, Dst: -1})
@@ -2051,11 +2110,10 @@ func (s *Sim) rerouteFrom(sh *shard, u int, c *cell) {
 		// rather than re-routed. If it never left its source the fresh
 		// accounting still charges it as queued there; consume it
 		// before it disappears into the delivery counters.
-		if c.fresh {
+		if c.isFresh() {
 			s.noteFreshConsumed(sh, u, int(dst))
 		}
-		done := cell{flow: c.flow, n: 1, idx: 1}
-		done.waypoints[0] = int16(dst)
+		done := cell{flow: c.flow, hops: 1, idx: 1}
 		s.deliver(sh, u, &done)
 		return
 	}
@@ -2069,13 +2127,11 @@ func (s *Sim) rerouteFrom(sh *shard, u int, c *cell) {
 	} else {
 		s.routeBuf = p
 	}
-	nc := *c
-	nc.n = int8(len(p) - 1)
-	nc.idx = 0
-	for h := 1; h < len(p); h++ {
-		nc.waypoints[h-1] = int16(p[h])
+	nc := cell{flow: c.flow, hops: uint8(len(p)-1) | c.hops&freshBit}
+	for h := 2; h < len(p); h++ {
+		nc.rest[h-2] = int16(p[h])
 	}
-	s.enqueue(sh, u, &nc)
+	s.enqueue(sh, u, p[1], &nc)
 }
 
 // FlowsCompleted returns how many injected flows have finished.

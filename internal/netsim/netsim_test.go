@@ -2,9 +2,11 @@ package netsim
 
 import (
 	"flag"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/fluid"
 	"repro/internal/matching"
@@ -316,6 +318,75 @@ func TestRunSaturatedValidation(t *testing.T) {
 	}
 	if _, err := s.RunSaturated(SaturationConfig{TM: workload.Uniform(8), Size: workload.FixedSize(1), TargetBacklog: 0, MeasureSlots: 1}); err == nil {
 		t.Error("zero backlog accepted")
+	}
+}
+
+// TestRunOpenLoopRejectsBadFlows: a flow InjectFlow cannot carry is an
+// error, not a panic or a flow that silently never completes, and it is
+// caught before anything is injected.
+func TestRunOpenLoopRejectsBadFlows(t *testing.T) {
+	good := workload.Flow{ID: 1, Src: 0, Dst: 3, Size: 2, Arrival: 0}
+	for _, tc := range []struct {
+		name string
+		bad  workload.Flow
+	}{
+		{"dst-out-of-range", workload.Flow{ID: 2, Src: 1, Dst: 9, Size: 1, Arrival: 1}},
+		{"dst-negative", workload.Flow{ID: 2, Src: 1, Dst: -1, Size: 1, Arrival: 1}},
+		{"src-out-of-range", workload.Flow{ID: 2, Src: 8, Dst: 1, Size: 1, Arrival: 1}},
+		{"self-flow", workload.Flow{ID: 2, Src: 4, Dst: 4, Size: 1, Arrival: 1}},
+		{"negative-size", workload.Flow{ID: 2, Src: 1, Dst: 2, Size: -3, Arrival: 1}},
+		{"empty", workload.Flow{ID: 2, Src: 1, Dst: 2, Size: 0, Arrival: 1}},
+		{"negative-arrival", workload.Flow{ID: 2, Src: 1, Dst: 2, Size: 1, Arrival: -1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked instead of returning an error: %v", r)
+				}
+			}()
+			sched := matching.RoundRobin(8)
+			d, _ := routing.NewDirect(matching.Compile(sched))
+			s := newSim(t, sched, d, 1)
+			s.StartMeasuring()
+			if err := s.RunOpenLoop([]workload.Flow{good, tc.bad}, 50); err == nil {
+				t.Fatal("bad flow accepted")
+			}
+			if s.Slot() != 0 || s.Stats().InjectedCells != 0 || s.Backlog() != 0 {
+				t.Fatalf("rejected run moved the simulator: slot %d, injected %d, backlog %d",
+					s.Slot(), s.Stats().InjectedCells, s.Backlog())
+			}
+		})
+	}
+}
+
+// TestRunSaturatedRejectsEmptySizes: the top-up loops inject until a
+// fresh backlog target is met, so a size distribution that samples 0
+// cells must end the run with an error instead of looping forever.
+func TestRunSaturatedRejectsEmptySizes(t *testing.T) {
+	for _, perPair := range []bool{false, true} {
+		t.Run(fmt.Sprintf("perPair=%v", perPair), func(t *testing.T) {
+			sched := matching.RoundRobin(8)
+			v, _ := routing.NewVLB(matching.Compile(sched))
+			s := newSim(t, sched, v, 12)
+			sc := SaturationConfig{TM: workload.Uniform(8), Size: workload.FixedSize(0),
+				TargetBacklog: 16, WarmupSlots: 10, MeasureSlots: 10}
+			if perPair {
+				sc.PerPairBacklog = 4
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := s.RunSaturated(sc)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("zero-cell size distribution accepted")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("RunSaturated still topping up empty flows after 5 s")
+			}
+		})
 	}
 }
 
@@ -1251,7 +1322,7 @@ func TestReconfigureWithFreshCellsQueued(t *testing.T) {
 		for v := range row {
 			q := &row[v]
 			for i := q.head; i != q.tail; i++ {
-				if q.buf[i&uint32(len(q.buf)-1)].fresh {
+				if q.buf[i&uint32(len(q.buf)-1)].isFresh() {
 					perNode[u]++
 				}
 			}
@@ -1290,9 +1361,8 @@ func TestRerouteFreshCellAtDestinationConsumesFresh(t *testing.T) {
 	// sitting at its own destination (reachable via routes that cross
 	// dst mid-path, e.g. ORN digit paths, when a reconfigure requeues).
 	s.fresh[3]++
-	c := cell{flow: 0, fresh: true, n: 2}
-	c.waypoints[0] = 5
-	c.waypoints[1] = 3
+	c := cell{flow: 0, hops: 2 | freshBit}
+	c.rest[0] = 3 // waypoint 0 (node 5) is implied by the VOQ
 	s.rerouteFrom(nil, 3, &c)
 	if s.fresh[3] != 0 {
 		t.Fatalf("fresh counter leaked: fresh[3] = %d, want 0", s.fresh[3])
