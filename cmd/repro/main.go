@@ -331,6 +331,9 @@ func adapt(c runContext) (*report, error) {
 }
 
 func gravity(c runContext) (*report, error) {
+	if c.Nc < 3 {
+		return nil, fmt.Errorf("gravity needs at least 3 cliques for its 4:2:2:1... masses, got -nc %d", c.Nc)
+	}
 	mass := make([]float64, c.Nc)
 	for i := range mass {
 		mass[i] = 1

@@ -47,3 +47,30 @@ func TestGoldenOutputs(t *testing.T) {
 		})
 	}
 }
+
+// TestRunRejectsBadInput: flag values an experiment cannot run with
+// return an error naming the problem instead of panicking deep inside it.
+func TestRunRejectsBadInput(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		want string // substring of the error
+	}{
+		{"gravity-nc2", strings.Fields("-exp gravity -nc 2"), "at least 3 cliques"},
+		{"gravity-nc1", strings.Fields("-exp gravity -nc 1"), "at least 3 cliques"},
+		{"adapt-singleton-cliques", strings.Fields("-exp adapt -n 8 -nc 8"), "at least 2 nodes per clique"},
+		{"fig2f-negative-cap", strings.Fields("-exp fig2f -cap -3"), "size cap -3"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			err := run(tc.args, &out)
+			if err == nil {
+				t.Fatalf("repro %s: no error, output:\n%s", strings.Join(tc.args, " "), out.Bytes())
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("repro %s: error %q does not mention %q", strings.Join(tc.args, " "), err, tc.want)
+			}
+		})
+	}
+}

@@ -38,7 +38,7 @@ func main() {
 	n := flag.Int("n", 128, "number of nodes")
 	nc := flag.Int("nc", 8, "cliques (sorn only)")
 	x := flag.Float64("x", 0.56, "traffic locality ratio; also provisions the sorn schedule")
-	q := flag.Float64("q", 0, "explicit oversubscription ratio (0 = derive q* from -x)")
+	q := flag.Float64("q", 0, "explicit oversubscription ratio, must be positive (0 = derive q* from -x)")
 	mode := flag.String("mode", "saturate", "saturate, openloop, or avail")
 	load := flag.Float64("load", 0.3, "offered load for openloop mode (fraction of node bandwidth)")
 	sizes := flag.String("sizes", "websearch", "flow sizes: websearch, datamining, fixed:<cells>, bimodal")
@@ -68,6 +68,14 @@ func main() {
 	fuzzIters := flag.Int("fuzziters", 64, "selfcheck: random scenarios to fuzz when -spec is empty")
 	fuzzSeconds := flag.Int("fuzzseconds", 0, "selfcheck: wall-clock budget in seconds (0 = iteration count only)")
 	flag.Parse()
+	if *cap < 0 {
+		fmt.Fprintf(os.Stderr, "sornsim: bad -cap %d (want 0 = uncapped, or a positive cell count)\n", *cap)
+		os.Exit(2)
+	}
+	if *qlimit < 0 {
+		fmt.Fprintf(os.Stderr, "sornsim: bad -qlimit %d (want 0 = unbounded, or a positive cell count)\n", *qlimit)
+		os.Exit(2)
+	}
 
 	if *selfcheck {
 		runSelfcheck(*spec, *seed, *fuzzIters, *fuzzSeconds)
@@ -95,7 +103,8 @@ func main() {
 	)
 	switch *design {
 	case "sorn":
-		if *q > 0 {
+		//sornlint:ignore floateq -- 0 is the exact "derive q* from -x" sentinel; SORNConfig.Weights rejects any other bad q
+		if *q != 0 {
 			nw, err = core.NewSORNWithQ(*n, *nc, *q)
 		} else {
 			nw, err = core.NewSORN(*n, *nc, *x)

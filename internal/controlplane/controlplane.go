@@ -129,6 +129,11 @@ func NewController(n, nc int, alpha float64) (*Controller, error) {
 	if nc < 1 || n%nc != 0 {
 		return nil, fmt.Errorf("controlplane: cannot run %d nodes as %d cliques", n, nc)
 	}
+	if nc > 1 && n/nc < 2 {
+		// Every circuit is inter-clique, so the realized q is 0 and there
+		// is no intra/inter split for a plan to rebalance.
+		return nil, fmt.Errorf("controlplane: %d cliques of %d nodes are single nodes, leaving no q to plan (need at least 2 nodes per clique)", nc, n)
+	}
 	return &Controller{n: n, nc: nc, est: est, MaxQ: 16}, nil
 }
 

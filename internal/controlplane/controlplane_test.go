@@ -312,6 +312,21 @@ func TestControllerErrors(t *testing.T) {
 	}
 }
 
+// TestNewControllerRejectsSingletonCliques: cliques of one node realize
+// q = 0, which no plan's predicted throughput is defined for, so the
+// controller refuses them up front instead of panicking in PlanNext. A
+// single clique (flat round robin) stays a valid controller.
+func TestNewControllerRejectsSingletonCliques(t *testing.T) {
+	for _, tc := range []struct{ n, nc int }{{8, 8}, {2, 2}, {32, 32}} {
+		if _, err := NewController(tc.n, tc.nc, 0.5); err == nil {
+			t.Errorf("NewController(%d, %d) accepted cliques of one node", tc.n, tc.nc)
+		}
+	}
+	if _, err := NewController(8, 1, 0.5); err != nil {
+		t.Errorf("NewController(8, 1): %v", err)
+	}
+}
+
 func TestRelabeledScheduleMatchesRouter(t *testing.T) {
 	// Every circuit the relabeled schedule provides must be consistent
 	// with the SORN router's expectations: full intra-clique coverage

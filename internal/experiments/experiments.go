@@ -103,6 +103,9 @@ func Fig2f(cfg Fig2fConfig) ([]Fig2fPoint, error) {
 	if !(cfg.Step > 0) {
 		return nil, fmt.Errorf("experiments: Fig2f step %v must be positive", cfg.Step)
 	}
+	if cfg.SizeCap < 1 {
+		return nil, fmt.Errorf("experiments: Fig2f size cap %d must be at least 1 cell", cfg.SizeCap)
+	}
 	xs := fig2fGrid(cfg.Step)
 	size := workload.NewCapped(workload.WebSearch(), cfg.SizeCap)
 	sw := observedSweep(cfg.SweepWorkers, cfg.Seed, cfg.Obs)

@@ -1,23 +1,21 @@
 package netsim
 
-// The dense reference engine: the per-slot algorithm the active-set
-// engine replaced, kept as the executable specification it must match
-// bit for bit. Its landing phase scans every (destination, plane) ring
-// entry and its transmit phase every (source, plane) pair, each slot;
-// it never fast-forwards. Production Step reaches these bodies only
-// through Sim.reference, which only this package's tests set.
-
-// denseEngine is the dense reference engine's pair of phase bodies.
-var denseEngine = &phaseBodies{land: (*Sim).landShardDense, transmit: (*Sim).transmitShardDense}
+// The dense reference engine: the per-slot transmit algorithm the
+// active-set engine replaced, kept as the executable specification it
+// must match bit for bit. Its transmit phase scans every (source, plane)
+// pair each slot, and it never fast-forwards; landing is the one
+// production ring-row scan (landShard), which both engines share.
+// Production Step reaches transmitShardDense only through Sim.reference,
+// which only this package's tests set.
 
 // useDense switches s to the dense reference engine (or back to the
 // active engine). Call it right after New or Reset, before the first
-// Step: the active engine's source lists and staged arrivals are not
-// maintained by the dense bodies, so switching mid-run is unsupported.
+// Step: the active engine's source lists are not maintained by the
+// dense transmit body, so switching mid-run is unsupported.
 func useDense(s *Sim, dense bool) {
 	s.reference = nil
 	if dense {
-		s.reference = denseEngine
+		s.reference = (*Sim).transmitShardDense
 	}
 }
 
@@ -32,20 +30,9 @@ func newEngine(cfg Config, dense bool) (*Sim, error) {
 	return s, nil
 }
 
-// landShardDense processes this slot's arrivals at destination nodes
-// [lo, hi) by scanning every (node, plane) ring entry — the reference
-// engine's landing phase.
-func (s *Sim) landShardDense(lo, hi int, sh *shard) {
-	cur := int(s.slot % int64(s.ringSlots))
-	if s.ringCount[cur] == 0 {
-		return
-	}
-	s.landScanRange(cur, lo, hi, sh)
-}
-
 // transmitShardDense pops one cell per plane per source node in
-// [lo, hi) onto the node's active circuits, writing arrivals into the
-// delay line slot each destination owns — the reference engine's
+// [lo, hi) onto the node's active circuits, writing each sent cell into
+// the delay line slot each destination owns — the reference engine's
 // transmit phase, scanning every (source, plane) pair.
 //
 // The loop is plane-major so the dominant single-plane case is one flat

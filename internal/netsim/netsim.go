@@ -68,10 +68,10 @@ type Config struct {
 	// LatencySampleEvery records the end-to-end latency of every k-th
 	// delivered cell (0 disables sampling).
 	LatencySampleEvery int
-	// QueueLimit caps each virtual output queue, in cells; arrivals to a
-	// full queue are dropped (counted in Stats.DroppedCells). 0 means
-	// unbounded — the default, since the paper's designs assume deep
-	// NIC buffers.
+	// QueueLimit caps each virtual output queue, in cells; cells pushed
+	// onto a full queue are dropped (counted in Stats.DroppedCells). 0
+	// means unbounded — the default, since the paper's designs assume
+	// deep NIC buffers.
 	QueueLimit int
 	// Planes is the number of parallel uplinks per node (default 1).
 	// Each plane runs the same schedule phase-staggered by
@@ -343,11 +343,7 @@ type shard struct {
 	dirty    []int32       // staged per-pair saturation worklist entries
 	landed   int32         // cells this shard wrote into the delay line this slot
 	dBacklog int64         // staged Sim.totalBacklog delta
-	// landedIdx stages the delay-line indices this shard wrote this
-	// slot (active engine only); stageArrivals drains it at the merge
-	// barrier into the landing shards' arrival lists.
-	landedIdx []int32
-	events    []obs.Event // staged trace events, drained in shard order
+	events   []obs.Event   // staged trace events, drained in shard order
 }
 
 // circuitSet records which directed circuits a schedule ever opens —
@@ -483,9 +479,9 @@ type Sim struct {
 	// The delay line is direct-mapped: within a slot each plane's
 	// circuits form a matching, so destination v receives at most one
 	// cell per plane per slot and slot (s%ringSlots, v, p) has exactly
-	// one possible writer. Transmit shards therefore write arrivals
-	// race-free with no staging buffers, and the landing phase walks
-	// its destinations in node order — the canonical order that makes
+	// one possible writer. Transmit shards therefore write the ring
+	// race-free with no staging buffers, and the landing phase scans
+	// each row in (node, plane) order — the canonical order that makes
 	// results independent of the worker count.
 	ringSlots int
 	ringCells []cell //sornlint:staged -- one possible writer per entry, see above
@@ -514,37 +510,12 @@ type Sim struct {
 
 	failedCount int
 
-	// arrivals[r*Workers + i] stages the delay-line indices shard i must
-	// land when ring slot r comes due: filled at transmit time (staged
-	// per transmit shard, routed to landing shards at the merge barrier
-	// by stageArrivals) and consumed in ascending index order — which is
-	// exactly the dense scan's (node, plane) landing order, so the two
-	// engines stay bit-identical. landScan[r] switches ring slot r to
-	// the dense occupancy scan when at least landScanThreshold cells
-	// landed there, so saturated slots pay the flat scan instead of
-	// sort+list overhead on top of a mostly-full ring row.
-	arrivals          [][]int32 //sornlint:staged
-	landScan          []bool
-	landScanThreshold int32
-	// stageSkip predicts, before transmit runs, that this slot's ring
-	// row will cross landScanThreshold and fall back to the dense
-	// occupancy scan anyway: the active-source count times planes bounds
-	// the cells that can transmit this slot, and that count is fixed at
-	// the land/transmit barrier. When set, transmit shards skip staging
-	// arrival indices entirely — saturated slots otherwise pay one
-	// append per cell just to have stageArrivals discard the lists. The
-	// predicate depends only on the active-source set (backlog > 0),
-	// which is identical across worker counts, so the skip decision is
-	// sharding-invariant. Written serially in Step, read-only in the
-	// transmit phase.
-	stageSkip bool
-
-	// reference, when non-nil, replaces Step's land and transmit phase
-	// bodies and disables FastForwardTo. Only the package's tests set it,
-	// to run the dense reference engine the active engine must match bit
-	// for bit; init clears it, so production sims always run the active
+	// reference, when non-nil, replaces Step's transmit phase body and
+	// disables FastForwardTo. Only the package's tests set it, to run
+	// the dense reference engine the active engine must match bit for
+	// bit; init clears it, so production sims always run the active
 	// engine and Reset still yields New's state.
-	reference *phaseBodies
+	reference func(s *Sim, lo, hi int, sh *shard)
 
 	routeBuf routing.Route
 
@@ -717,8 +688,9 @@ func (s *Sim) init(cfg Config) error {
 
 	rs := int(prop) + 1
 	if int64(rs)*int64(n)*int64(cfg.Planes) > math.MaxInt32 {
-		// The active engine stages delay-line indices as int32s; a ring
-		// this large would need ~50 GiB of cells anyway.
+		// Ring rows count their cells in int32s (ringCount,
+		// shard.landed); a ring this large would need ~50 GiB of cells
+		// anyway.
 		return fmt.Errorf("netsim: delay ring of %d slots × %d nodes × %d planes exceeds int32 indexing", rs, n, cfg.Planes)
 	}
 	if reuse && len(s.ringCells) == rs*n*cfg.Planes {
@@ -773,7 +745,6 @@ func (s *Sim) init(cfg Config) error {
 		sh.hi = (i + 1) * n / cfg.Workers
 		sh.landed = 0
 		sh.dBacklog = 0
-		sh.landedIdx = sh.landedIdx[:0]
 		sh.losses = sh.losses[:0]
 		sh.dirty = sh.dirty[:0]
 		sh.events = sh.events[:0]
@@ -784,9 +755,8 @@ func (s *Sim) init(cfg Config) error {
 			LatencySlots: sh.stats.LatencySlots, FCTSlots: sh.stats.FCTSlots, LatencyByHops: sh.stats.LatencyByHops}
 	}
 
-	// Active-set state: no source active, per-shard live counts full,
-	// all arrival staging empty. Sized by (n, Workers, ring) geometry,
-	// which is tiny next to the queues.
+	// Active-set state: no source active, per-shard live counts full.
+	// Sized by (n, Workers) geometry, which is tiny next to the queues.
 	if len(s.shardOf) != n {
 		s.shardOf = make([]int32, n)
 		s.srcPos = make([]int32, n)
@@ -805,22 +775,6 @@ func (s *Sim) init(cfg Config) error {
 		for u := sh.lo; u < sh.hi; u++ {
 			s.shardOf[u] = int32(i)
 		}
-	}
-	if len(s.arrivals) != rs*cfg.Workers {
-		s.arrivals = make([][]int32, rs*cfg.Workers)
-	} else {
-		for i := range s.arrivals {
-			s.arrivals[i] = s.arrivals[i][:0]
-		}
-	}
-	if len(s.landScan) != rs {
-		s.landScan = make([]bool, rs)
-	} else {
-		clear(s.landScan)
-	}
-	s.landScanThreshold = int32(n * cfg.Planes / 4)
-	if s.landScanThreshold < 8 {
-		s.landScanThreshold = 8
 	}
 
 	s.obs, s.om, s.traceFlows = nil, nil, false
@@ -1252,26 +1206,12 @@ func (s *Sim) Step() {
 		s.matchRows[p] = s.sched.Slots[(s.slot+s.offsets[p])%period]
 	}
 	timed := s.phaseTimed()
-	land, transmit := (*Sim).landShardActive, (*Sim).transmitShardActive
+	transmit := (*Sim).transmitShardActive
 	if s.reference != nil {
-		land, transmit = s.reference.land, s.reference.transmit
+		transmit = s.reference
 	}
-	s.runPhase(obs.PhaseLand, timed, land)
-	cur := s.slot % int64(s.ringSlots)
-	s.ringCount[cur] = 0
-	s.landScan[cur] = false
-	// Active sources (backlog > 0) bound this slot's transmissions at
-	// active×planes; if that already crosses the land-scan threshold,
-	// the staged arrival lists would be discarded, so tell the transmit
-	// shards not to build them. Computed after the landing phase (which
-	// activates sources) and before transmit, serially — the set of
-	// active sources is identical across worker counts, so the decision
-	// is too.
-	active := 0
-	for i := range s.activeSrc {
-		active += len(s.activeSrc[i])
-	}
-	s.stageSkip = int32(active)*int32(s.planes) >= s.landScanThreshold
+	s.runPhase(obs.PhaseLand, timed, (*Sim).landShard)
+	s.ringCount[s.slot%int64(s.ringSlots)] = 0
 	s.runPhase(obs.PhaseTransmit, timed, transmit)
 	if len(s.shards) > 1 {
 		if timed {
@@ -1282,7 +1222,6 @@ func (s *Sim) Step() {
 			s.mergeShards()
 		}
 	}
-	s.stageArrivals()
 	if s.om != nil {
 		s.obsEndSlot()
 	}
@@ -1291,46 +1230,6 @@ func (s *Sim) Step() {
 		s.stats.MeasuredSlots++
 	}
 	s.stepping = false
-}
-
-// stageArrivals routes this slot's transmissions to the landing shards
-// that will consume them, at the slot barrier in shard order. Serial
-// transmits append straight into the single landing list, so with one
-// worker only the threshold check remains. Ring slots holding at least
-// landScanThreshold cells switch to the dense occupancy scan — a
-// saturated slot fills most of the ring row anyway — and drop the
-// staged lists (usually already empty: Step predicts the crossing from
-// the active-source count and sets stageSkip so transmit never builds
-// them). Each ring slot is produced by exactly one Step and
-// consumed propSlots later, so no entry is ever written twice before
-// being drained.
-func (s *Sim) stageArrivals() {
-	landRS := int((s.slot + s.propSlots) % int64(s.ringSlots))
-	w := len(s.shards)
-	if s.stageSkip || s.ringCount[landRS] >= s.landScanThreshold {
-		s.landScan[landRS] = true
-		for i := 0; i < w; i++ {
-			s.arrivals[landRS*w+i] = s.arrivals[landRS*w+i][:0]
-		}
-		for i := range s.shards {
-			s.shards[i].landedIdx = s.shards[i].landedIdx[:0]
-		}
-		return
-	}
-	if w == 1 {
-		return // serial transmit staged directly into arrivals[landRS]
-	}
-	base := int32(landRS * s.n * s.planes)
-	planes := int32(s.planes)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		for _, j := range sh.landedIdx {
-			v := (j - base) / planes
-			d := landRS*w + int(s.shardOf[v])
-			s.arrivals[d] = append(s.arrivals[d], j)
-		}
-		sh.landedIdx = sh.landedIdx[:0]
-	}
 }
 
 // FastForwardTo advances a quiescent simulator straight to slot target,
@@ -1369,13 +1268,6 @@ func (s *Sim) FastForwardTo(target int64) int64 {
 	}
 	s.slot = target
 	return skipped
-}
-
-// phaseBodies is a pair of per-shard phase bodies for Step: the landing
-// phase (sharded by destination) and the transmit phase (sharded by
-// source).
-type phaseBodies struct {
-	land, transmit func(s *Sim, lo, hi int, sh *shard)
 }
 
 // runPhase executes one phase across all shards. Serial runs inline
@@ -1453,16 +1345,22 @@ func (s *Sim) mergeShards() {
 	}
 }
 
-// landScanRange lands everything in ring slot cur addressed to [lo, hi),
-// in (node, plane) order — the canonical landing order. The active
-// engine's heavy-slot fallback, and the whole landing phase of the
-// tests' dense reference engine.
+// landShard lands everything in this slot's ring row addressed to
+// destinations [lo, hi), in (node, plane) order — the canonical landing
+// order, which fixes the per-node rng draws and staged sample streams
+// for every worker count. Each slot of every plane is a matching, so a
+// row holds at most one cell per (node, plane) and the scan visits each
+// entry once; a row with nothing arriving (ringCount 0, most steps of a
+// draining or lightly loaded run) is skipped outright.
 //
 //sornlint:shardphase
 //sornlint:hotpath
-func (s *Sim) landScanRange(cur, lo, hi int, sh *shard) {
-	base := cur * s.n * s.planes
-	off := base + lo*s.planes
+func (s *Sim) landShard(lo, hi int, sh *shard) {
+	cur := int(s.slot % int64(s.ringSlots))
+	if s.ringCount[cur] == 0 {
+		return
+	}
+	off := (cur*s.n + lo) * s.planes
 	for v := lo; v < hi; v++ {
 		for p := 0; p < s.planes; p++ {
 			if s.ringOcc[off] {
@@ -1472,45 +1370,6 @@ func (s *Sim) landScanRange(cur, lo, hi int, sh *shard) {
 			off++
 		}
 	}
-}
-
-// landShardActive lands this slot's arrivals from the staged per-shard
-// index lists: cost proportional to the cells actually landing, not to
-// n×planes. Delay-line indices are (node, plane)-major, so sorting the
-// list ascending reproduces exactly the dense scan's landing order and
-// keeps the engines bit-identical — including the per-node rng draws
-// and staged sample streams that depend on per-node event order. Ring
-// slots flagged landScan (≥ landScanThreshold cells) fall back to the
-// dense scan and have empty lists.
-//
-//sornlint:shardphase
-//sornlint:hotpath
-func (s *Sim) landShardActive(lo, hi int, sh *shard) {
-	cur := int(s.slot % int64(s.ringSlots))
-	if s.ringCount[cur] == 0 {
-		return
-	}
-	if s.landScan[cur] {
-		s.landScanRange(cur, lo, hi, sh)
-		return
-	}
-	i := 0
-	if sh != nil {
-		i = sh.idx
-	}
-	li := cur*len(s.shards) + i
-	lst := s.arrivals[li]
-	if len(lst) == 0 {
-		return
-	}
-	slices.Sort(lst)
-	base := cur * s.n * s.planes
-	for _, j := range lst {
-		jj := int(j)
-		s.ringOcc[jj] = false
-		s.land(sh, (jj-base)/s.planes, &s.ringCells[jj])
-	}
-	s.arrivals[li] = lst[:0]
 }
 
 // land processes a cell arriving at node v.
@@ -1638,11 +1497,6 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 	failedNode := s.failedNode
 	failedLink := s.failedLink
 	hasFailedLink := failedLink != nil
-	stage := s.arrivals[landRS] // serial: stage straight into the landing list
-	if sh != nil {
-		stage = sh.landedIdx
-	}
-	skipStage := s.stageSkip // Step already decided this row will dense-scan
 	list := s.activeSrc[shIdx]
 	if len(list)*2 >= hi-lo {
 		// Saturated shard: most of the node range is active, so the
@@ -1699,9 +1553,6 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 				j := landBase + v*s.planes + p
 				s.ringCells[j] = *c
 				s.ringOcc[j] = true
-				if !skipStage {
-					stage = append(stage, int32(j))
-				}
 				landed++
 			}
 		}
@@ -1728,10 +1579,8 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 		}
 		if sh != nil {
 			sh.landed = landed
-			sh.landedIdx = stage
 			sh.dBacklog += dBacklog
 		} else {
-			s.arrivals[landRS] = stage
 			s.ringCount[landRS] += landed
 			s.totalBacklog += dBacklog
 		}
@@ -1776,9 +1625,6 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 			j := landBase + v*s.planes + p
 			s.ringCells[j] = *c
 			s.ringOcc[j] = true
-			if !skipStage {
-				stage = append(stage, int32(j))
-			}
 			landed++
 		}
 		if backlog[u] == 0 {
@@ -1803,10 +1649,8 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 	}
 	if sh != nil {
 		sh.landed = landed
-		sh.landedIdx = stage
 		sh.dBacklog += dBacklog
 	} else {
-		s.arrivals[landRS] = stage
 		s.ringCount[landRS] += landed
 		s.totalBacklog += dBacklog
 	}

@@ -85,7 +85,7 @@ func TestCellConservation(t *testing.T) {
 	if err := s.RunOpenLoop(flows, 2000); err != nil {
 		t.Fatal(err)
 	}
-	// Drain: no new arrivals, run until nothing is queued or in flight.
+	// Drain: inject nothing more, run until nothing is queued or in flight.
 	for i := 0; i < 100000 && !s.Drained(); i++ {
 		s.Step()
 	}
@@ -1194,9 +1194,9 @@ func BenchmarkInjectSaturated(b *testing.B) {
 // active-set engine exists for: a 128-node SORN at 0.05% offered load
 // over a 205k-slot horizon, where short flows arrive every ~100 slots,
 // drain within a few tens, and the fabric sits quiescent between
-// bursts. The dense engine still pays O(n·planes) per slot in transmit
-// and landing for every one of those slots; the active-set engine pays
-// per occupied entry and fast-forwards each quiescent gap in O(1). Run
+// bursts. The dense engine still pays an O(n·planes) transmit scan for
+// every one of those slots; the active-set engine pays per active
+// source and fast-forwards each quiescent gap in O(1). Run
 // with -benchdense for the A/B baseline — results are bit-identical,
 // only per-slot cost differs.
 func BenchmarkOpenLoopSparse(b *testing.B) {

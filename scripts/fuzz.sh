@@ -2,12 +2,13 @@
 # fuzz.sh runs two budgeted fuzzing passes on top of the fixed corpora
 # that ci.sh (and plain `go test ./...`) replays:
 #
-#   1. Go native fuzzing of the text parsers: FuzzParseSpec in
+#   1. Go native fuzzing, 30s per target: FuzzParseSpec in
 #      internal/faultplan (fault-plan specs) and internal/oracle (oracle
-#      reproducer specs), 30s each. A failing input is written under the
-#      package's testdata/fuzz/ and replays as an ordinary test from then
-#      on. For a longer pass, run the same go test -fuzz command with a
-#      larger -fuzztime.
+#      reproducer specs), and FuzzScheduleValidate in internal/matching
+#      (schedules built from raw bytes). A failing input is written under
+#      the package's testdata/fuzz/ and replays as an ordinary test from
+#      then on. For a longer pass, run the same go test -fuzz command
+#      with a larger -fuzztime.
 #   2. The differential/metamorphic scenario fuzzer (internal/oracle).
 #
 #   ./scripts/fuzz.sh                 # default budget: 256 scenarios or 300s
@@ -37,6 +38,8 @@ for pkg in ./internal/faultplan ./internal/oracle; do
   echo "== go fuzz: FuzzParseSpec in $pkg for 30s"
   go test "$pkg" -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 30s -parallel 1
 done
+echo "== go fuzz: FuzzScheduleValidate in ./internal/matching for 30s"
+go test ./internal/matching -run '^$' -fuzz '^FuzzScheduleValidate$' -fuzztime 30s -parallel 1
 
 echo "== oracle fuzz: up to $iters scenarios, ${seconds}s budget, seed $seed"
 go run ./cmd/sornsim -selfcheck -fuzziters "$iters" -fuzzseconds "$seconds" -seed "$seed"
