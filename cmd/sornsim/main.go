@@ -145,16 +145,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := core.SimOptions{
-		SlotNS: *slotNS, PropNS: *propNS, Seed: *seed,
-		LatencySampleEvery: 16,
-		WarmupSlots:        *warmup,
-		MeasureSlots:       *slots,
-		TargetBacklog:      *backlog,
-		Planes:             *planes,
-		Workers:            *workers,
-		Obs:                ob,
-	}
 
 	var st *netsim.Stats
 	switch *mode {
@@ -165,7 +155,16 @@ func main() {
 		if *faultSpec != "" {
 			fatal(fmt.Errorf("-faultplan applies to openloop and avail modes only"))
 		}
-		st, err = nw.SimulateSaturated(opts, tm, dist)
+		sim, serr := nw.NewSim(core.SimOptions{
+			SlotNS: *slotNS, PropNS: *propNS, Seed: *seed,
+			LatencySampleEvery: 16, Planes: *planes, Workers: *workers, Obs: ob,
+		})
+		if serr != nil {
+			fatal(serr)
+		}
+		st, err = sim.RunSaturated(netsim.SaturationConfig{
+			TM: tm, Size: dist, TargetBacklog: *backlog, WarmupSlots: *warmup, MeasureSlots: *slots,
+		})
 	case "openloop":
 		sim, serr := netsim.New(netsim.Config{
 			Schedule: nw.Schedule, Router: nw.Router,

@@ -200,14 +200,6 @@ func (nw *Network) SimulateSaturated(opts SimOptions, tm *workload.Matrix, dist 
 	if err != nil {
 		return nil, err
 	}
-	return RunSaturatedOn(sim, opts, tm, dist)
-}
-
-// RunSaturatedOn drives the saturation experiment of SimulateSaturated
-// on an already-built simulator — the shared tail of the fresh path
-// above and the pooled sweep path (SimPool.Acquire + RunSaturatedOn),
-// which is how fresh-vs-pooled runs stay workload-identical.
-func RunSaturatedOn(sim *netsim.Sim, opts SimOptions, tm *workload.Matrix, dist workload.SizeDist) (*netsim.Stats, error) {
 	opts = opts.withDefaults()
 	return sim.RunSaturated(netsim.SaturationConfig{
 		TM:            tm,
@@ -221,7 +213,7 @@ func RunSaturatedOn(sim *netsim.Sim, opts SimOptions, tm *workload.Matrix, dist 
 // RunOpenLoopOn runs a Poisson flow workload at the given offered load
 // (fraction of node bandwidth) for `slots` slots on an already-built
 // simulator and returns the stats (FCTs, latencies, deliveries) — the
-// open-loop counterpart of RunSaturatedOn. The flow trace is regenerated
+// open-loop counterpart of SimulateSaturated. The flow trace is regenerated
 // per run from the opts seed, so a pooled and a fresh simulator see the
 // identical workload.
 func RunOpenLoopOn(sim *netsim.Sim, opts SimOptions, tm *workload.Matrix, dist workload.SizeDist, load float64, slots int64) (*netsim.Stats, error) {

@@ -1,7 +1,7 @@
 // Package experiments implements the paper's evaluation as reusable,
 // parameterized experiment runners. Each function regenerates one table,
-// figure, or ablation; cmd/ binaries render the results and the root
-// bench_test.go wraps them as benchmarks, so both always agree.
+// figure, or ablation; Registry renders each as one table, which cmd/repro
+// prints and the root BenchmarkRepro times, so both run one definition.
 //
 // Every sweep-shaped experiment runs on the internal/sweep engine: points
 // execute on a bounded worker pool (a SweepWorkers knob on struct configs,
@@ -106,6 +106,10 @@ func Fig2f(cfg Fig2fConfig) ([]Fig2fPoint, error) {
 	if cfg.SizeCap < 1 {
 		return nil, fmt.Errorf("experiments: Fig2f size cap %d must be at least 1 cell", cfg.SizeCap)
 	}
+	if cfg.RunSim && (cfg.WarmupSlots < 0 || cfg.MeasureSlots < 1 || cfg.Backlog < 1) {
+		return nil, fmt.Errorf("experiments: Fig2f simulation needs warmup slots ≥ 0, measure slots ≥ 1 and backlog ≥ 1 cell, got warmup slots %d, measure slots %d, backlog %d",
+			cfg.WarmupSlots, cfg.MeasureSlots, cfg.Backlog)
+	}
 	xs := fig2fGrid(cfg.Step)
 	size := workload.NewCapped(workload.WebSearch(), cfg.SizeCap)
 	sw := observedSweep(cfg.SweepWorkers, cfg.Seed, cfg.Obs)
@@ -144,19 +148,21 @@ func fig2fPoint(cfg Fig2fConfig, sw sweep.Config, points int, x float64, size wo
 		if cfg.Obs != nil {
 			cfg.Obs.StartRun(fmt.Sprintf("x=%.2f", x))
 		}
-		opts := core.SimOptions{
-			Seed:          p.RNG.Uint64(),
-			WarmupSlots:   cfg.WarmupSlots,
-			MeasureSlots:  cfg.MeasureSlots,
-			TargetBacklog: cfg.Backlog,
-			Workers:       sw.SimWorkers(points, cfg.Workers),
-			Obs:           cfg.Obs,
-		}
-		sim, err := pool.Acquire(p.Worker, nw, opts)
+		sim, err := pool.Acquire(p.Worker, nw, core.SimOptions{
+			Seed:    p.RNG.Uint64(),
+			Workers: sw.SimWorkers(points, cfg.Workers),
+			Obs:     cfg.Obs,
+		})
 		if err != nil {
 			return Fig2fPoint{}, err
 		}
-		st, err := core.RunSaturatedOn(sim, opts, tm, size)
+		st, err := sim.RunSaturated(netsim.SaturationConfig{
+			TM:            tm,
+			Size:          size,
+			TargetBacklog: cfg.Backlog,
+			WarmupSlots:   cfg.WarmupSlots,
+			MeasureSlots:  cfg.MeasureSlots,
+		})
 		if err != nil {
 			return Fig2fPoint{}, err
 		}
@@ -180,6 +186,9 @@ type MismatchPoint struct {
 // The sweep runs one point per planned locality (each shares one cached
 // build across its actual-locality row), flattened in planned-major order.
 func LocalityMismatch(n, nc int, planned, actual []float64, sweepWorkers int) ([]MismatchPoint, error) {
+	if err := checkCliqueSplit("LocalityMismatch", n, nc); err != nil {
+		return nil, err
+	}
 	rows, err := sweep.Run(sweep.Config{Concurrency: sweepWorkers}, len(planned), func(p sweep.Point) ([]MismatchPoint, error) {
 		xp := planned[p.Index]
 		nw, err := core.SharedBuilds.SORN(n, nc, xp)
@@ -215,6 +224,16 @@ func LocalityMismatch(n, nc int, planned, actual []float64, sweepWorkers int) ([
 	return out, nil
 }
 
+// checkCliqueSplit rejects clique layouts whose closed-form r is
+// undefined: one clique has no inter-clique traffic, and cliques of one
+// node have no intra-clique circuits, so the realized q is 0.
+func checkCliqueSplit(exp string, n, nc int) error {
+	if nc < 2 || n/nc < 2 {
+		return fmt.Errorf("experiments: %s over %d nodes in %d cliques has no intra/inter split to model (need at least 2 cliques of at least 2 nodes)", exp, n, nc)
+	}
+	return nil
+}
+
 // QSweepPoint is one oversubscription value of ablation A2.
 type QSweepPoint struct {
 	Q     float64
@@ -225,6 +244,9 @@ type QSweepPoint struct {
 // QSweep shows why q* = 2/(1−x) is the throughput knee: worst-case
 // throughput as a function of q at fixed locality.
 func QSweep(n, nc int, x float64, qs []float64, sweepWorkers int) ([]QSweepPoint, error) {
+	if err := checkCliqueSplit("QSweep", n, nc); err != nil {
+		return nil, err
+	}
 	return sweep.Run(sweep.Config{Concurrency: sweepWorkers}, len(qs), func(p sweep.Point) (QSweepPoint, error) {
 		nw, err := core.SharedBuilds.SORNWithQ(n, nc, qs[p.Index])
 		if err != nil {

@@ -61,6 +61,27 @@ func TestFig2fWithSimSinglePoint(t *testing.T) {
 	}
 }
 
+// TestFig2fHonoursZeroWarmup: WarmupSlots 0 measures from the first
+// slot. It is not a sentinel for some default warmup, so it must differ
+// from every positive warmup, the old 5000-slot default included.
+func TestFig2fHonoursZeroWarmup(t *testing.T) {
+	cfg := Fig2fConfig{N: 16, Nc: 4, Step: 1.1, RunSim: true, MeasureSlots: 200, Backlog: 64, SizeCap: 1333, Seed: 7, SweepWorkers: 1}
+	cold, err := Fig2f(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.WarmupSlots = 5000
+	warm, err := Fig2f(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range cold {
+		if cold[i].Sim == warm[i].Sim {
+			t.Errorf("x=%v: warmup 0 and 5000 both measure r=%v", cold[i].X, cold[i].Sim)
+		}
+	}
+}
+
 func TestLocalityMismatchMargin(t *testing.T) {
 	// Provisioning for x=0.5 and being wrong by ±0.2 must cost only a
 	// bounded fraction of throughput — the §6 robustness claim.

@@ -212,22 +212,22 @@ func (s *Schedule) String() string {
 	var b strings.Builder
 	b.WriteString("slot")
 	for n := 0; n < s.N; n++ {
-		fmt.Fprintf(&b, "\t%s", nodeName(n, s.N))
+		fmt.Fprintf(&b, "\t%s", NodeName(n, s.N))
 	}
 	b.WriteString("\n")
 	for t, m := range s.Slots {
 		fmt.Fprintf(&b, "%d", t+1)
 		for n := 0; n < s.N; n++ {
-			fmt.Fprintf(&b, "\t%s", nodeName(m[n], s.N))
+			fmt.Fprintf(&b, "\t%s", NodeName(m[n], s.N))
 		}
 		b.WriteString("\n")
 	}
 	return b.String()
 }
 
-// nodeName labels nodes A, B, C... for networks small enough for the
+// NodeName labels node n A, B, C... for networks small enough for the
 // paper's figures, and numerically otherwise.
-func nodeName(n, total int) string {
+func NodeName(n, total int) string {
 	if total <= 26 {
 		return string(rune('A' + n))
 	}

@@ -441,8 +441,21 @@ func SORN(p Params, sp SORNParams) ([]Row, error) {
 // skipping a clique count that does not divide p.N. The paper's table is
 // Table1(Table1Params(), 0.56, true) — x = 0.56 is the production-trace
 // median it assumes; tableVariant selects the inter-clique δm formula
-// (see SORNParams.TableVariant).
+// (see SORNParams.TableVariant). Inputs outside the model's domain, and
+// deployments whose latencies overflow a float64, are rejected.
 func Table1(p Params, x float64, tableVariant bool) ([]Row, error) {
+	switch {
+	case !(x >= 0 && x < 1):
+		return nil, fmt.Errorf("model: Table 1 locality ratio %v outside [0,1) (q* = 2/(1−x) diverges at 1)", x)
+	case p.N < 1:
+		return nil, fmt.Errorf("model: Table 1 needs at least 1 node, got %d", p.N)
+	case p.Uplinks < 1:
+		return nil, fmt.Errorf("model: Table 1 needs at least 1 uplink, got uplinks %d", p.Uplinks)
+	case !(p.SlotNS > 0):
+		return nil, fmt.Errorf("model: Table 1 slot %v ns must be positive", p.SlotNS)
+	case !(p.PropNS >= 0):
+		return nil, fmt.Errorf("model: Table 1 propagation %v ns must be non-negative", p.PropNS)
+	}
 	rows := []Row{ORN1D(p)}
 	rows = append(rows, Opera(p, DefaultOperaParams())...)
 	orn2, err := ORN(p, 2)
@@ -459,6 +472,11 @@ func Table1(p Params, x float64, tableVariant bool) ([]Row, error) {
 			return nil, err
 		}
 		rows = append(rows, sr...)
+	}
+	for _, r := range rows {
+		if math.IsInf(r.MinLatencyNS, 0) {
+			return nil, fmt.Errorf("model: Table 1 latency of %s %s overflows at %v ns slots, %v ns/hop", r.System, r.Variant, p.SlotNS, p.PropNS)
+		}
 	}
 	return rows, nil
 }

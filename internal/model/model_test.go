@@ -233,6 +233,45 @@ func TestTable1Complete(t *testing.T) {
 	}
 }
 
+// TestTable1RejectsBadInput: every input outside the model's domain is
+// an error, not a panic or a table of NaN, Inf or negative latencies.
+func TestTable1RejectsBadInput(t *testing.T) {
+	with := func(edit func(*Params)) Params {
+		p := Table1Params()
+		edit(&p)
+		return p
+	}
+	cases := []struct {
+		name string
+		p    Params
+		x    float64
+	}{
+		{"x-nan", Table1Params(), math.NaN()},
+		{"x-negative", Table1Params(), -0.1},
+		{"x-one", Table1Params(), 1},
+		{"x-two", Table1Params(), 2},
+		{"no-nodes", with(func(p *Params) { p.N = 0 }), 0.56},
+		{"negative-nodes", with(func(p *Params) { p.N = -64 }), 0.56},
+		{"no-uplinks", with(func(p *Params) { p.Uplinks = 0 }), 0.56},
+		{"zero-slot", with(func(p *Params) { p.SlotNS = 0 }), 0.56},
+		{"nan-slot", with(func(p *Params) { p.SlotNS = math.NaN() }), 0.56},
+		{"inf-slot", with(func(p *Params) { p.SlotNS = math.Inf(1) }), 0.56},
+		{"negative-prop", with(func(p *Params) { p.PropNS = -1000 }), 0.56},
+		{"nan-prop", with(func(p *Params) { p.PropNS = math.NaN() }), 0.56},
+		{"overflowing-prop", with(func(p *Params) { p.PropNS = math.MaxFloat64 }), 0.56},
+	}
+	for _, tc := range cases {
+		if rows, err := Table1(tc.p, tc.x, true); err == nil {
+			t.Errorf("%s: Table1(%+v, %v) accepted, first row %+v", tc.name, tc.p, tc.x, rows[0])
+		}
+	}
+	// The domain's edges stay valid: no locality, zero propagation, one
+	// node and one uplink.
+	if _, err := Table1(Params{N: 1, Uplinks: 1, SlotNS: 1, PropNS: 0}, 0, true); err != nil {
+		t.Errorf("smallest deployment rejected: %v", err)
+	}
+}
+
 func TestSyncEfficiency(t *testing.T) {
 	// Degenerate domain: no guard.
 	if SyncEfficiency(1, 100, 5) != 1 {

@@ -37,10 +37,6 @@ func NewAWGR(ports int) (*Switch, error) {
 // Ports returns the port count.
 func (sw *Switch) Ports() int { return sw.ports }
 
-// NumWavelengths returns the number of usable wavelengths (port count − 1;
-// wavelength 0 would route a port to itself).
-func (sw *Switch) NumWavelengths() int { return sw.ports - 1 }
-
 // Matching returns the matching wavelength λk realizes (Figure 2(b)).
 func (sw *Switch) Matching(k int) matching.Matching {
 	return matching.CyclicShift(sw.ports, k)
