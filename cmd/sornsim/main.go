@@ -15,11 +15,15 @@
 package main
 
 import (
+	"cmp"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof" // -pprof serves the default mux
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -34,52 +38,93 @@ import (
 )
 
 func main() {
-	design := flag.String("design", "sorn", "sorn, orn1d, or orn2d")
-	n := flag.Int("n", 128, "number of nodes")
-	nc := flag.Int("nc", 8, "cliques (sorn only)")
-	x := flag.Float64("x", 0.56, "traffic locality ratio; also provisions the sorn schedule")
-	q := flag.Float64("q", 0, "explicit oversubscription ratio, must be positive (0 = derive q* from -x)")
-	mode := flag.String("mode", "saturate", "saturate, openloop, or avail")
-	load := flag.Float64("load", 0.3, "offered load for openloop mode (fraction of node bandwidth)")
-	sizes := flag.String("sizes", "websearch", "flow sizes: websearch, datamining, fixed:<cells>, bimodal")
-	cap := flag.Int("cap", 0, "optional flow size cap in cells (0 = uncapped)")
-	slots := flag.Int64("slots", 30000, "openloop run length / saturate measurement slots")
-	warmup := flag.Int64("warmup", 15000, "warmup slots")
-	backlog := flag.Int64("backlog", 4096, "fresh-cell target per node in saturate mode")
-	seed := flag.Uint64("seed", 1, "rng seed")
-	slotNS := flag.Int64("slotns", 100, "slot duration (ns)")
-	propNS := flag.Int64("propns", 500, "per-hop propagation (ns)")
-	planes := flag.Int("planes", 1, "parallel uplinks per node")
-	qlimit := flag.Int("qlimit", 0, "per-VOQ queue limit in cells (0 = unbounded)")
-	workers := flag.Int("workers", 0, "step-shard goroutines (0 = one per CPU, 1 = serial; results identical)")
-	sweepWorkers := flag.Int("sweepworkers", 0, "concurrent sweep points in avail mode (0 = one per CPU, 1 = serial; results identical)")
-	hist := flag.Bool("hist", false, "print a log2 histogram of cell latencies")
-	tracePath := flag.String("trace", "", "write the event trace (flow/failure/reconfig) as JSONL to this file")
-	metricsPath := flag.String("metrics", "", "write the slot-resolved metric time series as CSV to this file")
-	metricsEvery := flag.Int64("metricsevery", 64, "series snapshot cadence in slots")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	faultSpec := flag.String("faultplan", "",
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "sornsim:", err)
+		var ue usageError
+		if errors.As(err, &ue) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// usageError is a bad command line; main exits 2 for it, as for a flag
+// the parser rejects, and 1 for every other error.
+type usageError struct{ error }
+
+func (e usageError) Unwrap() error { return e.error }
+
+func usagef(format string, a ...any) error { return usageError{fmt.Errorf(format, a...)} }
+
+// run parses args, runs the selected simulation and writes its report to
+// stdout, also when the run fails partway; -trace/-metrics captures and
+// the phase report go to stderr.
+func run(args []string, stdout io.Writer) error {
+	var out strings.Builder
+	err := simulate(args, &out)
+	if _, werr := io.WriteString(stdout, out.String()); err == nil {
+		err = werr
+	}
+	return err
+}
+
+// simulate is run's body, reporting into out.
+func simulate(args []string, out *strings.Builder) error {
+	fs := flag.NewFlagSet("sornsim", flag.ContinueOnError)
+	design := fs.String("design", "sorn", "sorn, orn1d, or orn2d")
+	n := fs.Int("n", 128, "number of nodes")
+	nc := fs.Int("nc", 8, "cliques (sorn only)")
+	x := fs.Float64("x", 0.56, "traffic locality ratio; also provisions the sorn schedule")
+	q := fs.Float64("q", 0, "explicit oversubscription ratio, must be positive (0 = derive q* from -x)")
+	mode := fs.String("mode", "saturate", "saturate, openloop, or avail")
+	load := fs.Float64("load", 0.3, "offered load for openloop mode (fraction of node bandwidth)")
+	sizes := fs.String("sizes", "websearch", "flow sizes: websearch, datamining, fixed:<cells>, bimodal")
+	cap := fs.Int("cap", 0, "optional flow size cap in cells (0 = uncapped)")
+	slots := fs.Int64("slots", 30000, "openloop run length / saturate measurement slots")
+	warmup := fs.Int64("warmup", 15000, "slots run before stats are measured (saturate and openloop modes)")
+	backlog := fs.Int64("backlog", 4096, "fresh-cell target per node in saturate mode")
+	seed := fs.Uint64("seed", 1, "rng seed")
+	slotNS := fs.Int64("slotns", 100, "slot duration (ns)")
+	propNS := fs.Int64("propns", 500, "per-hop propagation (ns)")
+	planes := fs.Int("planes", 1, "parallel uplinks per node")
+	qlimit := fs.Int("qlimit", 0, "per-VOQ queue limit in cells (0 = unbounded)")
+	workers := fs.Int("workers", 0, "step-shard goroutines (0 = one per CPU, 1 = serial; results identical)")
+	sweepWorkers := fs.Int("sweepworkers", 0, "concurrent sweep points in avail mode (0 = one per CPU, 1 = serial; results identical)")
+	hist := fs.Bool("hist", false, "print a log2 histogram of cell latencies")
+	tracePath := fs.String("trace", "", "write the event trace (flow/failure/reconfig) as JSONL to this file")
+	metricsPath := fs.String("metrics", "", "write the slot-resolved metric time series as CSV to this file")
+	metricsEvery := fs.Int64("metricsevery", 64, "series snapshot cadence in slots")
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	faultSpec := fs.String("faultplan", "",
 		"fault-plan spec 'node<u>@s[-e]; link<u>:<v>@s[-e]; churn@s-e[,links=p][,nodes=p][,down=d]', applied between steps (openloop and avail modes)")
-	epochSlots := flag.Int64("epoch", 500, "control-loop cadence in slots (avail mode)")
-	outage := flag.String("outage", "", "telemetry outage window 'start-end' in slots (avail mode)")
-	window := flag.Int64("window", 0, "reporting window in slots for avail mode (0 = slots/50)")
-	selfcheck := flag.Bool("selfcheck", false, "run the differential oracle instead of a simulation")
-	spec := flag.String("spec", "", "selfcheck: replay one scenario from its printed spec line")
-	fuzzIters := flag.Int("fuzziters", 64, "selfcheck: random scenarios to fuzz when -spec is empty")
-	fuzzSeconds := flag.Int("fuzzseconds", 0, "selfcheck: wall-clock budget in seconds (0 = iteration count only)")
-	flag.Parse()
+	epochSlots := fs.Int64("epoch", 500, "control-loop cadence in slots (avail mode)")
+	outage := fs.String("outage", "", "telemetry outage window 'start-end' in slots (avail mode)")
+	window := fs.Int64("window", 0, "reporting window in slots for avail mode (0 = slots/50)")
+	selfcheck := fs.Bool("selfcheck", false, "run the differential oracle instead of a simulation")
+	spec := fs.String("spec", "", "selfcheck: replay one scenario from its printed spec line")
+	fuzzIters := fs.Int("fuzziters", 64, "selfcheck: random scenarios to fuzz when -spec is empty")
+	fuzzSeconds := fs.Int("fuzzseconds", 0, "selfcheck: wall-clock budget in seconds (0 = iteration count only)")
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
+	}
 	if *cap < 0 {
-		fmt.Fprintf(os.Stderr, "sornsim: bad -cap %d (want 0 = uncapped, or a positive cell count)\n", *cap)
-		os.Exit(2)
+		return usagef("bad -cap %d (want 0 = uncapped, or a positive cell count)", *cap)
 	}
 	if *qlimit < 0 {
-		fmt.Fprintf(os.Stderr, "sornsim: bad -qlimit %d (want 0 = unbounded, or a positive cell count)\n", *qlimit)
-		os.Exit(2)
+		return usagef("bad -qlimit %d (want 0 = unbounded, or a positive cell count)", *qlimit)
 	}
 
 	if *selfcheck {
-		runSelfcheck(*spec, *seed, *fuzzIters, *fuzzSeconds)
-		return
+		return runSelfcheck(out, *spec, *seed, *fuzzIters, *fuzzSeconds)
+	}
+	if *warmup < 0 {
+		return usagef("bad -warmup %d (want 0 or more slots)", *warmup)
+	}
+	if *slots < 1 {
+		return usagef("bad -slots %d (want at least 1 slot)", *slots)
 	}
 
 	if *pprofAddr != "" {
@@ -114,11 +159,10 @@ func main() {
 	case "orn2d":
 		nw, err = core.NewORN(*n, 2)
 	default:
-		fmt.Fprintf(os.Stderr, "sornsim: unknown design %q\n", *design)
-		os.Exit(2)
+		return usagef("unknown design %q", *design)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	var dist workload.SizeDist
@@ -132,8 +176,7 @@ func main() {
 	default:
 		var cells int
 		if _, err := fmt.Sscanf(*sizes, "fixed:%d", &cells); err != nil || cells < 1 {
-			fmt.Fprintf(os.Stderr, "sornsim: bad -sizes %q\n", *sizes)
-			os.Exit(2)
+			return usagef("bad -sizes %q", *sizes)
 		}
 		dist = workload.FixedSize(cells)
 	}
@@ -143,24 +186,24 @@ func main() {
 
 	tm, err := nw.LocalityMatrix(*x)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	var st *netsim.Stats
 	switch *mode {
 	case "saturate":
 		if *qlimit > 0 {
-			fatal(fmt.Errorf("-qlimit applies to openloop mode only"))
+			return fmt.Errorf("-qlimit applies to openloop mode only")
 		}
 		if *faultSpec != "" {
-			fatal(fmt.Errorf("-faultplan applies to openloop and avail modes only"))
+			return fmt.Errorf("-faultplan applies to openloop and avail modes only")
 		}
 		sim, serr := nw.NewSim(core.SimOptions{
 			SlotNS: *slotNS, PropNS: *propNS, Seed: *seed,
 			LatencySampleEvery: 16, Planes: *planes, Workers: *workers, Obs: ob,
 		})
 		if serr != nil {
-			fatal(serr)
+			return serr
 		}
 		st, err = sim.RunSaturated(netsim.SaturationConfig{
 			TM: tm, Size: dist, TargetBacklog: *backlog, WarmupSlots: *warmup, MeasureSlots: *slots,
@@ -173,25 +216,28 @@ func main() {
 			Workers: *workers, Obs: ob,
 		})
 		if serr != nil {
-			fatal(serr)
+			return serr
 		}
 		gen, gerr := workload.NewPoissonFlows(tm, dist, *load, *seed+1)
 		if gerr != nil {
-			fatal(gerr)
+			return gerr
 		}
+		// Flows arrive from slot 0; stats count only from slot *warmup on.
 		total := *warmup + *slots
 		flows := gen.Window(0, total)
-		sim.StartMeasuring()
 		if *faultSpec != "" {
 			// With a fault plan the driver owns the slot loop: fault
 			// events apply between Steps, arrivals inject at their slot.
 			plan, perr := faultplan.ParseSpec(*faultSpec, *n, *seed)
 			if perr != nil {
-				fatal(perr)
+				return perr
 			}
 			drv := faultplan.NewDriver(plan)
 			next := 0
 			for slot := int64(0); slot < total; slot++ {
+				if slot == *warmup {
+					sim.StartMeasuring()
+				}
 				drv.Advance(sim, slot)
 				for next < len(flows) && flows[next].Arrival <= slot {
 					sim.InjectFlow(flows[next].Src, flows[next].Dst, flows[next].Size)
@@ -199,11 +245,14 @@ func main() {
 				}
 				sim.Step()
 				// Once the network drains, nothing happens until the
-				// next arrival or fault event; skip straight there.
-				// FastForwardTo checks quiescence itself.
+				// next arrival, fault event or the end of warmup; skip
+				// straight there. FastForwardTo checks quiescence itself.
 				target := total
-				if fs, ok := drv.NextSlot(); ok && fs < target {
-					target = fs
+				if slot < *warmup {
+					target = *warmup
+				}
+				if fslot, ok := drv.NextSlot(); ok && fslot < target {
+					target = fslot
 				}
 				if next < len(flows) && flows[next].Arrival < target {
 					target = flows[next].Arrival
@@ -212,8 +261,17 @@ func main() {
 					slot = sim.Slot() - 1
 				}
 			}
-		} else if rerr := sim.RunOpenLoop(flows, total); rerr != nil {
-			fatal(rerr)
+		} else {
+			warm, _ := slices.BinarySearchFunc(flows, *warmup, func(f workload.Flow, slot int64) int {
+				return cmp.Compare(f.Arrival, slot)
+			})
+			if rerr := sim.RunOpenLoop(flows[:warm], *warmup); rerr != nil {
+				return rerr
+			}
+			sim.StartMeasuring()
+			if rerr := sim.RunOpenLoop(flows[warm:], total); rerr != nil {
+				return rerr
+			}
 		}
 		st = sim.Stats()
 	case "avail":
@@ -222,13 +280,13 @@ func main() {
 			var perr error
 			plan, perr = faultplan.ParseSpec(*faultSpec, *n, *seed)
 			if perr != nil {
-				fatal(perr)
+				return perr
 			}
 		}
 		var oStart, oEnd int64
 		if *outage != "" {
 			if _, oerr := fmt.Sscanf(*outage, "%d-%d", &oStart, &oEnd); oerr != nil || oEnd < oStart {
-				fatal(fmt.Errorf("bad -outage %q (want start-end in slots)", *outage))
+				return fmt.Errorf("bad -outage %q (want start-end in slots)", *outage)
 			}
 		}
 		res, aerr := experiments.Availability(experiments.AvailabilityConfig{
@@ -238,81 +296,81 @@ func main() {
 			Plan: plan, Seed: *seed, Workers: *workers, SweepWorkers: *sweepWorkers, Obs: ob,
 		})
 		if aerr != nil {
-			fatal(aerr)
+			return aerr
 		}
-		printAvailability(res, *n, *nc, *x, *load)
+		printAvailability(out, res, *n, *nc, *x, *load)
 	default:
-		fmt.Fprintf(os.Stderr, "sornsim: unknown mode %q\n", *mode)
-		os.Exit(2)
+		return usagef("unknown mode %q", *mode)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	if st != nil {
 		slotUS := float64(*slotNS) / 1000
-		fmt.Printf("design=%s n=%d workload=%s mode=%s\n", nw.Kind, *n, dist.Name(), *mode)
+		fmt.Fprintf(out, "design=%s n=%d workload=%s mode=%s\n", nw.Kind, *n, dist.Name(), *mode)
 		if nw.SORN != nil {
-			fmt.Printf("cliques=%d realized q=%.2f schedule period=%d slots\n",
+			fmt.Fprintf(out, "cliques=%d realized q=%.2f schedule period=%d slots\n",
 				nw.SORN.Cliques.NumCliques(), nw.SORN.RealizedQ, nw.Schedule.Period())
 		}
-		fmt.Printf("throughput r        %.4f cells/node/slot\n", st.Throughput(*n))
-		fmt.Printf("mean hops           %.3f\n", st.MeanHops())
-		fmt.Printf("delivered cells     %d\n", st.DeliveredCells)
+		fmt.Fprintf(out, "throughput r        %.4f cells/node/slot\n", st.Throughput(*n))
+		fmt.Fprintf(out, "mean hops           %.3f\n", st.MeanHops())
+		fmt.Fprintf(out, "delivered cells     %d\n", st.DeliveredCells)
 		if st.LostCells > 0 {
-			fmt.Printf("lost cells          %d (failures)\n", st.LostCells)
+			fmt.Fprintf(out, "lost cells          %d (failures)\n", st.LostCells)
 		}
 		if st.DroppedCells > 0 {
-			fmt.Printf("dropped cells       %d (queue limit)\n", st.DroppedCells)
+			fmt.Fprintf(out, "dropped cells       %d (queue limit)\n", st.DroppedCells)
 		}
-		fmt.Printf("completed flows     %d\n", st.CompletedFlows)
+		fmt.Fprintf(out, "completed flows     %d\n", st.CompletedFlows)
 		if st.LatencySlots.Count() > 0 {
-			fmt.Printf("cell latency p50    %.1f µs\n", st.LatencySlots.Percentile(50)*slotUS)
-			fmt.Printf("cell latency p99    %.1f µs\n", st.LatencySlots.Percentile(99)*slotUS)
+			fmt.Fprintf(out, "cell latency p50    %.1f µs\n", st.LatencySlots.Percentile(50)*slotUS)
+			fmt.Fprintf(out, "cell latency p99    %.1f µs\n", st.LatencySlots.Percentile(99)*slotUS)
 		}
 		for h := 1; h < len(st.LatencyByHops); h++ {
 			cls := &st.LatencyByHops[h]
 			if cls.Count() == 0 {
 				continue
 			}
-			fmt.Printf("  %d-hop cells p50   %.1f µs (%d samples)\n",
+			fmt.Fprintf(out, "  %d-hop cells p50   %.1f µs (%d samples)\n",
 				h, cls.Percentile(50)*slotUS, cls.Count())
 		}
 		if st.FCTSlots.Count() > 0 {
-			fmt.Printf("FCT p50             %.1f µs\n", st.FCTSlots.Percentile(50)*slotUS)
-			fmt.Printf("FCT p99             %.1f µs\n", st.FCTSlots.Percentile(99)*slotUS)
+			fmt.Fprintf(out, "FCT p50             %.1f µs\n", st.FCTSlots.Percentile(50)*slotUS)
+			fmt.Fprintf(out, "FCT p99             %.1f µs\n", st.FCTSlots.Percentile(99)*slotUS)
 		}
 		if *hist && st.LatencySlots.Count() > 0 {
 			h := stats.NewLogHistogram()
 			for p := 0.5; p <= 100; p += 0.5 {
 				h.Add(st.LatencySlots.Percentile(p))
 			}
-			fmt.Println("cell latency histogram (log2 buckets of slots, from percentile samples):")
+			fmt.Fprintln(out, "cell latency histogram (log2 buckets of slots, from percentile samples):")
 			bounds, counts := h.Buckets()
 			for i, b := range bounds {
-				fmt.Printf("  >= %6.0f slots  %s\n", b, strings.Repeat("#", int(counts[i])))
+				fmt.Fprintf(out, "  >= %6.0f slots  %s\n", b, strings.Repeat("#", int(counts[i])))
 			}
 		}
 	}
 
 	if ob != nil {
 		if err := obs.WriteFiles(ob, *tracePath, *metricsPath, os.Stderr); err != nil {
-			fatal(err)
+			return err
 		}
 		if err := ob.WritePhaseReport(os.Stderr); err != nil {
-			fatal(err)
+			return err
 		}
 	}
+	return nil
 }
 
 // printAvailability renders the two availability time series side by
 // side — per-window throughput, end-of-window backlog, and losses for
 // the resilient SORN run (with its degraded-mode marker) against the
 // static oblivious baseline — then the degradation lifecycle verdict.
-func printAvailability(res *experiments.AvailabilityResult, n, nc int, x, load float64) {
-	fmt.Printf("availability: n=%d nc=%d x=%.2f load=%.2f — SORN+fallback vs static oblivious\n",
+func printAvailability(out *strings.Builder, res *experiments.AvailabilityResult, n, nc int, x, load float64) {
+	fmt.Fprintf(out, "availability: n=%d nc=%d x=%.2f load=%.2f — SORN+fallback vs static oblivious\n",
 		n, nc, x, load)
-	fmt.Printf("%10s  %8s %8s %6s %4s   %8s %8s %6s\n",
+	fmt.Fprintf(out, "%10s  %8s %8s %6s %4s   %8s %8s %6s\n",
 		"slot", "r", "backlog", "lost", "mode", "r", "backlog", "lost")
 	for i, w := range res.SORN {
 		mode := "ok"
@@ -320,14 +378,14 @@ func printAvailability(res *experiments.AvailabilityResult, n, nc int, x, load f
 			mode = "DEGR"
 		}
 		o := res.Oblivious[i]
-		fmt.Printf("%10d  %8.4f %8d %6d %4s   %8.4f %8d %6d\n",
+		fmt.Fprintf(out, "%10d  %8.4f %8d %6d %4s   %8.4f %8d %6d\n",
 			w.Slot, w.Throughput, w.Backlog, w.Lost+w.Dropped, mode,
 			o.Throughput, o.Backlog, o.Lost+o.Dropped)
 	}
-	fmt.Printf("fell back: %v   recovered: %v\n", res.FellBack, res.Recovered)
-	fmt.Printf("delivered cells     sorn=%d oblivious=%d\n",
+	fmt.Fprintf(out, "fell back: %v   recovered: %v\n", res.FellBack, res.Recovered)
+	fmt.Fprintf(out, "delivered cells     sorn=%d oblivious=%d\n",
 		res.SORNStats.DeliveredCells, res.ObliviousStats.DeliveredCells)
-	fmt.Printf("lost cells          sorn=%d oblivious=%d\n",
+	fmt.Fprintf(out, "lost cells          sorn=%d oblivious=%d\n",
 		res.SORNStats.LostCells, res.ObliviousStats.LostCells)
 }
 
@@ -335,26 +393,24 @@ func printAvailability(res *experiments.AvailabilityResult, n, nc int, x, load f
 // with -spec it replays exactly one scenario from its printed spec
 // line; otherwise it fuzzes random scenarios until -fuzziters have run
 // or the -fuzzseconds wall-clock budget elapses, whichever comes
-// first. Exits nonzero on any unsuppressed violation or scenario
-// error, printing a one-line reproducer spec for each.
-func runSelfcheck(specLine string, seed uint64, iters, seconds int) {
+// first. Returns an error on any unsuppressed violation or scenario
+// error, after printing a one-line reproducer spec for each.
+func runSelfcheck(out *strings.Builder, specLine string, seed uint64, iters, seconds int) error {
 	if specLine != "" {
 		sp, err := oracle.ParseSpec(specLine)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		rep, err := oracle.Run(sp)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		if out := rep.String(); out != "" {
-			fmt.Print(out)
-		}
+		out.WriteString(rep.String())
 		if len(rep.Failed()) > 0 {
-			os.Exit(1)
+			return errors.New("selfcheck: scenario failed")
 		}
-		fmt.Printf("selfcheck ok: %s\n", sp.String())
-		return
+		fmt.Fprintf(out, "selfcheck ok: %s\n", sp.String())
+		return nil
 	}
 	// The deadline lives here, not in internal/oracle: internal
 	// packages stay deterministic (no wall-clock), the CLI owns time.
@@ -368,16 +424,12 @@ func runSelfcheck(specLine string, seed uint64, iters, seconds int) {
 		fmt.Fprintln(os.Stderr, "ERROR", e)
 	}
 	for _, r := range res.Reports {
-		fmt.Print(r.String())
+		out.WriteString(r.String())
 	}
-	fmt.Printf("selfcheck: %d scenarios, %d with findings, %d errors\n",
+	fmt.Fprintf(out, "selfcheck: %d scenarios, %d with findings, %d errors\n",
 		res.Iterations, len(res.Reports), len(res.Errors))
 	if res.Failed() {
-		os.Exit(1)
+		return errors.New("selfcheck: fuzzing found failures")
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sornsim:", err)
-	os.Exit(1)
+	return nil
 }

@@ -145,6 +145,15 @@ func Availability(cfg AvailabilityConfig) (*AvailabilityResult, error) {
 		return nil, err
 	}
 
+	// The workload stream is seeded independently of the sims and shared
+	// read-only by both designs: identical arrivals, identical faults,
+	// different fabrics.
+	gen, err := workload.NewPoissonFlows(tm, workload.FixedSize(8), cfg.Load, cfg.Seed+1)
+	if err != nil {
+		return nil, err
+	}
+	flows := gen.Window(0, cfg.Slots)
+
 	type designRun struct {
 		windows []AvailabilityWindow
 		stats   netsim.Stats
@@ -159,10 +168,10 @@ func Availability(cfg AvailabilityConfig) (*AvailabilityResult, error) {
 			}
 			ctl.Obs = cfg.Obs
 			resil := controlplane.NewResilient(ctl)
-			w, st, err := runAvailability(cfg, simWorkers, sorn, tm, "SORN+fallback", resil)
+			w, st, err := runAvailability(cfg, simWorkers, sorn, tm, flows, "SORN+fallback", resil)
 			return designRun{windows: w, stats: st}, err
 		}
-		w, st, err := runAvailability(cfg, simWorkers, obl, tm, "oblivious", nil)
+		w, st, err := runAvailability(cfg, simWorkers, obl, tm, flows, "oblivious", nil)
 		return designRun{windows: w, stats: st}, err
 	})
 	if err != nil {
@@ -183,14 +192,15 @@ func Availability(cfg AvailabilityConfig) (*AvailabilityResult, error) {
 	return res, nil
 }
 
-// runAvailability drives one design through the fault plan. resil is nil
-// for the static baseline. The slot loop interleaves, in fixed order:
+// runAvailability drives one design through the fault plan, injecting
+// flows (sorted by arrival, never modified). resil is nil for the static
+// baseline. The slot loop interleaves, in fixed order:
 // fault events, the control epoch, flow arrivals, then the Step — so a
 // slot's failures affect that slot's transmissions and a control
 // decision at slot t plans against everything observed strictly before
 // t.
 func runAvailability(cfg AvailabilityConfig, simWorkers int, nw *core.Network, tm *workload.Matrix,
-	label string, resil *controlplane.Resilient) ([]AvailabilityWindow, netsim.Stats, error) {
+	flows []workload.Flow, label string, resil *controlplane.Resilient) ([]AvailabilityWindow, netsim.Stats, error) {
 	if cfg.Obs != nil {
 		cfg.Obs.StartRun(label)
 	}
@@ -200,14 +210,6 @@ func runAvailability(cfg AvailabilityConfig, simWorkers int, nw *core.Network, t
 	if err != nil {
 		return nil, netsim.Stats{}, err
 	}
-	// The workload stream is seeded independently of the sim and shared
-	// (by value of the seed) across both designs: identical arrivals,
-	// identical faults, different fabrics.
-	gen, err := workload.NewPoissonFlows(tm, workload.FixedSize(8), cfg.Load, cfg.Seed+1)
-	if err != nil {
-		return nil, netsim.Stats{}, err
-	}
-	flows := gen.Window(0, cfg.Slots)
 	drv := faultplan.NewDriver(cfg.Plan)
 
 	sim.StartMeasuring()

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/rng"
@@ -127,6 +128,11 @@ type PoissonFlows struct {
 
 	rng    *rng.RNG
 	nextID int
+	// Window's scratch, kept across calls: the cumulative rate row of
+	// the source being generated (N floats) and the radix sort's bucket
+	// cursors (256 plus 257 per 8-bit digit of the arrival span).
+	cum    []float64
+	cursor []int
 }
 
 // NewPoissonFlows builds the generator with its own RNG stream.
@@ -149,9 +155,11 @@ const maxPresize = 1 << 24
 
 // Window generates all flows arriving in slots [from, to), sorted by
 // arrival slot then ID. Each source's arrival process is Poisson with
-// rate load·rowSum(src)/meanSize flows per slot. The output is allocated
+// rate load·rowSum(src)/meanSize flows per slot, and each flow draws its
+// destination with Matrix.SampleDest's rule (by binary search in the
+// source's cumulative row) and then its size. The output is allocated
 // once, sized from the expected arrival count plus a few standard
-// deviations, and sorted in place.
+// deviations, and ordered in place by orderFlows.
 func (g *PoissonFlows) Window(from, to int64) []Flow {
 	mean := g.Size.MeanCells()
 	// The flow count is Poisson with mean Σ rate·(to−from): the mean plus
@@ -165,37 +173,164 @@ func (g *PoissonFlows) Window(from, to int64) []Flow {
 		}
 	}
 	out := make([]Flow, 0, int(math.Min(expect+6*math.Sqrt(expect)+16, maxPresize)))
+	if len(g.cum) < g.TM.N {
+		g.cum = make([]float64, g.TM.N)
+	}
+	cum := g.cum[:g.TM.N]
+	first, last := int64(math.MaxInt64), int64(math.MinInt64)
 	for src := 0; src < g.TM.N; src++ {
 		rate := g.rate(src, mean)
 		if rate <= 0 {
 			continue
 		}
+		total, lastDst := cumRow(cum, g.TM.Rates[src])
 		// Walk exponential inter-arrivals across the window.
 		t := float64(from) + g.rng.Exp(rate)
 		for t < float64(to) {
 			g.nextID++
-			out = append(out, Flow{
+			f := Flow{
 				ID:      g.nextID,
 				Src:     src,
-				Dst:     g.TM.SampleDest(src, g.rng),
+				Dst:     searchDest(cum, g.rng.Float64()*total, lastDst),
 				Size:    g.Size.Sample(g.rng),
 				Arrival: int64(t),
-			})
+			}
+			first, last = min(first, f.Arrival), max(last, f.Arrival)
+			out = append(out, f)
 			t += g.rng.Exp(rate)
 		}
 	}
-	slices.SortFunc(out, func(a, b Flow) int {
-		if c := cmp.Compare(a.Arrival, b.Arrival); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
+	if len(out) > 1 {
+		g.orderFlows(out, first, last)
+	}
 	return out
 }
 
 // rate is src's arrival rate in flows per slot.
 func (g *PoissonFlows) rate(src int, mean float64) float64 {
 	return g.Load * g.TM.RowSum(src) / mean
+}
+
+// cumRow fills cum with the running sums of row's positive rates, in
+// scanDest's order, and returns the row total and the last positive
+// entry. Rates are validated non-negative, so adding only the positive
+// ones leaves every sum, the total included, equal to Matrix.RowSum's
+// bit for bit.
+func cumRow(cum, row []float64) (total float64, last int) {
+	last = -1
+	for d, r := range row {
+		if r > 0 {
+			total += r
+			last = d
+		}
+		cum[d] = total
+	}
+	return total, last
+}
+
+// searchDest is scanDest by binary search for a draw u ≥ 0: the first d
+// with cum[d] > u, which is always a positive entry since a zero rate
+// repeats its predecessor's sum, or last when rounding put u at or past
+// the total.
+func searchDest(cum []float64, u float64, last int) int {
+	lo, hi := 0, len(cum)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if cum[m] > u {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	if lo == len(cum) {
+		return last
+	}
+	return lo
+}
+
+// insertionMax is the largest bucket orderFlows finishes by insertion
+// sort before it has bucketed down to a single arrival slot.
+const insertionMax = 24
+
+// orderFlows sorts fs, whose arrivals all lie in [first, last], by
+// (Arrival, ID) in place: a most-significant-digit radix sort on the
+// arrival's offset from first, 8 bits per pass (American flag sort: each
+// flow is swapped straight into its bucket), recursing into each bucket
+// until it is small or holds one slot, then finishing it with
+// sortBucket. The first pass over the whole window spreads flows into at
+// most 256 contiguous slot ranges, so every later pass works on one
+// range that is already in cache. The scratch is one cursor array per
+// 8-bit digit of the span, at most 8 for any int64 span, so it depends
+// on neither the span's size nor the flow count.
+func (g *PoissonFlows) orderFlows(fs []Flow, first, last int64) {
+	top := bits.Len64(uint64(last - first))
+	digits := (top + 7) / 8
+	if need := 256 + 257*digits; len(g.cursor) < need {
+		g.cursor = make([]int, need)
+	}
+	radixPass(fs, first, top-8, g.cursor[:256], g.cursor[256:])
+}
+
+// radixPass orders fs by the 8-bit digit of its arrival offset at bit
+// shift (clamped to 0; a digit overlapping already-bucketed bits only
+// sees their one shared value), then each bucket by the digits below.
+// shift ≤ −8 means every digit is consumed and fs shares one slot.
+// heads is the 256-entry write cursor array, shared by every level;
+// bounds holds this level's 257 bucket boundaries and the levels below.
+func radixPass(fs []Flow, first int64, shift int, heads, bounds []int) {
+	if len(fs) <= insertionMax || shift <= -8 {
+		sortBucket(fs)
+		return
+	}
+	s := max(shift, 0)
+	digit := func(f *Flow) int { return int(uint64(f.Arrival-first) >> s & 0xff) }
+	b := bounds[:257]
+	clear(b)
+	for i := range fs {
+		b[digit(&fs[i])+1]++
+	}
+	for d := 1; d <= 256; d++ {
+		b[d] += b[d-1]
+	}
+	copy(heads, b[:256])
+	for d := 0; d < 256; d++ {
+		for i, end := heads[d], b[d+1]; i < end; i = heads[d] {
+			f := fs[i]
+			for k := digit(&f); k != d; k = digit(&f) {
+				j := heads[k]
+				heads[k]++
+				f, fs[j] = fs[j], f
+			}
+			fs[i] = f
+			heads[d]++
+		}
+	}
+	next := s - 8
+	if s == 0 {
+		next = -8
+	}
+	for d := 0; d < 256; d++ {
+		if lo, hi := b[d], b[d+1]; hi-lo > 1 {
+			radixPass(fs[lo:hi], first, next, heads, bounds[257:])
+		}
+	}
+}
+
+// sortBucket sorts one bucket by (Arrival, ID): insertion sort when it
+// is small, else (only a single-slot bucket is large) a sort by ID.
+func sortBucket(fs []Flow) {
+	if len(fs) > insertionMax {
+		slices.SortFunc(fs, func(a, b Flow) int { return cmp.Compare(a.ID, b.ID) })
+		return
+	}
+	for i := 1; i < len(fs); i++ {
+		f := fs[i]
+		j := i
+		for ; j > 0 && (fs[j-1].Arrival > f.Arrival || fs[j-1].Arrival == f.Arrival && fs[j-1].ID > f.ID); j-- {
+			fs[j] = fs[j-1]
+		}
+		fs[j] = f
+	}
 }
 
 // Capped truncates another size distribution at Max cells. Saturation-

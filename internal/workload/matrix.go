@@ -317,7 +317,14 @@ func (m *Matrix) SampleDest(src int, r *rng.RNG) int {
 	if total <= 0 {
 		panic(fmt.Sprintf("workload: node %d has no demand to sample", src))
 	}
-	u := r.Float64() * total
+	return scanDest(row, r.Float64()*total)
+}
+
+// scanDest is the destination rule: the first positive entry of row
+// whose running sum exceeds u, or the last positive entry when rounding
+// put u at or past the row total. PoissonFlows.Window applies the same
+// rule by binary search (searchDest).
+func scanDest(row []float64, u float64) int {
 	acc := 0.0
 	last := -1
 	for d, rate := range row {

@@ -5,12 +5,14 @@
 #   1. Go native fuzzing, 30s per target: FuzzParseSpec in
 #      internal/faultplan (fault-plan specs) and internal/oracle (oracle
 #      reproducer specs), FuzzScheduleValidate in internal/matching
-#      (schedules built from raw bytes), and FuzzTable1Flags in cmd/repro
+#      (schedules built from raw bytes), FuzzTable1Flags in cmd/repro
 #      (repro -exp table1 with fuzzed -n, -uplinks, -slot, -prop and -x:
-#      an error or a finite table, never a panic). A failing input is
-#      written under the package's testdata/fuzz/ and replays as an
-#      ordinary test from then on. For a longer pass, run the same go
-#      test -fuzz command with a larger -fuzztime.
+#      an error or a finite table, never a panic), and FuzzPoissonWindow
+#      in internal/workload (flow windows over fuzzed locality workloads
+#      must equal the reference append-and-sort generator flow for flow).
+#      A failing input is written under the package's testdata/fuzz/ and
+#      replays as an ordinary test from then on. For a longer pass, run
+#      the same go test -fuzz command with a larger -fuzztime.
 #   2. The differential/metamorphic scenario fuzzer (internal/oracle).
 #
 #   ./scripts/fuzz.sh                 # default budget: 256 scenarios or 300s
@@ -44,6 +46,8 @@ echo "== go fuzz: FuzzScheduleValidate in ./internal/matching for 30s"
 go test ./internal/matching -run '^$' -fuzz '^FuzzScheduleValidate$' -fuzztime 30s -parallel 1
 echo "== go fuzz: FuzzTable1Flags in ./cmd/repro for 30s"
 go test ./cmd/repro -run '^$' -fuzz '^FuzzTable1Flags$' -fuzztime 30s -parallel 1
+echo "== go fuzz: FuzzPoissonWindow in ./internal/workload for 30s"
+go test ./internal/workload -run '^$' -fuzz '^FuzzPoissonWindow$' -fuzztime 30s -parallel 1
 
 echo "== oracle fuzz: up to $iters scenarios, ${seconds}s budget, seed $seed"
 go run ./cmd/sornsim -selfcheck -fuzziters "$iters" -fuzzseconds "$seconds" -seed "$seed"
