@@ -15,7 +15,6 @@
 package main
 
 import (
-	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -24,6 +23,7 @@ import (
 	_ "net/http/pprof" // -pprof serves the default mux
 	"os"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -71,6 +71,20 @@ func run(args []string, stdout io.Writer) error {
 	return err
 }
 
+// Flags each mode reads, beyond -seed and -selfcheck, which every mode
+// reads; -selfcheck counts as a mode. Setting a flag the selected mode
+// does not read is a usage error, not a silently ignored option.
+var (
+	runFlags    = []string{"mode", "n", "nc", "x", "slots", "workers", "trace", "metrics", "metricsevery", "pprof"}
+	packetFlags = []string{"design", "q", "sizes", "cap", "hist", "warmup", "slotns", "propns", "planes"}
+	modeFlags   = map[string][]string{
+		"saturate":  slices.Concat(runFlags, packetFlags, []string{"backlog"}),
+		"openloop":  slices.Concat(runFlags, packetFlags, []string{"load", "qlimit", "faultplan"}),
+		"avail":     slices.Concat(runFlags, []string{"load", "faultplan", "epoch", "outage", "window", "sweepworkers"}),
+		"selfcheck": {"spec", "fuzziters", "fuzzseconds"},
+	}
+)
+
 // simulate is run's body, reporting into out.
 func simulate(args []string, out *strings.Builder) error {
 	fs := flag.NewFlagSet("sornsim", flag.ContinueOnError)
@@ -80,17 +94,17 @@ func simulate(args []string, out *strings.Builder) error {
 	x := fs.Float64("x", 0.56, "traffic locality ratio; also provisions the sorn schedule")
 	q := fs.Float64("q", 0, "explicit oversubscription ratio, must be positive (0 = derive q* from -x)")
 	mode := fs.String("mode", "saturate", "saturate, openloop, or avail")
-	load := fs.Float64("load", 0.3, "offered load for openloop mode (fraction of node bandwidth)")
+	load := fs.Float64("load", 0.3, "offered load for openloop and avail modes (fraction of node bandwidth)")
 	sizes := fs.String("sizes", "websearch", "flow sizes: websearch, datamining, fixed:<cells>, bimodal")
 	cap := fs.Int("cap", 0, "optional flow size cap in cells (0 = uncapped)")
-	slots := fs.Int64("slots", 30000, "openloop run length / saturate measurement slots")
+	slots := fs.Int64("slots", 30000, "openloop and avail run length / saturate measurement slots")
 	warmup := fs.Int64("warmup", 15000, "slots run before stats are measured (saturate and openloop modes)")
 	backlog := fs.Int64("backlog", 4096, "fresh-cell target per node in saturate mode")
 	seed := fs.Uint64("seed", 1, "rng seed")
 	slotNS := fs.Int64("slotns", 100, "slot duration (ns)")
 	propNS := fs.Int64("propns", 500, "per-hop propagation (ns)")
 	planes := fs.Int("planes", 1, "parallel uplinks per node")
-	qlimit := fs.Int("qlimit", 0, "per-VOQ queue limit in cells (0 = unbounded)")
+	qlimit := fs.Int("qlimit", 0, "per-VOQ queue limit in cells for openloop mode (0 = unbounded)")
 	workers := fs.Int("workers", 0, "step-shard goroutines (0 = one per CPU, 1 = serial; results identical)")
 	sweepWorkers := fs.Int("sweepworkers", 0, "concurrent sweep points in avail mode (0 = one per CPU, 1 = serial; results identical)")
 	hist := fs.Bool("hist", false, "print a log2 histogram of cell latencies")
@@ -110,21 +124,35 @@ func simulate(args []string, out *strings.Builder) error {
 	if err := fs.Parse(args); err != nil {
 		return usageError{err}
 	}
-	if *cap < 0 {
-		return usagef("bad -cap %d (want 0 = uncapped, or a positive cell count)", *cap)
+	selected := *mode
+	if *selfcheck {
+		selected = "selfcheck"
+	} else if selected == "selfcheck" || modeFlags[selected] == nil {
+		return usagef("unknown mode %q", *mode)
 	}
-	if *qlimit < 0 {
-		return usagef("bad -qlimit %d (want 0 = unbounded, or a positive cell count)", *qlimit)
+	var ignored []string
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name != "seed" && f.Name != "selfcheck" && !slices.Contains(modeFlags[selected], f.Name) {
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	if len(ignored) > 0 {
+		return usagef("%s mode does not read %s", selected, strings.Join(ignored, ", "))
 	}
-
 	if *selfcheck {
 		return runSelfcheck(out, *spec, *seed, *fuzzIters, *fuzzSeconds)
 	}
-	if *warmup < 0 {
-		return usagef("bad -warmup %d (want 0 or more slots)", *warmup)
-	}
-	if *slots < 1 {
-		return usagef("bad -slots %d (want at least 1 slot)", *slots)
+	for _, f := range []struct {
+		name   string
+		v, min int64
+	}{
+		{"cap", int64(*cap), 0}, {"qlimit", int64(*qlimit), 0}, {"warmup", *warmup, 0},
+		{"slots", *slots, 1}, {"slotns", *slotNS, 1}, {"planes", int64(*planes), 1},
+		{"epoch", *epochSlots, 1}, {"metricsevery", *metricsEvery, 1},
+	} {
+		if f.v < f.min {
+			return usagef("bad -%s %d (want at least %d)", f.name, f.v, f.min)
+		}
 	}
 
 	if *pprofAddr != "" {
@@ -174,8 +202,9 @@ func simulate(args []string, out *strings.Builder) error {
 	case "bimodal":
 		dist = workload.Bimodal{ShortCells: 10, BulkCells: 1000, ShortShare: 0.75}
 	default:
-		var cells int
-		if _, err := fmt.Sscanf(*sizes, "fixed:%d", &cells); err != nil || cells < 1 {
+		c, ok := strings.CutPrefix(*sizes, "fixed:")
+		cells, cerr := strconv.Atoi(c)
+		if !ok || cerr != nil || cells < 1 {
 			return usagef("bad -sizes %q", *sizes)
 		}
 		dist = workload.FixedSize(cells)
@@ -188,105 +217,69 @@ func simulate(args []string, out *strings.Builder) error {
 	if err != nil {
 		return err
 	}
-
-	var st *netsim.Stats
-	switch *mode {
-	case "saturate":
-		if *qlimit > 0 {
-			return fmt.Errorf("-qlimit applies to openloop mode only")
+	var plan *faultplan.Plan
+	if selected != "saturate" {
+		if plan, err = faultplan.ParseSpec(*faultSpec, *n, *seed); err != nil {
+			return err
 		}
-		if *faultSpec != "" {
-			return fmt.Errorf("-faultplan applies to openloop and avail modes only")
-		}
-		sim, serr := nw.NewSim(core.SimOptions{
-			SlotNS: *slotNS, PropNS: *propNS, Seed: *seed,
-			LatencySampleEvery: 16, Planes: *planes, Workers: *workers, Obs: ob,
-		})
-		if serr != nil {
-			return serr
-		}
-		st, err = sim.RunSaturated(netsim.SaturationConfig{
-			TM: tm, Size: dist, TargetBacklog: *backlog, WarmupSlots: *warmup, MeasureSlots: *slots,
-		})
-	case "openloop":
-		sim, serr := netsim.New(netsim.Config{
+	}
+	var sim *netsim.Sim
+	if selected != "avail" {
+		sim, err = netsim.New(netsim.Config{
 			Schedule: nw.Schedule, Router: nw.Router,
 			SlotNS: *slotNS, PropNS: *propNS, Seed: *seed,
 			LatencySampleEvery: 16, Planes: *planes, QueueLimit: *qlimit,
 			Workers: *workers, Obs: ob,
 		})
-		if serr != nil {
-			return serr
+		if err != nil {
+			return err
 		}
+	}
+
+	var st *netsim.Stats
+	switch selected {
+	case "saturate":
+		st, err = sim.RunSaturated(netsim.SaturationConfig{
+			TM: tm, Size: dist, TargetBacklog: *backlog, WarmupSlots: *warmup, MeasureSlots: *slots,
+		})
+	case "openloop":
 		gen, gerr := workload.NewPoissonFlows(tm, dist, *load, *seed+1)
 		if gerr != nil {
 			return gerr
 		}
-		// Flows arrive from slot 0; stats count only from slot *warmup on.
+		// Flows arrive from slot 0; stats count only from slot *warmup
+		// on. Segments end at the warmup boundary and at each fault
+		// event, which applies before its slot's arrivals.
 		total := *warmup + *slots
 		flows := gen.Window(0, total)
-		if *faultSpec != "" {
-			// With a fault plan the driver owns the slot loop: fault
-			// events apply between Steps, arrivals inject at their slot.
-			plan, perr := faultplan.ParseSpec(*faultSpec, *n, *seed)
-			if perr != nil {
-				return perr
+		drv := faultplan.NewDriver(plan)
+		for t := int64(0); t < total; {
+			if t == *warmup {
+				sim.StartMeasuring()
 			}
-			drv := faultplan.NewDriver(plan)
-			next := 0
-			for slot := int64(0); slot < total; slot++ {
-				if slot == *warmup {
-					sim.StartMeasuring()
-				}
-				drv.Advance(sim, slot)
-				for next < len(flows) && flows[next].Arrival <= slot {
-					sim.InjectFlow(flows[next].Src, flows[next].Dst, flows[next].Size)
-					next++
-				}
-				sim.Step()
-				// Once the network drains, nothing happens until the
-				// next arrival, fault event or the end of warmup; skip
-				// straight there. FastForwardTo checks quiescence itself.
-				target := total
-				if slot < *warmup {
-					target = *warmup
-				}
-				if fslot, ok := drv.NextSlot(); ok && fslot < target {
-					target = fslot
-				}
-				if next < len(flows) && flows[next].Arrival < target {
-					target = flows[next].Arrival
-				}
-				if sim.FastForwardTo(target) > 0 {
-					slot = sim.Slot() - 1
-				}
+			drv.Advance(sim, t)
+			end := total
+			if t < *warmup {
+				end = *warmup
 			}
-		} else {
-			warm, _ := slices.BinarySearchFunc(flows, *warmup, func(f workload.Flow, slot int64) int {
-				return cmp.Compare(f.Arrival, slot)
-			})
-			if rerr := sim.RunOpenLoop(flows[:warm], *warmup); rerr != nil {
-				return rerr
+			if ev, ok := drv.NextSlot(); ok && ev < end {
+				end = ev
 			}
-			sim.StartMeasuring()
-			if rerr := sim.RunOpenLoop(flows[warm:], total); rerr != nil {
-				return rerr
+			if flows, err = sim.RunOpenLoop(flows, end); err != nil {
+				return err
 			}
+			t = end
 		}
 		st = sim.Stats()
 	case "avail":
-		var plan *faultplan.Plan
-		if *faultSpec != "" {
-			var perr error
-			plan, perr = faultplan.ParseSpec(*faultSpec, *n, *seed)
-			if perr != nil {
-				return perr
-			}
-		}
 		var oStart, oEnd int64
 		if *outage != "" {
-			if _, oerr := fmt.Sscanf(*outage, "%d-%d", &oStart, &oEnd); oerr != nil || oEnd < oStart {
-				return fmt.Errorf("bad -outage %q (want start-end in slots)", *outage)
+			s, e, ok := strings.Cut(*outage, "-")
+			var serr, eerr error
+			oStart, serr = strconv.ParseInt(s, 10, 64)
+			oEnd, eerr = strconv.ParseInt(e, 10, 64)
+			if !ok || serr != nil || eerr != nil || oEnd < oStart {
+				return usagef("bad -outage %q (want start-end in slots)", *outage)
 			}
 		}
 		res, aerr := experiments.Availability(experiments.AvailabilityConfig{
@@ -299,8 +292,6 @@ func simulate(args []string, out *strings.Builder) error {
 			return aerr
 		}
 		printAvailability(out, res, *n, *nc, *x, *load)
-	default:
-		return usagef("unknown mode %q", *mode)
 	}
 	if err != nil {
 		return err

@@ -224,7 +224,7 @@ func RunOpenLoopOn(sim *netsim.Sim, opts SimOptions, tm *workload.Matrix, dist w
 	}
 	flows := gen.Window(0, slots)
 	sim.StartMeasuring()
-	if err := sim.RunOpenLoop(flows, slots); err != nil {
+	if _, err := sim.RunOpenLoop(flows, slots); err != nil {
 		return nil, err
 	}
 	return sim.Stats(), nil

@@ -192,13 +192,15 @@ func Availability(cfg AvailabilityConfig) (*AvailabilityResult, error) {
 	return res, nil
 }
 
-// runAvailability drives one design through the fault plan, injecting
-// flows (sorted by arrival, never modified). resil is nil for the static
-// baseline. The slot loop interleaves, in fixed order:
-// fault events, the control epoch, flow arrivals, then the Step — so a
-// slot's failures affect that slot's transmissions and a control
-// decision at slot t plans against everything observed strictly before
-// t.
+// runAvailability drives one design through the fault plan, running
+// flows (sorted by arrival, never modified) through RunOpenLoop in
+// segments. resil is nil for the static baseline. A segment starts with
+// the slot's fault events, then the control epoch, before RunOpenLoop
+// injects the slot's arrivals and steps — so a slot's failures affect
+// that slot's transmissions and a control decision at slot t plans
+// against everything observed strictly before t. It ends at the next
+// fault event, control epoch, window end or the end of the run, where
+// the window is reported.
 func runAvailability(cfg AvailabilityConfig, simWorkers int, nw *core.Network, tm *workload.Matrix,
 	flows []workload.Flow, label string, resil *controlplane.Resilient) ([]AvailabilityWindow, netsim.Stats, error) {
 	if cfg.Obs != nil {
@@ -215,76 +217,50 @@ func runAvailability(cfg AvailabilityConfig, simWorkers int, nw *core.Network, t
 	sim.StartMeasuring()
 	var out []AvailabilityWindow
 	var prev netsim.Stats
-	next := 0
-	for slot := int64(0); slot < cfg.Slots; slot++ {
-		drv.Advance(sim, slot)
-		if resil != nil && slot%cfg.EpochSlots == 0 {
-			// Telemetry outage: the fabric keeps running, the controller
-			// just stops hearing about it.
-			if slot < cfg.OutageStart || slot >= cfg.OutageEnd {
-				if err := resil.C.Observe(tm); err != nil {
+	for t := int64(0); t < cfg.Slots; {
+		drv.Advance(sim, t)
+		end := min((t/cfg.Window+1)*cfg.Window, cfg.Slots)
+		if resil != nil {
+			if t%cfg.EpochSlots == 0 {
+				// Telemetry outage: the fabric keeps running, the
+				// controller just stops hearing about it.
+				if t < cfg.OutageStart || t >= cfg.OutageEnd {
+					if err := resil.C.Observe(tm); err != nil {
+						return nil, netsim.Stats{}, err
+					}
+				}
+				dec, err := resil.Decide()
+				if err != nil {
 					return nil, netsim.Stats{}, err
 				}
-			}
-			dec, err := resil.Decide()
-			if err != nil {
-				return nil, netsim.Stats{}, err
-			}
-			if dec.Changed {
-				if err := sim.Reconfigure(dec.Plan.Built.Schedule, routing.NewSORN(dec.Plan.Built)); err != nil {
-					return nil, netsim.Stats{}, err
+				if dec.Changed {
+					if err := sim.Reconfigure(dec.Plan.Built.Schedule, routing.NewSORN(dec.Plan.Built)); err != nil {
+						return nil, netsim.Stats{}, err
+					}
 				}
 			}
+			end = min(end, (t/cfg.EpochSlots+1)*cfg.EpochSlots)
 		}
-		for next < len(flows) && flows[next].Arrival <= slot {
-			f := flows[next]
-			sim.InjectFlow(f.Src, f.Dst, f.Size)
-			next++
+		if fs, ok := drv.NextSlot(); ok && fs < end {
+			end = fs
 		}
-		sim.Step()
-		if (slot+1)%cfg.Window == 0 || slot == cfg.Slots-1 {
+		if flows, err = sim.RunOpenLoop(flows, end); err != nil {
+			return nil, netsim.Stats{}, err
+		}
+		if end%cfg.Window == 0 || end == cfg.Slots {
 			cur := *sim.Stats()
-			w := AvailabilityWindow{
-				Slot:    slot + 1,
-				Backlog: sim.Backlog(),
-				Lost:    cur.LostCells - prev.LostCells,
-				Dropped: cur.DroppedCells - prev.DroppedCells,
-			}
-			span := cfg.Window
-			if r := (slot + 1) % cfg.Window; r != 0 {
-				span = r
-			}
-			w.Throughput = float64(cur.DeliveredCells-prev.DeliveredCells) /
-				(float64(cfg.N) * float64(span))
-			if resil != nil {
-				w.Degraded = resil.Degraded()
-			}
-			out = append(out, w)
+			span := end - (end-1)/cfg.Window*cfg.Window
+			out = append(out, AvailabilityWindow{
+				Slot:       end,
+				Throughput: float64(cur.DeliveredCells-prev.DeliveredCells) / (float64(cfg.N) * float64(span)),
+				Backlog:    sim.Backlog(),
+				Lost:       cur.LostCells - prev.LostCells,
+				Dropped:    cur.DroppedCells - prev.DroppedCells,
+				Degraded:   resil != nil && resil.Degraded(),
+			})
 			prev = cur
 		}
-		// Once the fabric drains, nothing can happen before the next
-		// arrival, fault event, control epoch, or window-report slot —
-		// quiescent windows still report (zero throughput, zero
-		// backlog), so report boundaries cap the skip. FastForwardTo
-		// checks quiescence itself.
-		target := cfg.Slots - 1
-		if fs, ok := drv.NextSlot(); ok && fs < target {
-			target = fs
-		}
-		if next < len(flows) && flows[next].Arrival < target {
-			target = flows[next].Arrival
-		}
-		if resil != nil {
-			if ep := (slot/cfg.EpochSlots + 1) * cfg.EpochSlots; ep < target {
-				target = ep
-			}
-		}
-		if rp := ((slot+1)/cfg.Window+1)*cfg.Window - 1; rp < target {
-			target = rp
-		}
-		if sim.FastForwardTo(target) > 0 {
-			slot = sim.Slot() - 1
-		}
+		t = end
 	}
 	return out, *sim.Stats(), nil
 }

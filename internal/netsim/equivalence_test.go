@@ -101,7 +101,7 @@ func TestDenseActiveEquivalenceSparseOpenLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.RunOpenLoop(sparseFlows(t, tm, 4000), 5000); err != nil {
+		if _, err := s.RunOpenLoop(sparseFlows(t, tm, 4000), 5000); err != nil {
 			t.Fatal(err)
 		}
 		return s
@@ -131,14 +131,14 @@ func TestDenseActiveEquivalenceFaultChurn(t *testing.T) {
 		// quiescent gaps throughout for the fast-forward to chew on.
 		s.FailLink(1, 2)
 		s.FailNode(5)
-		if err := s.RunOpenLoop(flows[:half], 1500); err != nil {
+		if _, err := s.RunOpenLoop(flows[:half], 1500); err != nil {
 			t.Fatal(err)
 		}
 		s.RepairNode(5)
 		s.RepairLink(1, 2)
 		s.FailNode(9)
 		s.FailLink(3, 7)
-		if err := s.RunOpenLoop(flows[half:], 3000); err != nil {
+		if _, err := s.RunOpenLoop(flows[half:], 3000); err != nil {
 			t.Fatal(err)
 		}
 		s.RepairNode(9)
@@ -164,14 +164,13 @@ func TestDenseActiveEquivalenceReconfigure(t *testing.T) {
 		}
 		s.StartMeasuring()
 		tm := workload.Uniform(n)
-		flows := sparseFlows(t, tm, 2000)
-		half := len(flows) / 2
-		if err := s.RunOpenLoop(flows[:half], 1000); err != nil {
+		rest, err := s.RunOpenLoop(sparseFlows(t, tm, 2000), 1000)
+		if err != nil {
 			t.Fatal(err)
 		}
 		// Swap the fabric with cells queued and in flight: the active set
 		// rebuilds from surviving backlog, and the new circuit set routes
-		// the second half.
+		// the flows arriving from slot 1000 on.
 		sc2, err := schedule.BuildSORN(schedule.SORNConfig{N: n, Nc: 3, Q: 1.5})
 		if err != nil {
 			t.Fatal(err)
@@ -179,7 +178,7 @@ func TestDenseActiveEquivalenceReconfigure(t *testing.T) {
 		if err := s.Reconfigure(sc2.Schedule, routing.NewSORN(sc2)); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.RunOpenLoop(flows[half:], 2000); err != nil {
+		if _, err := s.RunOpenLoop(rest, 2000); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 20000 && !s.Drained(); i++ {
@@ -244,17 +243,16 @@ func TestDenseActiveObsSeriesEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		flows := sparseFlows(t, tm, 2000)
-		half := len(flows) / 2
-		if err := s.RunOpenLoop(flows[:half], 1200); err != nil {
+		rest, err := s.RunOpenLoop(sparseFlows(t, tm, 2000), 1200)
+		if err != nil {
 			t.Fatal(err)
 		}
 		s.FailNode(3)
-		if err := s.RunOpenLoop(flows[half:], 2600); err != nil {
+		if _, err := s.RunOpenLoop(rest, 2600); err != nil {
 			t.Fatal(err)
 		}
 		s.RepairNode(3)
-		if err := s.RunOpenLoop(nil, 3500); err != nil {
+		if _, err := s.RunOpenLoop(nil, 3500); err != nil {
 			t.Fatal(err)
 		}
 		return s, ob

@@ -62,6 +62,7 @@ type Config struct {
 	Router   routing.Router
 	// SlotNS and PropNS set the slot duration and per-hop propagation
 	// delay in nanoseconds. Propagation is rounded up to whole slots.
+	// SlotNS 0 means 100 ns; neither may be negative.
 	SlotNS int64
 	PropNS int64
 	Seed   uint64
@@ -604,7 +605,10 @@ func (s *Sim) init(cfg Config) error {
 	if err := cfg.Schedule.Validate(); err != nil {
 		return err
 	}
-	if cfg.SlotNS <= 0 {
+	if cfg.SlotNS < 0 {
+		return fmt.Errorf("netsim: negative slot duration")
+	}
+	if cfg.SlotNS == 0 {
 		cfg.SlotNS = 100
 	}
 	if cfg.PropNS < 0 {
@@ -1656,15 +1660,27 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 	}
 }
 
-// RunOpenLoop injects the given flows at their arrival slots and steps
-// until `until`. Flows must be sorted by arrival and arrive at or after
-// the current slot. Every flow is validated before any is injected, so a
-// malformed one returns an error and leaves the simulator untouched.
-func (s *Sim) RunOpenLoop(flows []workload.Flow, until int64) error {
-	for _, f := range flows {
+// RunOpenLoop injects the flows arriving before until at their arrival
+// slots and steps, fast-forwarding quiescent stretches, to slot until.
+// It returns the flows not yet due (Arrival ≥ until), so a driver can
+// act on the simulator between segments (fault events, control epochs,
+// report windows); calls chained with nothing in between are
+// bit-identical to one call. Flows must be sorted by arrival, none
+// before the current slot. Only the due prefix is validated, once per
+// flow over a chain; a bad flow returns an error and leaves the
+// simulator untouched.
+func (s *Sim) RunOpenLoop(flows []workload.Flow, until int64) (rest []workload.Flow, err error) {
+	due := 0
+	for last := s.slot; due < len(flows) && flows[due].Arrival < until; due++ {
+		f := flows[due]
 		if err := s.checkFlow(f); err != nil {
-			return err
+			return nil, err
 		}
+		if f.Arrival < last {
+			return nil, fmt.Errorf("netsim: flow %d arrives at slot %d, before slot %d (flows must be sorted by arrival, none before the current slot %d)",
+				f.ID, f.Arrival, last, s.slot)
+		}
+		last = f.Arrival
 	}
 	i := 0
 	for s.slot < until {
@@ -1673,7 +1689,7 @@ func (s *Sim) RunOpenLoop(flows []workload.Flow, until int64) error {
 		if timed {
 			t0 = s.obs.Clock()
 		}
-		for i < len(flows) && flows[i].Arrival <= s.slot {
+		for i < due && flows[i].Arrival <= s.slot {
 			f := flows[i]
 			s.InjectFlow(f.Src, f.Dst, f.Size)
 			i++
@@ -1686,12 +1702,12 @@ func (s *Sim) RunOpenLoop(flows []workload.Flow, until int64) error {
 		// once the network drains; skip the empty slots in O(1).
 		// FastForwardTo checks quiescence itself.
 		next := until
-		if i < len(flows) && flows[i].Arrival < next {
+		if i < due && flows[i].Arrival < next {
 			next = flows[i].Arrival
 		}
 		s.FastForwardTo(next)
 	}
-	return nil
+	return flows[due:], nil
 }
 
 // checkFlow rejects a flow InjectFlow cannot carry: endpoints outside

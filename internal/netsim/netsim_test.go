@@ -82,7 +82,7 @@ func TestCellConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	flows := gen.Window(0, 2000)
-	if err := s.RunOpenLoop(flows, 2000); err != nil {
+	if _, err := s.RunOpenLoop(flows, 2000); err != nil {
 		t.Fatal(err)
 	}
 	// Drain: inject nothing more, run until nothing is queued or in flight.
@@ -307,6 +307,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Schedule: sched, Router: v, PropNS: -1}); err == nil {
 		t.Error("negative propagation accepted")
 	}
+	if _, err := New(Config{Schedule: sched, Router: v, SlotNS: -1}); err == nil {
+		t.Error("negative slot duration accepted")
+	}
 }
 
 func TestRunSaturatedValidation(t *testing.T) {
@@ -321,22 +324,27 @@ func TestRunSaturatedValidation(t *testing.T) {
 	}
 }
 
-// TestRunOpenLoopRejectsBadFlows: a flow InjectFlow cannot carry is an
-// error, not a panic or a flow that silently never completes, and it is
-// caught before anything is injected.
+// TestRunOpenLoopRejectsBadFlows: a flow InjectFlow cannot carry, or one
+// that would be injected after its arrival slot (out of order, or before
+// the current slot), is an error, not a panic, a flow that silently
+// never completes or a silently shortened FCT, and it is caught before
+// anything is injected.
 func TestRunOpenLoopRejectsBadFlows(t *testing.T) {
-	good := workload.Flow{ID: 1, Src: 0, Dst: 3, Size: 2, Arrival: 0}
+	good := workload.Flow{ID: 1, Src: 0, Dst: 3, Size: 2, Arrival: 60}
 	for _, tc := range []struct {
-		name string
-		bad  workload.Flow
+		name  string
+		bad   workload.Flow
+		start int64 // slot the simulator is stepped to first
 	}{
-		{"dst-out-of-range", workload.Flow{ID: 2, Src: 1, Dst: 9, Size: 1, Arrival: 1}},
-		{"dst-negative", workload.Flow{ID: 2, Src: 1, Dst: -1, Size: 1, Arrival: 1}},
-		{"src-out-of-range", workload.Flow{ID: 2, Src: 8, Dst: 1, Size: 1, Arrival: 1}},
-		{"self-flow", workload.Flow{ID: 2, Src: 4, Dst: 4, Size: 1, Arrival: 1}},
-		{"negative-size", workload.Flow{ID: 2, Src: 1, Dst: 2, Size: -3, Arrival: 1}},
-		{"empty", workload.Flow{ID: 2, Src: 1, Dst: 2, Size: 0, Arrival: 1}},
-		{"negative-arrival", workload.Flow{ID: 2, Src: 1, Dst: 2, Size: 1, Arrival: -1}},
+		{"dst-out-of-range", workload.Flow{ID: 2, Src: 1, Dst: 9, Size: 1, Arrival: 61}, 0},
+		{"dst-negative", workload.Flow{ID: 2, Src: 1, Dst: -1, Size: 1, Arrival: 61}, 0},
+		{"src-out-of-range", workload.Flow{ID: 2, Src: 8, Dst: 1, Size: 1, Arrival: 61}, 0},
+		{"self-flow", workload.Flow{ID: 2, Src: 4, Dst: 4, Size: 1, Arrival: 61}, 0},
+		{"negative-size", workload.Flow{ID: 2, Src: 1, Dst: 2, Size: -3, Arrival: 61}, 0},
+		{"empty", workload.Flow{ID: 2, Src: 1, Dst: 2, Size: 0, Arrival: 61}, 0},
+		{"negative-arrival", workload.Flow{ID: 2, Src: 1, Dst: 2, Size: 1, Arrival: -1}, 0},
+		{"out-of-order", workload.Flow{ID: 2, Src: 1, Dst: 2, Size: 1, Arrival: 59}, 0},
+		{"before-current-slot", workload.Flow{ID: 2, Src: 1, Dst: 2, Size: 1, Arrival: 59}, 60},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
@@ -347,11 +355,14 @@ func TestRunOpenLoopRejectsBadFlows(t *testing.T) {
 			sched := matching.RoundRobin(8)
 			d, _ := routing.NewDirect(matching.Compile(sched))
 			s := newSim(t, sched, d, 1)
+			if _, err := s.RunOpenLoop(nil, tc.start); err != nil {
+				t.Fatal(err)
+			}
 			s.StartMeasuring()
-			if err := s.RunOpenLoop([]workload.Flow{good, tc.bad}, 50); err == nil {
+			if _, err := s.RunOpenLoop([]workload.Flow{good, tc.bad}, 100); err == nil {
 				t.Fatal("bad flow accepted")
 			}
-			if s.Slot() != 0 || s.Stats().InjectedCells != 0 || s.Backlog() != 0 {
+			if s.Slot() != tc.start || s.Stats().InjectedCells != 0 || s.Backlog() != 0 {
 				t.Fatalf("rejected run moved the simulator: slot %d, injected %d, backlog %d",
 					s.Slot(), s.Stats().InjectedCells, s.Backlog())
 			}
@@ -403,7 +414,7 @@ func TestOpenLoopLowLoadLatency(t *testing.T) {
 	s.StartMeasuring()
 	gen, _ := workload.NewPoissonFlows(workload.Uniform(n), workload.FixedSize(1), 0.1, 14)
 	flows := gen.Window(0, 5000)
-	if err := s.RunOpenLoop(flows, 6000); err != nil {
+	if _, err := s.RunOpenLoop(flows, 6000); err != nil {
 		t.Fatal(err)
 	}
 	mean := s.Stats().LatencySlots.Mean()
@@ -527,7 +538,7 @@ func TestPlanesReduceLatency(t *testing.T) {
 		s.StartMeasuring()
 		gen, _ := workload.NewPoissonFlows(workload.Uniform(n), workload.FixedSize(1), 0.02, 6)
 		flows := gen.Window(0, 20000)
-		if err := s.RunOpenLoop(flows, 21000); err != nil {
+		if _, err := s.RunOpenLoop(flows, 21000); err != nil {
 			t.Fatal(err)
 		}
 		waits[planes] = s.Stats().LatencySlots.Mean()
@@ -823,7 +834,7 @@ func TestLatencyByHopsSeparatesClasses(t *testing.T) {
 	tm, _ := workload.Locality(built.Cliques, 0.5)
 	gen, _ := workload.NewPoissonFlows(tm, workload.FixedSize(2), 0.05, 31)
 	flows := gen.Window(0, 15000)
-	if err := s.RunOpenLoop(flows, 16000); err != nil {
+	if _, err := s.RunOpenLoop(flows, 16000); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -1226,7 +1237,7 @@ func BenchmarkOpenLoopSparse(b *testing.B) {
 		}
 		useDense(s, *benchDense)
 		s.StartMeasuring()
-		if err := s.RunOpenLoop(flows, 205000); err != nil {
+		if _, err := s.RunOpenLoop(flows, 205000); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1264,7 +1275,7 @@ func BenchmarkLargeN(b *testing.B) {
 			b.Fatal(err)
 		}
 		s.StartMeasuring()
-		if err := s.RunOpenLoop(flows, 3000); err != nil {
+		if _, err := s.RunOpenLoop(flows, 3000); err != nil {
 			b.Fatal(err)
 		}
 	}

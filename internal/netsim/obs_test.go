@@ -65,12 +65,12 @@ func obsScenarios() []obsScenario {
 				t.Fatal(err)
 			}
 			flows := gen.Window(0, 1200)
-			if err := s.RunOpenLoop(flows[:len(flows)/2], 600); err != nil {
+			if _, err := s.RunOpenLoop(flows[:len(flows)/2], 600); err != nil {
 				t.Fatal(err)
 			}
 			s.FailLink(1, 2)
 			s.FailNode(5)
-			if err := s.RunOpenLoop(flows[len(flows)/2:], 1200); err != nil {
+			if _, err := s.RunOpenLoop(flows[len(flows)/2:], 1200); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 20000 && !s.Drained(); i++ {

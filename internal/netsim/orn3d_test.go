@@ -126,7 +126,7 @@ func orn3DChurn(t *testing.T, s *Sim) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RunOpenLoop(gen.Window(0, 400), 400); err != nil {
+	if _, err := s.RunOpenLoop(gen.Window(0, 400), 400); err != nil {
 		t.Fatal(err)
 	}
 	s.FailNode(5)
@@ -138,7 +138,7 @@ func orn3DChurn(t *testing.T, s *Sim) {
 	if err := s.Reconfigure(flat, vlb); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RunOpenLoop(gen.Window(400, 600), 600); err != nil {
+	if _, err := s.RunOpenLoop(gen.Window(400, 600), 600); err != nil {
 		t.Fatal(err)
 	}
 	s.RepairNode(5)
@@ -146,7 +146,7 @@ func orn3DChurn(t *testing.T, s *Sim) {
 	if err := s.Reconfigure(sched, router); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RunOpenLoop(gen.Window(600, 1000), 1000); err != nil {
+	if _, err := s.RunOpenLoop(gen.Window(600, 1000), 1000); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20000 && !s.Drained(); i++ {

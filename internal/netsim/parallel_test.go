@@ -152,12 +152,12 @@ func TestParallelDeterminismOpenLoopFailures(t *testing.T) {
 		flows := gen.Window(0, 1200)
 		// Fail a link and a node mid-run so loss accounting is staged
 		// through shards in both phases.
-		if err := s.RunOpenLoop(flows[:len(flows)/2], 600); err != nil {
+		if _, err := s.RunOpenLoop(flows[:len(flows)/2], 600); err != nil {
 			t.Fatal(err)
 		}
 		s.FailLink(1, 2)
 		s.FailNode(5)
-		if err := s.RunOpenLoop(flows[len(flows)/2:], 1200); err != nil {
+		if _, err := s.RunOpenLoop(flows[len(flows)/2:], 1200); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 20000 && !s.Drained(); i++ {

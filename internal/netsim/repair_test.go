@@ -6,6 +6,7 @@ import (
 	"repro/internal/faultplan"
 	"repro/internal/matching"
 	"repro/internal/obs"
+	"repro/internal/rng"
 	"repro/internal/routing"
 	"repro/internal/schedule"
 	"repro/internal/workload"
@@ -234,6 +235,97 @@ func TestParallelDeterminismFaultPlan(t *testing.T) {
 		checkConservation(t, s)
 		return s
 	})
+}
+
+// TestRunOpenLoopSegments pins RunOpenLoop's segment contract: a chain
+// of calls split at seeded random slots, with a fault plan applied
+// between segments, is bit-identical to one call per fault-free stretch
+// — Stats, metric series, event trace and the flows returned as not yet
+// due — at Workers 1 and 4.
+func TestRunOpenLoopSegments(t *testing.T) {
+	const n, end = 16, int64(1200)
+	churn, err := faultplan.Churn(faultplan.ChurnConfig{
+		N: n, Start: 0, End: end, LinkRate: 0.01, NodeRate: 0.004, Down: 120, Seed: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outage, err := faultplan.New(n, faultplan.Outage(2, -1, 100, 700))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := faultplan.Merge(churn, outage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := matching.RoundRobin(n)
+	vlb, err := routing.NewVLB(matching.Compile(sched))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := workload.NewPoissonFlows(workload.Uniform(n), workload.FixedSize(4), 0.05, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows := gen.Window(0, end+300)
+	r := rng.New(61)
+	cuts := make([]int64, 40)
+	for i := range cuts {
+		cuts[i] = int64(r.Intn(int(end)))
+	}
+
+	type result struct {
+		sim      *Sim
+		rest     []workload.Flow
+		segments int
+		events   []obs.Event
+		series   [][]string
+	}
+	run := func(workers int, cuts []int64) result {
+		ob := newTestObserver()
+		s, err := New(Config{Schedule: sched, Router: vlb, SlotNS: 100, PropNS: 500,
+			Seed: 53, LatencySampleEvery: 2, Workers: workers, Obs: ob})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.StartMeasuring()
+		drv := faultplan.NewDriver(plan)
+		res := result{sim: s, rest: flows}
+		for at := int64(0); at < end; res.segments++ {
+			drv.Advance(s, at)
+			stop := end
+			if ev, ok := drv.NextSlot(); ok && ev < stop {
+				stop = ev
+			}
+			for _, c := range cuts {
+				if c > at && c < stop {
+					stop = c
+				}
+			}
+			if res.rest, err = s.RunOpenLoop(res.rest, stop); err != nil {
+				t.Fatal(err)
+			}
+			at = stop
+		}
+		res.events, res.series = ob.Events(), ob.SeriesRows()
+		return res
+	}
+
+	ref := run(1, nil)
+	for _, workers := range []int{1, 4} {
+		got := run(workers, cuts)
+		if got.segments <= ref.segments {
+			t.Fatalf("workers=%d: the cuts added no segments (%d vs %d)", workers, got.segments, ref.segments)
+		}
+		if diff, ok := ref.sim.Stats().BitIdentical(got.sim.Stats()); !ok {
+			t.Fatalf("workers=%d: chained segments differ from one call per stretch: %s", workers, diff)
+		}
+		seriesEqual(t, ref.series, got.series)
+		eventsEqual(t, ref.events, got.events)
+		if len(got.rest) != len(ref.rest) || len(got.rest) == 0 || got.rest[0] != ref.rest[0] {
+			t.Fatalf("workers=%d: %d flows left over, want %d", workers, len(got.rest), len(ref.rest))
+		}
+	}
 }
 
 // BenchmarkStepChurn prices the failure path: a saturated SORN fabric

@@ -62,12 +62,12 @@ func dirtySim(t *testing.T, workers int, dense bool) *Sim {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RunOpenLoop(gen.Window(0, 200), 200); err != nil {
+	if _, err := s.RunOpenLoop(gen.Window(0, 200), 200); err != nil {
 		t.Fatal(err)
 	}
 	s.FailNode(3) // purges node 3's queues
 	s.FailLink(1, 2)
-	if err := s.RunOpenLoop(gen.Window(200, 300), 300); err != nil {
+	if _, err := s.RunOpenLoop(gen.Window(200, 300), 300); err != nil {
 		t.Fatal(err)
 	}
 	s.RepairNode(3)
@@ -78,7 +78,7 @@ func dirtySim(t *testing.T, workers int, dense bool) *Sim {
 	if err := s.Reconfigure(sc.Schedule, routing.NewSORN(sc)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RunOpenLoop(nil, 350); err != nil {
+	if _, err := s.RunOpenLoop(nil, 350); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -187,7 +187,7 @@ func TestSimResetOpenLoopAfterPlaneChange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.RunOpenLoop(gen.Window(0, 400), 400); err != nil {
+		if _, err := s.RunOpenLoop(gen.Window(0, 400), 400); err != nil {
 			t.Fatal(err)
 		}
 		return s.Stats()

@@ -1,8 +1,10 @@
 package oracle
 
 import (
+	"cmp"
 	"math"
 	"math/big"
+	"slices"
 
 	"repro/internal/fluid"
 	"repro/internal/netsim"
@@ -162,30 +164,42 @@ const (
 	drivenTotal  = 1200
 )
 
-// runDriven drives the simulator slot by slot with an open-loop arrival
-// process derived from the spec seed (identical across calls), invoking
-// hook between slots when non-nil.
-func runDriven(sc *scenario, workers int, inject float64, hook func(sim *netsim.Sim, slot int)) (*netsim.Stats, error) {
+// drivenAction is done to the simulator at slot, before that slot's
+// arrivals.
+type drivenAction struct {
+	slot int64
+	do   func(sim *netsim.Sim)
+}
+
+// runDriven runs the simulator over an open-loop arrival process derived
+// from the spec seed (identical across calls), measuring from
+// drivenWarmup on, and applies the actions between RunOpenLoop segments.
+func runDriven(sc *scenario, workers int, inject float64, actions []drivenAction) (*netsim.Stats, error) {
 	sim, err := netsim.New(sc.simConfig(workers, true))
 	if err != nil {
 		return nil, err
 	}
+	var flows []workload.Flow
 	injR := rng.New(sc.spec.Seed ^ 0x696e6a6563748a51).Split()
-	for t := 0; t < drivenTotal; t++ {
-		if t == drivenWarmup {
-			sim.StartMeasuring()
-		}
-		if hook != nil {
-			hook(sim, t)
-		}
+	for t := int64(0); t < drivenTotal; t++ {
 		for u := 0; u < sc.spec.N; u++ {
 			if injR.Float64() < inject {
 				if dst := sc.tm.SampleDest(u, injR); dst >= 0 && dst != u {
-					sim.InjectFlow(u, dst, 1)
+					flows = append(flows, workload.Flow{ID: len(flows), Src: u, Dst: dst, Size: 1, Arrival: t})
 				}
 			}
 		}
-		sim.Step()
+	}
+	actions = append([]drivenAction{{drivenWarmup, (*netsim.Sim).StartMeasuring}}, actions...)
+	slices.SortStableFunc(actions, func(a, b drivenAction) int { return cmp.Compare(a.slot, b.slot) })
+	for _, a := range actions {
+		if flows, err = sim.RunOpenLoop(flows, a.slot); err != nil {
+			return nil, err
+		}
+		a.do(sim)
+	}
+	if _, err := sim.RunOpenLoop(flows, drivenTotal); err != nil {
+		return nil, err
 	}
 	return sim.Stats(), nil
 }
@@ -204,19 +218,20 @@ func checkFailRepair(sc *scenario, fl *fluid.Result, rep *Report) {
 
 	// A circuit that really exists: node 0's slot-0 peer.
 	v := sc.sched.Slots[0][0]
-	hook := func(sim *netsim.Sim, slot int) {
-		switch slot {
-		case 0:
-			// Fail+repair a node before any cell exists: the purge is
-			// vacuous, so the run must be unaffected.
+	// Fail+repair a node before any cell exists (the purge is vacuous),
+	// then a live circuit twice with a zero-slot fail window: no
+	// transmission happens between FailLink and RepairLink.
+	failRepairLink := func(sim *netsim.Sim) {
+		sim.FailLink(0, v)
+		sim.RepairLink(0, v)
+	}
+	actions := []drivenAction{
+		{0, func(sim *netsim.Sim) {
 			sim.FailNode(1 % sc.spec.N)
 			sim.RepairNode(1 % sc.spec.N)
-		case drivenWarmup / 2, drivenWarmup + 300:
-			// Zero-slot fail window on a live circuit: no transmission
-			// happens between FailLink and RepairLink.
-			sim.FailLink(0, v)
-			sim.RepairLink(0, v)
-		}
+		}},
+		{drivenWarmup / 2, failRepairLink},
+		{drivenWarmup + 300, failRepairLink},
 	}
 
 	base, err := runDriven(sc, sc.spec.Workers, inject, nil)
@@ -224,7 +239,7 @@ func checkFailRepair(sc *scenario, fl *fluid.Result, rep *Report) {
 		rep.add("fail-repair", "baseline driven run: %v", err)
 		return
 	}
-	hooked, err := runDriven(sc, sc.spec.Workers, inject, hook)
+	hooked, err := runDriven(sc, sc.spec.Workers, inject, actions)
 	if err != nil {
 		rep.add("fail-repair", "hooked driven run: %v", err)
 		return
@@ -232,7 +247,7 @@ func checkFailRepair(sc *scenario, fl *fluid.Result, rep *Report) {
 	if diff, ok := base.BitIdentical(hooked); !ok {
 		rep.add("fail-repair", "zero-window fail+repair changed the run: %s", diff)
 	}
-	hookedSerial, err := runDriven(sc, 1, inject, hook)
+	hookedSerial, err := runDriven(sc, 1, inject, actions)
 	if err != nil {
 		rep.add("fail-repair", "hooked driven run (workers=1): %v", err)
 		return

@@ -40,11 +40,19 @@
 #                               goroutine fan-out in internal/experiments
 #                               and internal/netsim must be both
 #                               race-free and deterministic
-#   9. bench.sh -quick       -- the benchmark harness builds, runs, and
+#   9. bench module tests    -- (cd bench && go test ./...): bench/ is
+#                               its own module, outside go test ./...,
+#                               and its tests are the bit-identity gate
+#                               between each experiment entry point and
+#                               the benchmark's traced mirror of it
+#                               (TestAvailTracedMatchesEntryPoint,
+#                               TestFCTTracedMatchesEntryPoint,
+#                               TestFig2fTracedMatchesEntryPoint); ~1.5 s
+#  10. bench.sh -quick       -- the benchmark harness builds, runs, and
 #                               its JSON emitter parses the output; no
 #                               thresholds, and the committed
 #                               BENCH_netsim.json is left untouched
-#  10. obs overhead gate     -- BenchmarkInjectSaturated (one full
+#  11. obs overhead gate     -- BenchmarkInjectSaturated (one full
 #                               saturated slot, injection through
 #                               delivery) run twice on this machine,
 #                               observer off then on (-benchobs),
@@ -54,7 +62,7 @@
 #                               committed ledger entries from other
 #                               hosts are not comparable in absolute
 #                               ns/op.)
-#  11. active engine gate    -- the slot-level saturated benchmarks
+#  12. active engine gate    -- the slot-level saturated benchmarks
 #                               (BenchmarkStepSaturated: stepping a
 #                               primed 128-node sim to drain, and
 #                               BenchmarkStepSaturatedFull: Step with
@@ -139,6 +147,9 @@ go test -race -run 'TestOracleCorpus' ./internal/oracle/
 
 echo "== go test -race ./..."
 go test -race ./...
+
+echo "== (cd bench && go test ./...)"
+(cd bench && go test ./...)
 
 echo "== scripts/bench.sh -quick"
 ./scripts/bench.sh -quick

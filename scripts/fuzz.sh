@@ -7,9 +7,12 @@
 #      reproducer specs), FuzzScheduleValidate in internal/matching
 #      (schedules built from raw bytes), FuzzTable1Flags in cmd/repro
 #      (repro -exp table1 with fuzzed -n, -uplinks, -slot, -prop and -x:
-#      an error or a finite table, never a panic), and FuzzPoissonWindow
-#      in internal/workload (flow windows over fuzzed locality workloads
-#      must equal the reference append-and-sort generator flow for flow).
+#      an error or a finite table, never a panic), FuzzPoissonWindow in
+#      internal/workload (flow windows over fuzzed locality workloads
+#      must equal the reference append-and-sort generator flow for flow)
+#      and FuzzSornsimFlags in cmd/sornsim (sornsim's three simulation
+#      modes on 16 nodes with fuzzed flags and specs: an error or a
+#      report with no NaN, infinity or negative number, never a panic).
 #      A failing input is written under the package's testdata/fuzz/ and
 #      replays as an ordinary test from then on. For a longer pass, run
 #      the same go test -fuzz command with a larger -fuzztime.
@@ -48,6 +51,8 @@ echo "== go fuzz: FuzzTable1Flags in ./cmd/repro for 30s"
 go test ./cmd/repro -run '^$' -fuzz '^FuzzTable1Flags$' -fuzztime 30s -parallel 1
 echo "== go fuzz: FuzzPoissonWindow in ./internal/workload for 30s"
 go test ./internal/workload -run '^$' -fuzz '^FuzzPoissonWindow$' -fuzztime 30s -parallel 1
+echo "== go fuzz: FuzzSornsimFlags in ./cmd/sornsim for 30s"
+go test ./cmd/sornsim -run '^$' -fuzz '^FuzzSornsimFlags$' -fuzztime 30s -parallel 1
 
 echo "== oracle fuzz: up to $iters scenarios, ${seconds}s budget, seed $seed"
 go run ./cmd/sornsim -selfcheck -fuzziters "$iters" -fuzzseconds "$seconds" -seed "$seed"
