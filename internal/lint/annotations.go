@@ -77,11 +77,6 @@ type Annotations struct {
 // funcIs reports whether the function key carries the verb bit.
 func (a *Annotations) funcIs(key string, bit int) bool { return a != nil && a.funcs[key]&bit != 0 }
 
-// typeStaged reports whether the named type is staged wholesale.
-func (a *Annotations) typeStaged(t types.Type) bool {
-	return a != nil && a.types[namedKey(t)]&annoStaged != 0
-}
-
 // fieldIs reports whether field fieldName of the named type owner
 // carries the verb bit (directly or via a type-level staged annotation
 // when bit is annoStaged).

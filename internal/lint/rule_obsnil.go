@@ -370,3 +370,13 @@ func terminates(b *ast.BlockStmt) bool {
 	}
 	return false
 }
+
+// isNilIdent reports whether e is the predeclared nil.
+func isNilIdent(p *Pass, e ast.Expr) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	_, isNil := p.Info.Uses[id].(*types.Nil)
+	return isNil
+}

@@ -9,18 +9,17 @@ import (
 // ShardSafety enforces the sharded simulator's write discipline: inside
 // every function reachable from a //sornlint:shardphase body, writes to
 // shared state — fields of the receiver, or package-level variables —
-// are violations unless the target is annotated //sornlint:staged, the
-// function is part of the //sornlint:drain merge path, or the write is
-// serially dominated (it sits in a branch that proves the staged-shard
-// parameter is nil, i.e. the caller is the serial engine, which owns
-// all state).
+// are violations unless the target is annotated //sornlint:staged or the
+// function is part of the //sornlint:drain merge path. There is no
+// serial exemption: a write that only runs on some branch is still a
+// write from shard-phase code.
 //
 // Writes through local variables and parameters are trusted: a worker
 // that aliases shared state into a local (st := &s.stats) evades the
 // rule. That hole is accepted — the rule front-runs the runtime
-// determinism tests, it does not replace them — and the aliasing
-// pattern in netsim.deliver picks the target under the same sh-nil
-// branch this rule understands.
+// determinism tests, it does not replace them. netsim's shard.st is
+// such an alias by design: shard 0's points at the Sim's Stats, which
+// no other shard writes during a phase.
 const shardSafetyName = "shardsafety"
 
 var ShardSafety = &Analyzer{
@@ -47,26 +46,30 @@ func runShardSafety(p *Pass) {
 			if !reached || p.Mod.Anno.funcIs(key, annoDrain) {
 				continue
 			}
-			w := &shardWalker{p: p, root: root, serialParams: make(map[types.Object]bool)}
+			w := &shardWalker{p: p, root: root}
 			if fd.Recv != nil && len(fd.Recv.List) == 1 && len(fd.Recv.List[0].Names) == 1 {
 				w.recv = p.Info.Defs[fd.Recv.List[0].Names[0]]
 			}
-			if fd.Type.Params != nil {
-				for _, field := range fd.Type.Params.List {
-					for _, nm := range field.Names {
-						obj := p.Info.Defs[nm]
-						if obj != nil && p.Mod.Anno.typeStaged(obj.Type()) {
-							w.serialParams[obj] = true
+			// Every assignment in the body, closures included.
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				switch st := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range st.Lhs {
+						w.checkWrite(lhs)
+					}
+				case *ast.IncDecStmt:
+					w.checkWrite(st.X)
+				case *ast.SendStmt:
+					w.checkWrite(st.Chan)
+				case *ast.RangeStmt:
+					if st.Tok == token.ASSIGN {
+						if st.Key != nil {
+							w.checkWrite(st.Key)
+						}
+						if st.Value != nil {
+							w.checkWrite(st.Value)
 						}
 					}
-				}
-			}
-			w.stmt(fd.Body, false)
-			// Closures run outside the statement walk's branch context;
-			// analyze their bodies without serial domination.
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if fl, ok := n.(*ast.FuncLit); ok {
-					w.stmt(fl.Body, false)
 				}
 				return true
 			})
@@ -74,144 +77,16 @@ func runShardSafety(p *Pass) {
 	}
 }
 
-// shardWalker tracks serial domination through a shard-phase body: a
-// branch entered only when the staged-shard pointer parameter is nil is
-// the serial engine's context, where direct writes to shared state are
-// the intended path.
+// shardWalker checks the writes of one shard-phase function.
 type shardWalker struct {
-	p            *Pass
-	root         string
-	recv         types.Object
-	serialParams map[types.Object]bool
-}
-
-func (w *shardWalker) stmt(s ast.Stmt, serial bool) {
-	switch st := s.(type) {
-	case *ast.BlockStmt:
-		for _, s2 := range st.List {
-			w.stmt(s2, serial)
-		}
-	case *ast.IfStmt:
-		if st.Init != nil {
-			w.stmt(st.Init, serial)
-		}
-		pos, neg := w.classifyCond(st.Cond)
-		w.stmt(st.Body, serial || pos)
-		if st.Else != nil {
-			w.stmt(st.Else, serial || neg)
-		}
-	case *ast.ForStmt:
-		if st.Init != nil {
-			w.stmt(st.Init, serial)
-		}
-		if st.Post != nil {
-			w.stmt(st.Post, serial)
-		}
-		w.stmt(st.Body, serial)
-	case *ast.RangeStmt:
-		if st.Tok == token.ASSIGN {
-			if st.Key != nil {
-				w.checkWrite(st.Key, serial)
-			}
-			if st.Value != nil {
-				w.checkWrite(st.Value, serial)
-			}
-		}
-		w.stmt(st.Body, serial)
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			w.stmt(st.Init, serial)
-		}
-		w.stmt(st.Body, serial)
-	case *ast.TypeSwitchStmt:
-		if st.Init != nil {
-			w.stmt(st.Init, serial)
-		}
-		w.stmt(st.Body, serial)
-	case *ast.SelectStmt:
-		w.stmt(st.Body, serial)
-	case *ast.CaseClause:
-		for _, s2 := range st.Body {
-			w.stmt(s2, serial)
-		}
-	case *ast.CommClause:
-		if st.Comm != nil {
-			w.stmt(st.Comm, serial)
-		}
-		for _, s2 := range st.Body {
-			w.stmt(s2, serial)
-		}
-	case *ast.LabeledStmt:
-		w.stmt(st.Stmt, serial)
-	case *ast.AssignStmt:
-		for _, lhs := range st.Lhs {
-			w.checkWrite(lhs, serial)
-		}
-	case *ast.IncDecStmt:
-		w.checkWrite(st.X, serial)
-	case *ast.SendStmt:
-		w.checkWrite(st.Chan, serial)
-	}
-}
-
-// classifyCond reports whether the condition being true (pos) or false
-// (neg) proves the staged-shard parameter is nil — the serial context.
-func (w *shardWalker) classifyCond(e ast.Expr) (pos, neg bool) {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.BinaryExpr:
-		switch x.Op {
-		case token.EQL, token.NEQ:
-			var operand ast.Expr
-			if isNilIdent(w.p, x.Y) {
-				operand = x.X
-			} else if isNilIdent(w.p, x.X) {
-				operand = x.Y
-			} else {
-				return false, false
-			}
-			id, ok := ast.Unparen(operand).(*ast.Ident)
-			if !ok || !w.serialParams[w.p.Info.Uses[id]] {
-				return false, false
-			}
-			if x.Op == token.EQL {
-				return true, false // sh == nil: true => serial
-			}
-			return false, true // sh != nil: false => serial
-		case token.LAND:
-			xp, _ := w.classifyCond(x.X)
-			yp, _ := w.classifyCond(x.Y)
-			return xp || yp, false
-		case token.LOR:
-			_, xn := w.classifyCond(x.X)
-			_, yn := w.classifyCond(x.Y)
-			return false, xn || yn
-		}
-	case *ast.UnaryExpr:
-		if x.Op == token.NOT {
-			pos, neg = w.classifyCond(x.X)
-			return neg, pos
-		}
-	}
-	return false, false
-}
-
-// isNilIdent reports whether e is the predeclared nil.
-func isNilIdent(p *Pass, e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	_, isNil := p.Info.Uses[id].(*types.Nil)
-	return isNil
+	p    *Pass
+	root string
+	recv types.Object
 }
 
 // checkWrite flags an assignment target rooted at the receiver (into a
-// non-staged field) or at a non-staged package-level variable, unless
-// serially dominated.
-func (w *shardWalker) checkWrite(lhs ast.Expr, serial bool) {
-	if serial {
-		return
-	}
+// non-staged field) or at a non-staged package-level variable.
+func (w *shardWalker) checkWrite(lhs ast.Expr) {
 	root, firstSel := writeRoot(lhs)
 	if root == nil {
 		return

@@ -2,8 +2,7 @@
 // //sornlint:shardphase body may only write staged per-shard state.
 package fixture
 
-// stage is the per-shard staging area; a nil *stage means the caller
-// is the serial engine.
+// stage is the per-shard staging area.
 //
 //sornlint:staged
 type stage struct {
@@ -12,9 +11,10 @@ type stage struct {
 }
 
 type engine struct {
-	total  int64
-	done   bool
-	staged []int64 //sornlint:staged
+	total   int64
+	flushed int64
+	done    bool
+	staged  []int64 //sornlint:staged
 }
 
 var hits int
@@ -30,11 +30,12 @@ func (e *engine) landPhase(sh *stage) {
 }
 
 // helper is reachable from the phase body, so the same discipline
-// applies transitively.
+// applies transitively — also to the branch that tests the shard for
+// nil: no branch makes shard-phase code serial.
 func (e *engine) helper(sh *stage) {
 	hits++ // want:shardsafety
 	if sh == nil {
-		e.total++ // serial context: the caller owns all state
+		e.flushed++ // want:shardsafety
 		return
 	}
 	sh.buf = append(sh.buf, e.total)

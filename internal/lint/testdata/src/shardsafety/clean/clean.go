@@ -1,5 +1,5 @@
-// Package fixture is the shardsafety clean case: staged state, the
-// drain path, and serially dominated writes are all legal.
+// Package fixture is the shardsafety clean case: staged state and the
+// drain path are legal.
 package fixture
 
 // stage is the per-shard staging area.
@@ -15,7 +15,7 @@ type engine struct {
 }
 
 // landPhase stages its writes and defers shared-state updates to the
-// serial branch or the drain path.
+// drain path.
 //
 //sornlint:shardphase
 func (e *engine) landPhase(sh *stage) {
@@ -25,14 +25,9 @@ func (e *engine) landPhase(sh *stage) {
 	e.flush(sh)
 }
 
-// note writes shared state only when the nil shard pointer proves the
-// serial engine is running.
+// note stages through the shard it is given.
 func (e *engine) note(sh *stage) {
-	if sh != nil {
-		sh.count++
-	} else {
-		e.total++
-	}
+	sh.count++
 }
 
 // flush is the drain path: the reachability walk stops here, and its
@@ -40,8 +35,6 @@ func (e *engine) note(sh *stage) {
 //
 //sornlint:drain
 func (e *engine) flush(sh *stage) {
-	if sh != nil {
-		e.total += sh.count
-		sh.count = 0
-	}
+	e.total += sh.count
+	sh.count = 0
 }

@@ -259,20 +259,6 @@ func AWGRMatchings(n int) []Matching {
 	return out
 }
 
-// CircuitSet returns the schedule's u→v circuit-existence bitmap,
-// indexed u*N+v: true iff u is circuited to v in at least one slot. The
-// simulator uses it to detect circuits a reconfiguration removed.
-func CircuitSet(s *Schedule) []bool {
-	n := s.N
-	has := make([]bool, n*n)
-	for _, m := range s.Slots {
-		for u, v := range m {
-			has[u*n+v] = true
-		}
-	}
-	return has
-}
-
 // Compiled is a schedule indexed for O(log P) next-circuit queries, the
 // hot operation of both the routing model and the slotted simulator.
 type Compiled struct {

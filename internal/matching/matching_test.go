@@ -295,26 +295,3 @@ func TestRoundRobinPanicsOnTiny(t *testing.T) {
 	}()
 	RoundRobin(1)
 }
-
-func TestCircuitSetMatchesCompiled(t *testing.T) {
-	// CircuitSet is the flat bitmap the simulator indexes per landing
-	// cell; it must agree with Compiled.HasCircuit on random schedules.
-	r := rng.New(77)
-	for trial := 0; trial < 50; trial++ {
-		n := 2 + r.Intn(10)
-		s := &Schedule{N: n}
-		for k := 1 + r.Intn(6); k > 0; k-- {
-			s.Slots = append(s.Slots, CyclicShift(n, 1+r.Intn(n-1)))
-		}
-		set := CircuitSet(s)
-		c := Compile(s)
-		for u := 0; u < n; u++ {
-			for v := 0; v < n; v++ {
-				if set[u*n+v] != c.HasCircuit(u, v) {
-					t.Fatalf("n=%d: CircuitSet[%d→%d] = %v, HasCircuit = %v",
-						n, u, v, set[u*n+v], c.HasCircuit(u, v))
-				}
-			}
-		}
-	}
-}

@@ -45,10 +45,7 @@ func newEngine(cfg Config, dense bool) (*Sim, error) {
 // layout yields the same result for every worker count.
 func (s *Sim) transmitShardDense(lo, hi int, sh *shard) {
 	n := s.n
-	st := &s.stats
-	if sh != nil {
-		st = &sh.stats
-	}
+	st := sh.st
 	landBase := int((s.slot+s.propSlots)%int64(s.ringSlots)) * n * s.planes
 	landed := int32(0)
 	idle := int64(0)
@@ -89,11 +86,7 @@ func (s *Sim) transmitShardDense(lo, hi int, sh *shard) {
 				c.hops &^= freshBit
 			}
 			if failedNode[v] || (hasFailedLink && failedLink[u] != nil && failedLink[u][v]) {
-				if sh != nil {
-					sh.losses = append(sh.losses, flowLoss{flow: c.flow, cells: 1})
-				} else {
-					s.flow(c.flow).lost++
-				}
+				sh.losses = append(sh.losses, flowLoss{flow: c.flow, cells: 1})
 				if measuring {
 					st.LostCells++
 				}
@@ -114,11 +107,6 @@ func (s *Sim) transmitShardDense(lo, hi int, sh *shard) {
 	if measuring {
 		st.IdleSlots += idle
 	}
-	if sh != nil {
-		sh.landed = landed
-		sh.dBacklog += dBacklog
-	} else {
-		s.ringCount[(s.slot+s.propSlots)%int64(s.ringSlots)] += landed
-		s.totalBacklog += dBacklog
-	}
+	sh.landed = landed
+	sh.dBacklog += dBacklog
 }

@@ -24,9 +24,13 @@
 // Because shards are contiguous, ordered node ranges and each phase walks
 // its nodes in increasing order, the per-location mutation sequence is
 // independent of the worker count: Workers: k produces Stats identical to
-// Workers: 1. Latency sampling and landing-time reroutes draw from
-// per-node rng streams split serially at construction, so their draw
-// sequences depend only on each node's own event order.
+// Workers: 1. Workers: 1 runs the same staging and merge on one shard,
+// with no goroutines, and the serial calls between Steps (InjectFlow,
+// FailNode, Reconfigure) stage into shard 0 and fold it before they
+// return, so there is one accounting path for every worker count.
+// Latency sampling and landing-time reroutes draw from per-node rng
+// streams split serially at construction, so their draw sequences
+// depend only on each node's own event order.
 package netsim
 
 import (
@@ -247,9 +251,9 @@ func (f *fifo) len() int { return int(f.tail - f.head) }
 
 // Stats accumulates measurement-window counters.
 //
-// Worker shards stage deltas into private Stats values that mergeFrom
-// folds into the shared one at the slot barrier — a new counter or
-// sample field must be added there too.
+// Every shard but shard 0 stages deltas into a private Stats value that
+// mergeFrom folds into the shared one at the slot barrier — a new
+// counter or sample field must be added there too.
 type Stats struct {
 	DeliveredCells int64 // final-hop deliveries
 	InjectedCells  int64
@@ -332,19 +336,29 @@ type flowLoss struct {
 // staging state. Shards own the contiguous node range [lo, hi): in the
 // transmit phase they pop only VOQs of their own sources, in the landing
 // phase they push only VOQs of their own destinations. Everything else
-// they touch is staged here and merged in shard order at the barrier.
+// they touch is staged here and folded in shard order at the barrier.
+// Serial calls between Steps (InjectFlow, FailNode, Reconfigure) stage
+// into shard 0 and fold it before they return, so every shared effect
+// has one accounting path whatever the worker count.
 //
 //sornlint:staged
 type shard struct {
 	lo, hi   int
 	idx      int           // position in Sim.shards (identifies the shard to phase bodies)
-	routeBuf routing.Route // scratch for landing-time reroutes
-	stats    Stats         // staged counter/sample deltas
-	losses   []flowLoss    // staged FlowState.lost increments
-	dirty    []int32       // staged per-pair saturation worklist entries
-	landed   int32         // cells this shard wrote into the delay line this slot
-	dBacklog int64         // staged Sim.totalBacklog delta
-	events   []obs.Event   // staged trace events, drained in shard order
+	routeBuf routing.Route // scratch for the routes this shard computes
+	// st is where the shard counts Stats. Shard 0 counts straight into
+	// the Sim's Stats: the other shards only write their own staging
+	// stats during a phase, and the merge drains those after shard 0's
+	// in shard order, so every counter and sample stream comes out as
+	// if shard 0 had staged too. A serial Step, and the fold after a
+	// serial call, therefore never copy counters or samples.
+	st       *Stats
+	stats    Stats       // staged counter/sample deltas (unused by shard 0)
+	losses   []flowLoss  // staged FlowState.lost increments
+	dirty    []int32     // staged per-pair saturation worklist entries
+	landed   int32       // cells this shard wrote into the delay line this slot
+	dBacklog int64       // staged Sim.totalBacklog delta
+	events   []obs.Event // staged trace events, drained in shard order
 }
 
 // circuitSet records which directed circuits a schedule ever opens —
@@ -457,16 +471,17 @@ type Sim struct {
 	// traffic instead of always paying n² queue headers (at 2048 nodes
 	// the flat layout cost ~100 MiB before a single cell moved). A nil
 	// row means "all of u's queues are empty". Rows are only created by
-	// u's owning shard (landing pushes by destination ownership) or from
-	// serial contexts, so the lazy write is race-free by the same
-	// partition argument as the queues themselves.
+	// u's owning shard (landing pushes by destination ownership) or by
+	// serial calls between Steps, so the lazy write is race-free by the
+	// same partition argument as the queues themselves.
 	voq     [][]fifo //sornlint:staged -- rows indexed [u][next], nil row = empty; one writer per row (u's owning shard), see above
 	backlog []int64  //sornlint:staged
 	fresh   []int64  //sornlint:staged
 
 	// totalBacklog tracks the queued-cell total incrementally — staged
-	// through shard.dBacklog during parallel phases — so Backlog() is
-	// O(1). The quiescence fast-forward consults it every open-loop slot.
+	// through shard.dBacklog and folded by Step's barrier or before a
+	// serial call returns — so Backlog() is O(1). The quiescence
+	// fast-forward consults it every open-loop slot.
 	totalBacklog int64
 
 	// freshPair counts never-transmitted cells per (src,dst) pair. Only
@@ -490,9 +505,9 @@ type Sim struct {
 	// ringCount[slot%ringSlots] is the number of occupied entries in
 	// that ring slot, so a slot with nothing arriving skips the
 	// n×planes occupancy scan — most steps of a draining or lightly
-	// loaded run. Written only between phase barriers (or by the
-	// single serial writer), read by the landing phase. Maintained by
-	// both engines; InFlight() sums it in O(ringSlots).
+	// loaded run. Written only between phase barriers, read by the
+	// landing phase. Maintained by both engines; InFlight() sums it in
+	// O(ringSlots).
 	ringCount []int32
 
 	// Active-set engine state. activeSrc[i] is shard i's unordered list
@@ -517,8 +532,6 @@ type Sim struct {
 	// bit; init clears it, so production sims always run the active
 	// engine and Reset still yields New's state.
 	reference func(s *Sim, lo, hi int, sh *shard)
-
-	routeBuf routing.Route
 
 	// Deficit worklist for per-pair saturation: when trackPairs is on,
 	// every (src,dst) pair whose fresh-cell count drops is pushed onto
@@ -747,6 +760,10 @@ func (s *Sim) init(cfg Config) error {
 		sh.idx = i
 		sh.lo = i * n / cfg.Workers
 		sh.hi = (i + 1) * n / cfg.Workers
+		sh.st = &sh.stats
+		if i == 0 {
+			sh.st = &s.stats
+		}
 		sh.landed = 0
 		sh.dBacklog = 0
 		sh.losses = sh.losses[:0]
@@ -858,9 +875,9 @@ func (s *Sim) eachFlow(fn func(*FlowState)) {
 }
 
 // Backlog returns the total number of queued cells. The total is
-// maintained incrementally (staged per shard during parallel phases and
-// folded at the slot barrier), so the call is O(1) — cheap enough for a
-// driver loop to consult every slot.
+// maintained incrementally (staged per shard and folded at the slot
+// barrier, or before a serial call returns), so the call is O(1) —
+// cheap enough for a driver loop to consult every slot.
 func (s *Sim) Backlog() int64 { return s.totalBacklog }
 
 // InFlight returns the number of cells currently propagating on links,
@@ -930,6 +947,7 @@ func (s *Sim) FailNode(u int) {
 	s.failedNode[u] = true
 	s.failedCount++
 	s.liveShard[s.shardOf[u]]--
+	sh := &s.shards[0]
 	purged := int64(0)
 	if row := s.voq[u]; row != nil {
 		for v := range row {
@@ -940,7 +958,7 @@ func (s *Sim) FailNode(u int) {
 					break
 				}
 				if c.isFresh() {
-					s.noteFreshConsumed(nil, u, c.dst(v))
+					s.noteFreshConsumed(sh, u, c.dst(v))
 				}
 				s.flow(c.flow).lost++
 				purged++
@@ -950,6 +968,7 @@ func (s *Sim) FailNode(u int) {
 	s.backlog[u] -= purged
 	s.totalBacklog -= purged
 	s.deactivateSrc(u)
+	s.fold(sh)
 	if s.measuring {
 		s.stats.LostCells += purged
 	}
@@ -1025,17 +1044,19 @@ func (s *Sim) InjectFlow(src, dst, size int) *FlowState {
 	if s.trackPairs {
 		s.freshPair[src*s.n+dst] += int64(size)
 	}
+	sh := &s.shards[0]
 	for i := 0; i < size; i++ {
-		p := s.router.RouteInto(s.routeBuf[:0], src, dst, int(s.slot)+i, s.rng)
-		s.routeBuf = p
+		p := s.router.RouteInto(sh.routeBuf[:0], src, dst, int(s.slot)+i, s.rng)
+		sh.routeBuf = p
 		var c cell
 		c.flow = fi
 		c.hops = uint8(len(p)-1) | freshBit
 		for h := 2; h < len(p); h++ {
 			c.rest[h-2] = int16(p[h])
 		}
-		s.enqueue(nil, src, p[1], &c)
+		s.enqueue(sh, src, p[1], &c)
 	}
+	s.fold(sh)
 	if s.measuring {
 		s.stats.InjectedCells += int64(size)
 	}
@@ -1043,9 +1064,9 @@ func (s *Sim) InjectFlow(src, dst, size int) *FlowState {
 }
 
 // noteFreshConsumed updates the fresh-cell accounting when a cell leaves
-// its source (transmitted or dropped at injection) and, under per-pair
-// saturation, pushes the pair onto the deficit worklist — staged per
-// shard during parallel phases (sh non-nil), direct otherwise.
+// its source (transmitted, dropped at injection, purged or delivered in
+// place) and, under per-pair saturation, stages the pair for the
+// deficit worklist in sh; the fold appends it to Sim.dirtyPairs.
 func (s *Sim) noteFreshConsumed(sh *shard, u, dst int) {
 	s.fresh[u]--
 	if !s.trackPairs {
@@ -1055,21 +1076,18 @@ func (s *Sim) noteFreshConsumed(sh *shard, u, dst int) {
 	s.freshPair[pair]--
 	if !s.dirtyMark[pair] {
 		s.dirtyMark[pair] = true
-		if sh != nil {
-			sh.dirty = append(sh.dirty, int32(pair))
-		} else {
-			s.dirtyPairs = append(s.dirtyPairs, int32(pair))
-		}
+		sh.dirty = append(sh.dirty, int32(pair))
 	}
 }
 
 // enqueue places a cell into node u's VOQ for next, its next waypoint,
-// dropping it if the queue is at its limit. It is called from the
-// landing phase with that node's owning shard (accounting is staged),
-// and from serial contexts — injection, reconfiguration — with sh nil
-// (accounting is applied directly). Only u's owning shard (or a serial
-// context) ever calls it, which is what makes the lazy row allocation
-// and the active-list append race-free.
+// dropping it if the queue is at its limit. Its shared effects — the
+// backlog total, the drop count, the flow's loss — are staged in sh:
+// the landing phase passes u's owning shard, and the serial calls
+// (injection, reconfiguration) pass shard 0 and fold it before they
+// return. Only u's owning shard, or a serial call between Steps, ever
+// reaches it, which is what makes the lazy row allocation and the
+// active-list append race-free.
 func (s *Sim) enqueue(sh *shard, u, next int, c *cell) {
 	row := s.voq[u]
 	if row == nil {
@@ -1078,30 +1096,19 @@ func (s *Sim) enqueue(sh *shard, u, next int, c *cell) {
 	q := &row[next]
 	if s.cfg.QueueLimit > 0 && q.len() >= s.cfg.QueueLimit {
 		if c.isFresh() {
-			// Fresh cells are dropped only from serial contexts: a
-			// cell never returns to its source once transmitted.
+			// Fresh cells are dropped only by serial calls: a cell
+			// never returns to its source once transmitted.
 			s.noteFreshConsumed(sh, u, c.dst(next))
 		}
-		if sh != nil {
-			sh.losses = append(sh.losses, flowLoss{flow: c.flow, cells: 1})
-			if s.measuring {
-				sh.stats.DroppedCells++
-			}
-		} else {
-			s.flow(c.flow).lost++
-			if s.measuring {
-				s.stats.DroppedCells++
-			}
+		sh.losses = append(sh.losses, flowLoss{flow: c.flow, cells: 1})
+		if s.measuring {
+			sh.st.DroppedCells++
 		}
 		return
 	}
 	q.push(c)
 	s.backlog[u]++
-	if sh != nil {
-		sh.dBacklog++
-	} else {
-		s.totalBacklog++
-	}
+	sh.dBacklog++
 	if s.backlog[u] == 1 {
 		s.activateSrc(u)
 	}
@@ -1217,14 +1224,12 @@ func (s *Sim) Step() {
 	s.runPhase(obs.PhaseLand, timed, (*Sim).landShard)
 	s.ringCount[s.slot%int64(s.ringSlots)] = 0
 	s.runPhase(obs.PhaseTransmit, timed, transmit)
-	if len(s.shards) > 1 {
-		if timed {
-			t0 := s.obs.Clock()
-			s.mergeShards()
-			s.obs.AddPhase(obs.PhaseMerge, 0, t0)
-		} else {
-			s.mergeShards()
-		}
+	if timed {
+		t0 := s.obs.Clock()
+		s.mergeShards()
+		s.obs.AddPhase(obs.PhaseMerge, 0, t0)
+	} else {
+		s.mergeShards()
 	}
 	if s.om != nil {
 		s.obsEndSlot()
@@ -1274,15 +1279,15 @@ func (s *Sim) FastForwardTo(target int64) int64 {
 	return skipped
 }
 
-// runPhase executes one phase across all shards. Serial runs inline
-// over the whole node range with a nil shard, so accounting goes
-// straight to the shared state and the merge step disappears.
-// Parallel runs one goroutine per extra shard with the caller taking
-// shard 0; the WaitGroup barrier orders every phase-k write before
-// every phase-k+1 read.
+// runPhase executes one phase across all shards: one goroutine per
+// extra shard, with the caller taking shard 0; the WaitGroup barrier
+// orders every phase-k write before every phase-k+1 read. A lone shard
+// stages and merges exactly like one of several — only the goroutine
+// and the barrier go, and it is called inline so the WaitGroup never
+// escapes to the heap (two allocations per Step).
 func (s *Sim) runPhase(p obs.Phase, timed bool, fn func(*Sim, int, int, *shard)) {
 	if len(s.shards) == 1 {
-		s.runShard(p, timed, 0, 0, s.n, nil, fn)
+		s.runShard(p, timed, 0, 0, s.n, &s.shards[0], fn)
 		return
 	}
 	var wg sync.WaitGroup
@@ -1315,37 +1320,49 @@ func (s *Sim) runShard(p obs.Phase, timed bool, i, lo, hi int, sh *shard, fn fun
 	s.obs.AddPhase(p, i, t0)
 }
 
-// mergeShards folds every shard's staged deltas into the shared state,
-// in shard order — the single point where parallel results meet, and
-// deliberately order-deterministic. Staged events only exist when the
-// observer does, so the drain below emits unguarded.
-//
-//sornlint:drain
+// mergeShards is Step's barrier: it folds every shard's staging into
+// the shared state in shard order — the single point where the shards'
+// results meet, and deliberately order-deterministic — and adds the
+// cells each shard wrote into the delay line to the landing row's
+// count.
 func (s *Sim) mergeShards() {
 	landIdx := (s.slot + s.propSlots) % int64(s.ringSlots)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		s.ringCount[landIdx] += sh.landed
 		sh.landed = 0
-		s.totalBacklog += sh.dBacklog
-		sh.dBacklog = 0
-		s.stats.mergeFrom(&sh.stats)
-		if len(sh.losses) > 0 {
-			for _, l := range sh.losses {
-				s.flow(l.flow).lost += l.cells
-			}
-			sh.losses = sh.losses[:0]
+		s.fold(sh)
+	}
+}
+
+// fold applies one shard's staged effects to the shared state and
+// empties its staging: the backlog total, counters and samples (shard
+// 0's sh.st already is the Sim's Stats), flow losses, dirty pairs and
+// trace events. Staged events only exist when the observer does, so the drain
+// emits unguarded.
+//
+//sornlint:drain
+func (s *Sim) fold(sh *shard) {
+	s.totalBacklog += sh.dBacklog
+	sh.dBacklog = 0
+	if sh.st != &s.stats {
+		s.stats.mergeFrom(sh.st)
+	}
+	if len(sh.losses) > 0 {
+		for _, l := range sh.losses {
+			s.flow(l.flow).lost += l.cells
 		}
-		if len(sh.dirty) > 0 {
-			s.dirtyPairs = append(s.dirtyPairs, sh.dirty...)
-			sh.dirty = sh.dirty[:0]
+		sh.losses = sh.losses[:0]
+	}
+	if len(sh.dirty) > 0 {
+		s.dirtyPairs = append(s.dirtyPairs, sh.dirty...)
+		sh.dirty = sh.dirty[:0]
+	}
+	if len(sh.events) > 0 {
+		for _, e := range sh.events {
+			s.obs.Emit(e)
 		}
-		if len(sh.events) > 0 {
-			for _, e := range sh.events {
-				s.obs.Emit(e)
-			}
-			sh.events = sh.events[:0]
-		}
+		sh.events = sh.events[:0]
 	}
 }
 
@@ -1381,16 +1398,9 @@ func (s *Sim) land(sh *shard, v int, c *cell) {
 	if s.failedNode[v] {
 		// v failed while the cell was in flight (transmit-time drops
 		// cover only cells sent after the failure): lost on arrival.
-		if sh != nil {
-			sh.losses = append(sh.losses, flowLoss{flow: c.flow, cells: 1})
-			if s.measuring {
-				sh.stats.LostCells++
-			}
-		} else {
-			s.flow(c.flow).lost++
-			if s.measuring {
-				s.stats.LostCells++
-			}
+		sh.losses = append(sh.losses, flowLoss{flow: c.flow, cells: 1})
+		if s.measuring {
+			sh.st.LostCells++
 		}
 		return
 	}
@@ -1411,10 +1421,7 @@ func (s *Sim) land(sh *shard, v int, c *cell) {
 
 // deliver counts a final-hop delivery at node v.
 func (s *Sim) deliver(sh *shard, v int, c *cell) {
-	st := &s.stats
-	if sh != nil {
-		st = &sh.stats
-	}
+	st := sh.st
 	f := s.flow(c.flow)
 	f.delivered++
 	if s.measuring {
@@ -1437,26 +1444,14 @@ func (s *Sim) deliver(sh *shard, v int, c *cell) {
 			st.FCTSlots.Add(float64(s.slot - f.arrival))
 		}
 		if s.traceFlows {
-			s.emitEvent(sh, obs.Event{Slot: s.slot, Type: obs.EvFlowFinish, Flow: int64(f.id),
+			// Staged, and drained into the trace in shard order by the
+			// fold. Shards are contiguous ascending node ranges and the
+			// landing phase walks nodes in order, so the merged event
+			// stream is identical for every worker count.
+			sh.events = append(sh.events, obs.Event{Slot: s.slot, Type: obs.EvFlowFinish, Flow: int64(f.id),
 				Src: int(f.src), Dst: int(f.dst), Cells: int64(f.size), Val: float64(s.slot - f.arrival)})
 		}
 	}
-}
-
-// emitEvent routes a simulation event either into the emitting shard's
-// staging buffer — drained into the trace in shard order at the slot
-// barrier — or, from serial contexts, straight to the trace. Shards are
-// contiguous ascending node ranges and the landing phase walks nodes in
-// order, so the merged event stream is identical for every worker
-// count. Callers check s.obs != nil first.
-//
-//sornlint:drain
-func (s *Sim) emitEvent(sh *shard, e obs.Event) {
-	if sh != nil {
-		sh.events = append(sh.events, e)
-		return
-	}
-	s.obs.Emit(e)
 }
 
 // transmitShardActive is the active-set transmit phase: instead of
@@ -1482,14 +1477,9 @@ func (s *Sim) emitEvent(sh *shard, e obs.Event) {
 //sornlint:hotpath
 func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 	n := s.n
-	st := &s.stats
-	shIdx := 0
-	if sh != nil {
-		st = &sh.stats
-		shIdx = sh.idx
-	}
-	landRS := int((s.slot + s.propSlots) % int64(s.ringSlots))
-	landBase := landRS * n * s.planes
+	st := sh.st
+	shIdx := sh.idx
+	landBase := int((s.slot+s.propSlots)%int64(s.ringSlots)) * n * s.planes
 	landed := int32(0)
 	pops := int64(0)
 	dBacklog := int64(0)
@@ -1541,11 +1531,7 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 					c.hops &^= freshBit
 				}
 				if failedNode[v] || (hasFailedLink && failedLink[u] != nil && failedLink[u][v]) {
-					if sh != nil {
-						sh.losses = append(sh.losses, flowLoss{flow: c.flow, cells: 1})
-					} else {
-						s.flow(c.flow).lost++
-					}
+					sh.losses = append(sh.losses, flowLoss{flow: c.flow, cells: 1})
 					if measuring {
 						st.LostCells++
 					}
@@ -1581,13 +1567,8 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 		if measuring {
 			st.IdleSlots += s.liveShard[shIdx]*int64(planes) - pops
 		}
-		if sh != nil {
-			sh.landed = landed
-			sh.dBacklog += dBacklog
-		} else {
-			s.ringCount[landRS] += landed
-			s.totalBacklog += dBacklog
-		}
+		sh.landed = landed
+		sh.dBacklog += dBacklog
 		return
 	}
 	for k := 0; k < len(list); {
@@ -1613,11 +1594,7 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 				c.hops &^= freshBit
 			}
 			if failedNode[v] || (flRow != nil && flRow[v]) {
-				if sh != nil {
-					sh.losses = append(sh.losses, flowLoss{flow: c.flow, cells: 1})
-				} else {
-					s.flow(c.flow).lost++
-				}
+				sh.losses = append(sh.losses, flowLoss{flow: c.flow, cells: 1})
 				if measuring {
 					st.LostCells++
 				}
@@ -1651,13 +1628,8 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 		// the dense scan counts those as non-idle as well.
 		st.IdleSlots += s.liveShard[shIdx]*int64(planes) - pops
 	}
-	if sh != nil {
-		sh.landed = landed
-		sh.dBacklog += dBacklog
-	} else {
-		s.ringCount[landRS] += landed
-		s.totalBacklog += dBacklog
-	}
+	sh.landed = landed
+	sh.dBacklog += dBacklog
 }
 
 // RunOpenLoop injects the flows arriving before until at their arrival
@@ -1751,7 +1723,13 @@ type SaturationConfig struct {
 }
 
 // RunSaturated executes a saturation experiment and returns the stats.
+// It refuses a simulator with a QueueLimit: the top-up loops inject
+// until a source's fresh backlog reaches its target, and a full VOQ
+// drops the very cells that would reach it, so they would never stop.
 func (s *Sim) RunSaturated(sc SaturationConfig) (*Stats, error) {
+	if s.cfg.QueueLimit > 0 {
+		return nil, fmt.Errorf("netsim: saturation runs need unbounded queues, the simulator has QueueLimit %d", s.cfg.QueueLimit)
+	}
 	if err := sc.TM.Validate(); err != nil {
 		return nil, err
 	}
@@ -1872,11 +1850,10 @@ func (s *Sim) runSaturatedPerPair(sc SaturationConfig, measureAt, end int64) (*S
 		// batch so injection — and the rng draws it consumes — happens
 		// in canonical pair order for every worker count and loop shape.
 		slices.Sort(s.dirtyPairs)
-		// Indexed loop: top-ups whose cells are dropped at injection
-		// (QueueLimit) re-mark their pair, growing the worklist while it
-		// drains — matching the retry the per-slot scan used to do.
-		for i := 0; i < len(s.dirtyPairs); i++ {
-			pair := int(s.dirtyPairs[i])
+		// Queues are unbounded here, so a top-up never drops a cell and
+		// the worklist cannot grow while it drains.
+		for _, p := range s.dirtyPairs {
+			pair := int(p)
 			s.dirtyMark[pair] = false
 			u, d := pair/s.n, pair%s.n
 			// A FailNode purge marks the failed node's pairs dirty as it
@@ -1935,6 +1912,7 @@ func (s *Sim) Reconfigure(sched *matching.Schedule, router routing.Router) error
 	}
 	s.totalBacklog = 0
 	s.clearActive()
+	sh := &s.shards[0]
 	moved := int64(0)
 	for u := 0; u < s.n; u++ {
 		row := old[u]
@@ -1948,11 +1926,14 @@ func (s *Sim) Reconfigure(sched *matching.Schedule, router routing.Router) error
 				if !ok {
 					break
 				}
-				s.rerouteFrom(nil, u, c)
+				s.rerouteFrom(sh, u, c)
 				moved++
 			}
 		}
 	}
+	// Fold before the commit event, so the flow_finish events of cells
+	// delivered in place precede it in the trace.
+	s.fold(sh)
 	if s.obs != nil {
 		s.obs.Emit(obs.Event{Slot: s.slot, Type: obs.EvReconfigCommit, Src: -1, Dst: -1, Cells: moved})
 	}
@@ -1977,16 +1958,8 @@ func (s *Sim) rerouteFrom(sh *shard, u int, c *cell) {
 		s.deliver(sh, u, &done)
 		return
 	}
-	buf := s.routeBuf
-	if sh != nil {
-		buf = sh.routeBuf
-	}
-	p := s.router.RouteInto(buf[:0], u, int(dst), int(s.slot), &s.nodeRngs[u])
-	if sh != nil {
-		sh.routeBuf = p
-	} else {
-		s.routeBuf = p
-	}
+	p := s.router.RouteInto(sh.routeBuf[:0], u, int(dst), int(s.slot), &s.nodeRngs[u])
+	sh.routeBuf = p
 	nc := cell{flow: c.flow, hops: uint8(len(p)-1) | c.hops&freshBit}
 	for h := 2; h < len(p); h++ {
 		nc.rest[h-2] = int16(p[h])

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -396,6 +397,44 @@ func TestRunSaturatedRejectsEmptySizes(t *testing.T) {
 				}
 			case <-time.After(5 * time.Second):
 				t.Fatal("RunSaturated still topping up empty flows after 5 s")
+			}
+		})
+	}
+}
+
+// TestRunSaturatedRejectsQueueLimit: a full VOQ drops the fresh cells a
+// top-up just injected, so with a QueueLimit below the backlog target
+// the top-up loops would never reach it. The run must be refused with
+// an error instead of spinning.
+func TestRunSaturatedRejectsQueueLimit(t *testing.T) {
+	for _, perPair := range []bool{false, true} {
+		t.Run(fmt.Sprintf("perPair=%v", perPair), func(t *testing.T) {
+			sched := matching.RoundRobin(8)
+			d, _ := routing.NewDirect(matching.Compile(sched))
+			s, err := New(Config{Schedule: sched, Router: d, Seed: 12, QueueLimit: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := SaturationConfig{TM: workload.Uniform(8), Size: workload.FixedSize(1),
+				TargetBacklog: 64, WarmupSlots: 10, MeasureSlots: 10}
+			if perPair {
+				sc.PerPairBacklog = 8
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := s.RunSaturated(sc)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("saturation run with QueueLimit accepted")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("RunSaturated still topping up into full queues after 5 s")
+			}
+			if s.Slot() != 0 || s.Backlog() != 0 {
+				t.Fatalf("refused run stepped to slot %d with backlog %d", s.Slot(), s.Backlog())
 			}
 		})
 	}
@@ -1358,6 +1397,54 @@ func TestReconfigureWithFreshCellsQueued(t *testing.T) {
 	}
 }
 
+// TestCircuitSetMatchesCompiled: the simulator's circuit set — the
+// landing phase's "does the next circuit still exist" check and the
+// sorted neighbor lists ReconfigureGraceful walks — must agree with
+// Compiled.HasCircuit, both on the n² bitmap and, past denseCircuitMax
+// nodes, on the binary-searched neighbor lists alone.
+func TestCircuitSetMatchesCompiled(t *testing.T) {
+	r := rng.New(77)
+	shifts := func(n, k int) *matching.Schedule {
+		s := &matching.Schedule{N: n}
+		for ; k > 0; k-- {
+			s.Slots = append(s.Slots, matching.CyclicShift(n, 1+r.Intn(n-1)))
+		}
+		// A repeated slot: the neighbor lists must stay distinct.
+		s.Slots = append(s.Slots, s.Slots[0])
+		return s
+	}
+	check := func(s *matching.Schedule) {
+		t.Helper()
+		cs := newCircuitSet(s)
+		if (cs.dense != nil) != (s.N <= denseCircuitMax) {
+			t.Fatalf("n=%d: bitmap present = %v, want %v", s.N, cs.dense != nil, s.N <= denseCircuitMax)
+		}
+		c := matching.Compile(s)
+		var want []int16
+		for u := 0; u < s.N; u++ {
+			want = want[:0]
+			for v := 0; v < s.N; v++ {
+				has := c.HasCircuit(u, v)
+				if cs.has(u, v) != has {
+					t.Fatalf("n=%d: has(%d, %d) = %v, HasCircuit = %v", s.N, u, v, cs.has(u, v), has)
+				}
+				if has {
+					want = append(want, int16(v))
+				}
+			}
+			if !slices.Equal(cs.nbr[u], want) {
+				t.Fatalf("n=%d: nbr[%d] = %v, want %v", s.N, u, cs.nbr[u], want)
+			}
+		}
+	}
+	for trial := 0; trial < 50; trial++ {
+		check(shifts(2+r.Intn(10), 1+r.Intn(6)))
+	}
+	for _, n := range []int{denseCircuitMax, denseCircuitMax + 7} {
+		check(shifts(n, 8))
+	}
+}
+
 func TestRerouteFreshCellAtDestinationConsumesFresh(t *testing.T) {
 	// rerouteFrom's u == dst guard delivers the cell in place. If the
 	// cell never left its source, the synthesized delivery must also
@@ -1374,7 +1461,9 @@ func TestRerouteFreshCellAtDestinationConsumesFresh(t *testing.T) {
 	s.fresh[3]++
 	c := cell{flow: 0, hops: 2 | freshBit}
 	c.rest[0] = 3 // waypoint 0 (node 5) is implied by the VOQ
-	s.rerouteFrom(nil, 3, &c)
+	sh := &s.shards[0]
+	s.rerouteFrom(sh, 3, &c)
+	s.fold(sh)
 	if s.fresh[3] != 0 {
 		t.Fatalf("fresh counter leaked: fresh[3] = %d, want 0", s.fresh[3])
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/matching"
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/routing"
 	"repro/internal/schedule"
@@ -205,4 +206,93 @@ func TestParallelDeterminismReconfigure(t *testing.T) {
 		}
 		return s
 	})
+}
+
+// viaDst routes every cell src → dst → relay → dst, so between its
+// first and last hop a cell waits in a queue at its own destination —
+// the cell a reconfiguration delivers in place.
+type viaDst struct{ n int }
+
+func (r viaDst) Name() string { return "via-dst" }
+func (r viaDst) MaxHops() int { return 3 }
+func (r viaDst) RouteInto(buf routing.Route, src, dst, slot int, g *rng.RNG) routing.Route {
+	return append(buf, src, dst, (dst+1)%r.n, dst)
+}
+func (r viaDst) Paths(src, dst int, fn func(routing.Route, float64)) {
+	fn(routing.Route{src, dst, (dst + 1) % r.n, dst}, 1)
+}
+
+// TestSerialCallsPublishBeforeReturn: InjectFlow, FailNode and
+// Reconfigure stage their shared effects like a Step does, and must
+// fold them before they return — a caller reading Stats, a flow or the
+// backlog between Steps sees every effect of the call, at every worker
+// count, and a cell Reconfigure delivers in place finishes its flow
+// inside the reconfiguration's trace bracket.
+func TestSerialCallsPublishBeforeReturn(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			const n = 8
+			sched := matching.RoundRobin(n)
+			ob := newTestObserver()
+			s, err := New(Config{Schedule: sched, Router: viaDst{n}, Seed: 5,
+				QueueLimit: 2, Workers: workers, Obs: ob})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.StartMeasuring()
+
+			// Five cells into a 2-cell VOQ: three drop at injection.
+			f0 := s.InjectFlow(0, 3, 5)
+			if st := s.Stats(); st.DroppedCells != 3 || f0.Lost() != 3 || s.Backlog() != 2 {
+				t.Fatalf("after InjectFlow: dropped %d, flow lost %d, backlog %d; want 3, 3, 2",
+					st.DroppedCells, f0.Lost(), s.Backlog())
+			}
+			checkConservation(t, s)
+
+			// Failing the source purges its two queued cells.
+			f1 := s.InjectFlow(1, 3, 1)
+			s.FailNode(0)
+			if st := s.Stats(); st.LostCells != 2 || f0.Lost() != 5 || s.Backlog() != 1 {
+				t.Fatalf("after FailNode: lost %d, flow lost %d, backlog %d; want 2, 5, 1",
+					st.LostCells, f0.Lost(), s.Backlog())
+			}
+			checkConservation(t, s)
+
+			// Step until f1's cell waits at its destination for the relay hop.
+			for i := 0; i < 4*n && s.backlog[3] == 0; i++ {
+				s.Step()
+			}
+			if s.backlog[3] != 1 || f1.Delivered() != 0 {
+				t.Fatalf("scenario broken: %d cells queued at node 3, flow delivered %d; want 1, 0",
+					s.backlog[3], f1.Delivered())
+			}
+			d, err := routing.NewDirect(matching.Compile(sched))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Reconfigure(sched, d); err != nil {
+				t.Fatal(err)
+			}
+			if st := s.Stats(); st.DeliveredCells != 1 || !f1.Done() || s.Backlog() != 0 {
+				t.Fatalf("after Reconfigure: delivered %d, flow done %v, backlog %d; want 1, true, 0",
+					st.DeliveredCells, f1.Done(), s.Backlog())
+			}
+			checkConservation(t, s)
+			var bracket []string
+			in := false
+			for _, e := range ob.Events() {
+				switch {
+				case e.Type == obs.EvReconfigBegin:
+					in = true
+				case e.Type == obs.EvReconfigCommit:
+					in = false
+				case in:
+					bracket = append(bracket, fmt.Sprintf("%s flow %d", e.Type, e.Flow))
+				}
+			}
+			if want := fmt.Sprintf("%s flow %d", obs.EvFlowFinish, f1.id); len(bracket) != 1 || bracket[0] != want {
+				t.Fatalf("events between reconfig_begin and reconfig_commit = %v, want [%s]", bracket, want)
+			}
+		})
+	}
 }

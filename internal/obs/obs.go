@@ -69,9 +69,6 @@ type Options struct {
 	// cannot evict control events. Once a tier fills, its oldest events
 	// are overwritten and counted in TraceDropped.
 	TraceCap int
-	// RateWindow is the window, in slots, of the windowed rates the
-	// simulator registers (default 256).
-	RateWindow int
 	// SeriesCap bounds retained time-series rows (default 1<<20); the
 	// oldest rows are overwritten once exceeded.
 	SeriesCap int
@@ -89,9 +86,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TraceCap <= 0 {
 		o.TraceCap = 1 << 16
-	}
-	if o.RateWindow <= 0 {
-		o.RateWindow = 256
 	}
 	if o.SeriesCap <= 0 {
 		o.SeriesCap = 1 << 20
@@ -168,13 +162,17 @@ func (o *Observer) Gauge(name string) *Gauge {
 	return o.reg.Gauge(name)
 }
 
-// Rate returns (creating if needed) the named windowed rate, using the
-// Observer's configured window.
+// rateWindow is the window, in slots, of every windowed rate an
+// Observer registers.
+const rateWindow = 256
+
+// Rate returns (creating if needed) the named windowed rate over the
+// last rateWindow observations.
 func (o *Observer) Rate(name string) *Rate {
 	if o == nil {
 		return nil
 	}
-	return o.reg.Rate(name, o.opts.RateWindow)
+	return o.reg.Rate(name, rateWindow)
 }
 
 // Emit appends an event to the bounded trace.

@@ -41,11 +41,6 @@ func (r *Relabeled) Name() string { return r.inner.Name() + "+relabel" }
 // MaxHops implements Router.
 func (r *Relabeled) MaxHops() int { return r.inner.MaxHops() }
 
-// Route implements Router.
-func (r *Relabeled) Route(src, dst, slot int, g *rng.RNG) Route {
-	return r.RouteInto(nil, src, dst, slot, g)
-}
-
 // RouteInto implements Router: the inner router writes its hops into
 // buf, which are then renamed in place — no allocation beyond buf.
 func (r *Relabeled) RouteInto(buf Route, src, dst, slot int, g *rng.RNG) Route {

@@ -7,10 +7,10 @@
 //   - SORN routing (§4): 2-hop VLB inside cliques, 3 hops across cliques
 //     (load-balancing intra hop → inter-clique circuit → final intra hop)
 //
-// Every Router exposes the hop sequence two ways: Route samples one
+// Every Router exposes the hop sequence two ways: RouteInto samples one
 // concrete path for a packet (used by the slotted simulator), and Paths
 // enumerates the full path distribution (used by the fluid throughput
-// solver). The two MUST agree: Route's load-balancing hops draw from
+// solver). The two MUST agree: RouteInto's load-balancing hops draw from
 // exactly the distribution Paths declares, using the caller's RNG. An
 // earlier revision instead took the "next available" circuit at the
 // injection slot — zero intrinsic wait, but the relay choice then
@@ -45,20 +45,17 @@ type Router interface {
 	Name() string
 	// MaxHops is the worst-case path length in links.
 	MaxHops() int
-	// Route returns the hop sequence for one packet src→dst, sampled
-	// from the same distribution Paths enumerates. slot is the absolute
-	// time slot at injection (available to slot-aware schemes); r
-	// supplies the randomness for load-balancing hops and must be
-	// non-nil for every scheme that load-balances.
-	Route(src, dst, slot int, r *rng.RNG) Route
-	// RouteInto is the allocation-free fast path of Route: it appends the
-	// same hop sequence to buf (which may be nil, or a zero-length reused
-	// buffer) and returns the extended slice. The slotted simulator calls
-	// it once per injected cell, so implementations must not allocate
-	// beyond growing buf. The hotpath annotation makes every
-	// implementation's transitive call tree allocation-checked; the
-	// zero-alloc RouteInto benchmark test verifies the same property at
-	// runtime.
+	// RouteInto appends the hop sequence for one packet src→dst,
+	// sampled from the same distribution Paths enumerates, to buf
+	// (which may be nil, or a zero-length reused buffer) and returns the
+	// extended slice. slot is the absolute time slot at injection
+	// (available to slot-aware schemes); r supplies the randomness for
+	// load-balancing hops and must be non-nil for every scheme that
+	// load-balances. The slotted simulator calls it once per injected
+	// cell, so implementations must not allocate beyond growing buf.
+	// The hotpath annotation makes every implementation's transitive
+	// call tree allocation-checked; the zero-alloc RouteInto test
+	// verifies the same property at runtime.
 	//
 	//sornlint:hotpath
 	RouteInto(buf Route, src, dst, slot int, r *rng.RNG) Route
@@ -107,11 +104,6 @@ func (d *Direct) Name() string { return "direct" }
 // MaxHops implements Router.
 func (d *Direct) MaxHops() int { return 1 }
 
-// Route implements Router.
-func (d *Direct) Route(src, dst, slot int, r *rng.RNG) Route {
-	return d.RouteInto(nil, src, dst, slot, r)
-}
-
 // RouteInto implements Router.
 func (d *Direct) RouteInto(buf Route, src, dst, slot int, r *rng.RNG) Route {
 	return append(buf, src, dst)
@@ -147,14 +139,9 @@ func (v *VLB) Name() string { return "vlb" }
 // MaxHops implements Router.
 func (v *VLB) MaxHops() int { return 2 }
 
-// Route implements Router. The load-balancing hop is uniform over the
-// n−1 nodes other than src (drawing dst yields the direct path),
+// RouteInto implements Router. The load-balancing hop is uniform over
+// the n−1 nodes other than src (drawing dst yields the direct path),
 // matching Paths exactly.
-func (v *VLB) Route(src, dst, slot int, r *rng.RNG) Route {
-	return v.RouteInto(nil, src, dst, slot, r)
-}
-
-// RouteInto implements Router.
 func (v *VLB) RouteInto(buf Route, src, dst, slot int, r *rng.RNG) Route {
 	w := r.Intn(v.n - 1)
 	if w >= src {
@@ -215,11 +202,6 @@ func (o *ORN) digitPath(p Route, target int) Route {
 	return p
 }
 
-// Route implements Router.
-func (o *ORN) Route(src, dst, slot int, r *rng.RNG) Route {
-	return o.RouteInto(nil, src, dst, slot, r)
-}
-
 // RouteInto implements Router.
 func (o *ORN) RouteInto(buf Route, src, dst, slot int, r *rng.RNG) Route {
 	w := r.Intn(o.orn.N)
@@ -275,15 +257,10 @@ func (s *SORN) landing(w, targetClique int) int {
 	return mem[cl.LocalIndex(w)%len(mem)]
 }
 
-// Route implements Router. The load-balancing hop samples exactly the
-// distribution Paths declares: uniform over clique peers for intra
+// RouteInto implements Router. The load-balancing hop samples exactly
+// the distribution Paths declares: uniform over clique peers for intra
 // traffic, uniform over all clique members (src itself meaning "use own
 // inter-clique circuit") for inter traffic.
-func (s *SORN) Route(src, dst, slot int, r *rng.RNG) Route {
-	return s.RouteInto(nil, src, dst, slot, r)
-}
-
-// RouteInto implements Router.
 func (s *SORN) RouteInto(buf Route, src, dst, slot int, r *rng.RNG) Route {
 	cl := s.s.Cliques
 	mem := cl.Members(cl.CliqueOf(src))
