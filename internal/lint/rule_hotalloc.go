@@ -17,9 +17,9 @@ import (
 //
 // Appends to fields, parameters, and slices made with an explicit
 // capacity are allowed: amortized growth of a reused buffer is the
-// repository's standard hot-path idiom (fifo rings, Route buffers), and
-// the zero-alloc RouteInto benchmark test keeps the rule honest against
-// what the runtime actually does.
+// repository's standard hot-path idiom (Route buffers, per-shard
+// staging lists), and the zero-alloc RouteInto benchmark test keeps the
+// rule honest against what the runtime actually does.
 const hotAllocName = "hotalloc"
 
 var HotAlloc = &Analyzer{

@@ -72,7 +72,7 @@ func (s *Sim) transmitShardDense(lo, hi int, sh *shard) {
 				idle++
 				continue
 			}
-			c, ok := vq[v].pop()
+			c, ok := vq[v].pop(&sh.pool)
 			if !ok {
 				if u != v {
 					idle++

@@ -172,82 +172,161 @@ func (c *cell) dst(next int) int {
 	return next
 }
 
-// fifo is a power-of-two circular buffer of cells: pushes and pops are
-// single indexed writes/reads with no compaction copies, and the buffer
-// reallocates only when a queue outgrows its high-water mark. Staged:
-// each VOQ belongs to exactly one shard's node range (pops by source
+// chunkCells is the VOQ storage granule: a queue is a chain of chunks
+// of this many cells (128 bytes, two cache lines) drawn from its
+// shard's cellPool.
+const chunkCells = 8
+
+// cellPool is one shard's VOQ cell storage: a flat array of
+// chunkCells-cell chunks, one link per chunk, and a LIFO free list
+// threaded through those links. A pop that finishes a chunk frees it and
+// the next push that needs a chunk takes the most recently freed one,
+// so pushes write lines a pop read moments ago, not a cold line per
+// queue. The pool doubles when every chunk is in use and never
+// shrinks, so it grows only when the queued total reaches a new peak;
+// reset rewinds it for a Reset Sim. Staged: a node's VOQs draw only
+// from the pool of the shard that owns the node, so a phase touches
+// only its own shard's pool.
+//
+//sornlint:staged
+type cellPool struct {
+	cells []cell  // chunk k is cells[k*chunkCells : (k+1)*chunkCells]
+	next  []int32 // per chunk: the queue's next chunk, or the next free chunk
+	free  int32   // most recently freed chunk, -1 when none is free
+	used  int32   // chunks handed out since the last reset; the rest were never used
+}
+
+// reset returns every chunk to the pool, keeping the storage.
+func (p *cellPool) reset() {
+	p.free = -1
+	p.used = 0
+}
+
+// take hands out a chunk: the most recently freed one, else the first
+// never-used one, growing the pool when none is left.
+func (p *cellPool) take() uint32 {
+	if k := p.free; k >= 0 {
+		p.free = p.next[k]
+		return uint32(k)
+	}
+	if int(p.used) == len(p.next) {
+		p.grow()
+	}
+	p.used++
+	return uint32(p.used - 1)
+}
+
+// release puts chunk k on top of the free list.
+func (p *cellPool) release(k uint32) {
+	p.next[k] = p.free
+	p.free = int32(k)
+}
+
+// grow doubles the pool. Storage is sized with make, not append, so a
+// pool at its peak holds exactly its chunk count.
+//
+//sornlint:coldpath
+func (p *cellPool) grow() {
+	chunks := 2 * len(p.next)
+	if chunks == 0 {
+		chunks = 64
+	}
+	cells := make([]cell, chunks*chunkCells)
+	copy(cells, p.cells)
+	next := make([]int32, chunks)
+	copy(next, p.next)
+	p.cells, p.next = cells, next
+}
+
+// fifo is one VOQ: a chain of chunks in the pool of the shard that owns
+// the queue's node. head and tail are cell positions in that pool —
+// the next cell to pop (meaningless while the queue holds no chunk) and
+// where the next push writes — and n counts the queued cells. Emptiness is the count, not head == tail: the end of one
+// chunk and the start of the next are the same position. A queue with a
+// full last chunk (tail at a chunk boundary) takes a new chunk on its
+// next push, and an empty one keeps its last chunk unless a pop just
+// finished it, so an empty queue holds at most one chunk. Staged: each
+// VOQ belongs to exactly one shard's node range (pops by source
 // ownership, pushes by destination ownership), so phase-time mutation
 // is race-free by partition.
 //
 //sornlint:staged
 type fifo struct {
-	buf        []cell
-	head, tail uint32 // monotonically increasing; position is index & (len-1)
+	head, tail uint32
+	n          uint32
 }
 
-// push appends a cell. The full-buffer case is split into pushSlow so
-// push itself stays within the inlining budget of its hot callers.
+// push appends a cell, taking a new chunk (link) once every chunkCells
+// pushes.
 //
 //sornlint:hotpath
-func (f *fifo) push(c *cell) {
-	if int(f.tail-f.head) == len(f.buf) {
-		f.pushSlow(c)
-		return
+func (f *fifo) push(p *cellPool, c *cell) {
+	if f.tail%chunkCells == 0 {
+		f.link(p)
 	}
-	f.buf[f.tail&uint32(len(f.buf)-1)] = *c
+	p.cells[f.tail] = *c
 	f.tail++
+	f.n++
 }
 
-// pushSlow is the deliberate grow-and-copy slow path, taken O(log n)
-// times per queue as it ramps to its high-water mark.
-//
-//sornlint:coldpath
-func (f *fifo) pushSlow(c *cell) {
-	f.grow()
-	f.buf[f.tail&uint32(len(f.buf)-1)] = *c
-	f.tail++
+// link moves the tail of a queue whose last chunk is full, or that has
+// none, to the start of a new chunk.
+func (f *fifo) link(p *cellPool) {
+	k := p.take()
+	if f.n == 0 {
+		f.head = k * chunkCells
+	} else {
+		p.next[(f.tail-1)/chunkCells] = int32(k)
+	}
+	f.tail = k * chunkCells
 }
 
-// grow resizes the buffer, linearizing the queue to the front. Small
-// buffers quadruple rather than double: queues ramp to their high-water
-// mark in half the reallocation+copy churn during warmup, for at most
-// 2× transient overshoot.
-func (f *fifo) grow() {
-	old := len(f.buf)
-	size := old * 2
-	if old < 1024 {
-		size = old * 4
-	}
-	if size == 0 {
-		size = 8
-	}
-	buf := make([]cell, size)
-	if old > 0 {
-		h := f.head & uint32(old-1)
-		n := copy(buf, f.buf[h:])
-		copy(buf[n:], f.buf[:h])
-	}
-	f.buf = buf
-	f.tail -= f.head
-	f.head = 0
-}
-
-// pop removes the head cell, returning a pointer into the buffer. The
-// pointee stays valid until the next push to this queue, which in a
-// phase-sharded Step cannot happen before the caller is done with it
-// (pops happen in the transmit phase, pushes in landing/injection).
+// pop removes the head cell, returning a pointer into the pool. The
+// pointee stays valid until the next push into the same pool, which in
+// a phase-sharded Step cannot happen before the caller is done with it
+// (pops happen in the transmit phase, pushes in landing/injection); a
+// serial caller that pushes between pops copies the cell first. Popping
+// a chunk's last cell frees the chunk and moves head to the next one.
 //
 //sornlint:hotpath
-func (f *fifo) pop() (*cell, bool) {
-	if f.head == f.tail {
+func (f *fifo) pop(p *cellPool) (*cell, bool) {
+	if f.n == 0 {
 		return nil, false
 	}
-	c := &f.buf[f.head&uint32(len(f.buf)-1)]
+	c := &p.cells[f.head]
 	f.head++
+	f.n--
+	if f.head%chunkCells == 0 {
+		k := f.head/chunkCells - 1
+		f.head = uint32(p.next[k]) * chunkCells
+		p.release(k)
+	}
 	return c, true
 }
 
-func (f *fifo) len() int { return int(f.tail - f.head) }
+func (f *fifo) len() int { return int(f.n) }
+
+// each calls fn for every queued cell, head to tail.
+func (f *fifo) each(p *cellPool, fn func(*cell)) {
+	pos := f.head
+	for i := f.n; i > 0; i-- {
+		fn(&p.cells[pos])
+		pos++
+		if pos%chunkCells == 0 && i > 1 {
+			pos = uint32(p.next[pos/chunkCells-1]) * chunkCells
+		}
+	}
+}
+
+// drop empties a queue whose cells were all popped, returning the chunk
+// it kept to the pool. Reconfigure drops each queue of the table it
+// replaces, so no chunk leaks with the old table.
+func (f *fifo) drop(p *cellPool) {
+	if f.tail%chunkCells != 0 {
+		p.release(f.tail / chunkCells)
+	}
+	*f = fifo{}
+}
 
 // Stats accumulates measurement-window counters.
 //
@@ -359,6 +438,7 @@ type shard struct {
 	landed   int32       // cells this shard wrote into the delay line this slot
 	dBacklog int64       // staged Sim.totalBacklog delta
 	events   []obs.Event // staged trace events, drained in shard order
+	pool     cellPool    // cell storage of the VOQs of nodes [lo, hi)
 }
 
 // circuitSet records which directed circuits a schedule ever opens —
@@ -473,7 +553,8 @@ type Sim struct {
 	// row means "all of u's queues are empty". Rows are only created by
 	// u's owning shard (landing pushes by destination ownership) or by
 	// serial calls between Steps, so the lazy write is race-free by the
-	// same partition argument as the queues themselves.
+	// same partition argument as the queues themselves. A row holds only
+	// queue headers; the cells sit in the owning shard's cellPool.
 	voq     [][]fifo //sornlint:staged -- rows indexed [u][next], nil row = empty; one writer per row (u's owning shard), see above
 	backlog []int64  //sornlint:staged
 	fresh   []int64  //sornlint:staged
@@ -587,8 +668,8 @@ func New(cfg Config) (*Sim, error) {
 }
 
 // Reset rewinds s to exactly the state New(cfg) would produce while
-// reusing every allocation whose size still fits — the grown VOQ
-// buffers, the flow arena, the delay ring, the per-node rng stream
+// reusing every allocation whose size still fits — the shards' cell
+// pools, the flow arena, the delay ring, the per-node rng stream
 // slices. A per-worker pool (core.SimPool) resets one warm Sim per
 // sweep point instead of reallocating ~n² queues each time; the
 // fresh-vs-reset bit-identity contract is pinned by
@@ -607,10 +688,10 @@ func (s *Sim) Reset(cfg Config) error {
 // init validates cfg and brings every field of s to its start-of-run
 // state. On a fresh Sim it allocates; on a Reset it reuses what fits.
 // Either way the resulting observable state is identical — reused
-// buffers are rewound (fifo head/tail, flow-arena cursor) or cleared,
-// and buffers whose stale contents are unreachable (fifo cells beyond
-// the queue, ring cells with a false occupancy bit, arena slots past
-// numFlows) are deliberately left dirty.
+// buffers are rewound (VOQ headers, cell pools, flow-arena cursor) or
+// cleared, and buffers whose stale contents are unreachable (pool
+// chunks no queue holds, ring cells with a false occupancy bit, arena
+// slots past numFlows) are deliberately left dirty.
 func (s *Sim) init(cfg Config) error {
 	if cfg.Schedule == nil || cfg.Router == nil {
 		return fmt.Errorf("netsim: schedule and router are required")
@@ -627,8 +708,8 @@ func (s *Sim) init(cfg Config) error {
 	if cfg.PropNS < 0 {
 		return fmt.Errorf("netsim: negative propagation delay")
 	}
-	if cfg.Router.MaxHops() > maxWaypoints {
-		return fmt.Errorf("netsim: router %s routes over %d hops, cells hold at most %d", cfg.Router.Name(), cfg.Router.MaxHops(), maxWaypoints)
+	if err := checkHops(cfg.Router); err != nil {
+		return err
 	}
 	n := cfg.Schedule.N
 	if n > 1<<15 {
@@ -672,9 +753,7 @@ func (s *Sim) init(cfg Config) error {
 		// Rewind allocated VOQ rows in place (a nil row is already the
 		// empty state a fresh Sim would present).
 		for _, row := range s.voq {
-			for i := range row {
-				row[i].head, row[i].tail = 0, 0
-			}
+			clear(row)
 		}
 		clear(s.backlog)
 		clear(s.fresh)
@@ -769,6 +848,7 @@ func (s *Sim) init(cfg Config) error {
 		sh.losses = sh.losses[:0]
 		sh.dirty = sh.dirty[:0]
 		sh.events = sh.events[:0]
+		sh.pool.reset()
 		// Staged stats are drained at every slot barrier, so between
 		// runs only the sample buffers' capacity remains; zero the
 		// counters the same way mergeFrom does, keeping that capacity.
@@ -948,12 +1028,13 @@ func (s *Sim) FailNode(u int) {
 	s.failedCount++
 	s.liveShard[s.shardOf[u]]--
 	sh := &s.shards[0]
+	pool := s.poolOf(u)
 	purged := int64(0)
 	if row := s.voq[u]; row != nil {
 		for v := range row {
 			q := &row[v]
 			for {
-				c, ok := q.pop()
+				c, ok := q.pop(pool)
 				if !ok {
 					break
 				}
@@ -1106,13 +1187,19 @@ func (s *Sim) enqueue(sh *shard, u, next int, c *cell) {
 		}
 		return
 	}
-	q.push(c)
+	q.push(s.poolOf(u), c)
 	s.backlog[u]++
 	sh.dBacklog++
 	if s.backlog[u] == 1 {
 		s.activateSrc(u)
 	}
 }
+
+// poolOf returns the cell pool node u's VOQs draw from: its owning
+// shard's. The landing phase pushes only nodes its shard owns, and the
+// serial calls run between Steps, so every pool has one writer at a
+// time.
+func (s *Sim) poolOf(u int) *cellPool { return &s.shards[s.shardOf[u]].pool }
 
 // voqSlabMax bounds the eager contiguous-slab VOQ layout: up to this
 // many nodes every row is a view into one n×n slab, so the saturated
@@ -1491,6 +1578,7 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 	failedNode := s.failedNode
 	failedLink := s.failedLink
 	hasFailedLink := failedLink != nil
+	pool := &sh.pool
 	list := s.activeSrc[shIdx]
 	if len(list)*2 >= hi-lo {
 		// Saturated shard: most of the node range is active, so the
@@ -1515,7 +1603,7 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 					continue
 				}
 				v := row[u]
-				c, ok := voq[u][v].pop()
+				c, ok := voq[u][v].pop(pool)
 				if !ok {
 					continue
 				}
@@ -1582,7 +1670,7 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 		}
 		for p := 0; p < planes; p++ {
 			v := rows[p][u]
-			c, ok := row[v].pop()
+			c, ok := row[v].pop(pool)
 			if !ok {
 				continue
 			}
@@ -1812,13 +1900,13 @@ func (s *Sim) runSaturatedPerPair(sc SaturationConfig, measureAt, end int64) (*S
 		if row == nil {
 			continue
 		}
+		pool := s.poolOf(u)
 		for v := range row {
-			q := &row[v]
-			for i := q.head; i != q.tail; i++ {
-				if c := &q.buf[i&uint32(len(q.buf)-1)]; c.isFresh() {
+			row[v].each(pool, func(c *cell) {
+				if c.isFresh() {
 					s.freshPair[u*s.n+c.dst(v)]++
 				}
-			}
+			})
 		}
 	}
 	for u := 0; u < s.n; u++ {
@@ -1884,14 +1972,8 @@ func (s *Sim) runSaturatedPerPair(sc SaturationConfig, measureAt, end int64) (*S
 // topology update (§5). In-flight cells land first and are re-routed on
 // landing if their next circuit no longer exists.
 func (s *Sim) Reconfigure(sched *matching.Schedule, router routing.Router) error {
-	if err := sched.Validate(); err != nil {
+	if err := s.checkReconfig(sched, router); err != nil {
 		return err
-	}
-	if sched.N != s.n {
-		return fmt.Errorf("netsim: new schedule over %d nodes, sim over %d", sched.N, s.n)
-	}
-	if router.MaxHops() > maxWaypoints {
-		return fmt.Errorf("netsim: router %s routes over %d hops, cells hold at most %d", router.Name(), router.MaxHops(), maxWaypoints)
 	}
 	if s.obs != nil {
 		s.obs.Emit(obs.Event{Slot: s.slot, Type: obs.EvReconfigBegin, Src: -1, Dst: -1})
@@ -1919,16 +2001,21 @@ func (s *Sim) Reconfigure(sched *matching.Schedule, router routing.Router) error
 		if row == nil {
 			continue
 		}
+		// Re-enqueueing pushes into the pool being popped, which may
+		// reuse the chunk a pop just freed: reroute a copy of the cell.
+		pool := s.poolOf(u)
 		for v := range row {
 			q := &row[v]
 			for {
-				c, ok := q.pop()
+				c, ok := q.pop(pool)
 				if !ok {
 					break
 				}
-				s.rerouteFrom(sh, u, c)
+				cc := *c
+				s.rerouteFrom(sh, u, &cc)
 				moved++
 			}
+			q.drop(pool)
 		}
 	}
 	// Fold before the commit event, so the flow_finish events of cells
@@ -1936,6 +2023,32 @@ func (s *Sim) Reconfigure(sched *matching.Schedule, router routing.Router) error
 	s.fold(sh)
 	if s.obs != nil {
 		s.obs.Emit(obs.Event{Slot: s.slot, Type: obs.EvReconfigCommit, Src: -1, Dst: -1, Cells: moved})
+	}
+	return nil
+}
+
+// checkReconfig rejects what Reconfigure cannot take: a missing or
+// invalid schedule, one over a different node count, or a router whose
+// routes outgrow a cell. Reconfigure and ReconfigureGraceful both call
+// it before they change any state.
+func (s *Sim) checkReconfig(sched *matching.Schedule, router routing.Router) error {
+	if sched == nil || router == nil {
+		return fmt.Errorf("netsim: schedule and router are required")
+	}
+	if err := sched.Validate(); err != nil {
+		return err
+	}
+	if sched.N != s.n {
+		return fmt.Errorf("netsim: new schedule over %d nodes, sim over %d", sched.N, s.n)
+	}
+	return checkHops(router)
+}
+
+// checkHops rejects a router whose routes exceed the waypoints a cell
+// holds.
+func checkHops(r routing.Router) error {
+	if r.MaxHops() > maxWaypoints {
+		return fmt.Errorf("netsim: router %s routes over %d hops, cells hold at most %d", r.Name(), r.MaxHops(), maxWaypoints)
 	}
 	return nil
 }
@@ -2005,11 +2118,8 @@ func (s *Sim) AffectedPairs() float64 {
 // be force-re-routed because the drain window expired. A SORN q
 // rebalance (fixed neighbor superset) drains in zero slots.
 func (s *Sim) ReconfigureGraceful(sched *matching.Schedule, router routing.Router, maxDrainSlots int64) (drainSlots, rerouted int64, err error) {
-	if err := sched.Validate(); err != nil {
+	if err := s.checkReconfig(sched, router); err != nil {
 		return 0, 0, err
-	}
-	if sched.N != s.n {
-		return 0, 0, fmt.Errorf("netsim: new schedule over %d nodes, sim over %d", sched.N, s.n)
 	}
 	newCS := newCircuitSet(sched)
 	removedBacklog := func() int64 {

@@ -855,6 +855,43 @@ func TestReconfigureGracefulValidation(t *testing.T) {
 	}
 }
 
+// TestReconfigureGracefulRejectsLongRouterFirst: a graceful swap to a
+// router whose routes outgrow a cell is refused before the drain loop,
+// so not one slot runs under the old schedule and Stats stay as they
+// were. A 16-node VLB run is handed a 4D ORN router (8 hops).
+func TestReconfigureGracefulRejectsLongRouterFirst(t *testing.T) {
+	o, err := schedule.BuildOptimalORN(16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := routing.NewORN(o)
+	flat := matching.RoundRobin(16)
+	vlb, err := routing.NewVLB(matching.Compile(flat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newSim(t, flat, vlb, 3)
+	s.StartMeasuring()
+	for src := 0; src < 16; src++ {
+		s.InjectFlow(src, (src+5)%16, 40)
+	}
+	s.Step()
+	slot := s.Slot()
+	before := *s.Stats()
+	if _, _, err := s.ReconfigureGraceful(o.Schedule, long, 50); err == nil {
+		t.Fatal("ReconfigureGraceful accepted an 8-hop router")
+	}
+	if s.Slot() != slot {
+		t.Fatalf("refused ReconfigureGraceful stepped from slot %d to %d", slot, s.Slot())
+	}
+	if diff, ok := before.BitIdentical(s.Stats()); !ok {
+		t.Fatalf("refused ReconfigureGraceful changed Stats: %s", diff)
+	}
+	if _, _, err := s.ReconfigureGraceful(nil, vlb, 50); err == nil {
+		t.Fatal("ReconfigureGraceful accepted a nil schedule")
+	}
+}
+
 func TestLatencyByHopsSeparatesClasses(t *testing.T) {
 	// In a SORN under mixed traffic, 3-hop (inter-clique) cells must be
 	// slower than 1-2 hop (intra-clique) cells, visible in one run.
@@ -1370,12 +1407,11 @@ func TestReconfigureWithFreshCellsQueued(t *testing.T) {
 			continue
 		}
 		for v := range row {
-			q := &row[v]
-			for i := q.head; i != q.tail; i++ {
-				if q.buf[i&uint32(len(q.buf)-1)].isFresh() {
+			row[v].each(s.poolOf(u), func(c *cell) {
+				if c.isFresh() {
 					perNode[u]++
 				}
-			}
+			})
 		}
 	}
 	for u := range perNode {

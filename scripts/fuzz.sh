@@ -9,7 +9,10 @@
 #      (repro -exp table1 with fuzzed -n, -uplinks, -slot, -prop and -x:
 #      an error or a finite table, never a panic), FuzzPoissonWindow in
 #      internal/workload (flow windows over fuzzed locality workloads
-#      must equal the reference append-and-sort generator flow for flow)
+#      must equal the reference append-and-sort generator flow for flow),
+#      FuzzFIFO in internal/netsim (push, pop, purge and drop sequences on
+#      the chunked VOQs of one cell pool against a slice-of-slices
+#      reference, with every chunk either held by one queue or free)
 #      and FuzzSornsimFlags in cmd/sornsim (sornsim's three simulation
 #      modes on 16 nodes with fuzzed flags and specs: an error or a
 #      report with no NaN, infinity or negative number, never a panic).
@@ -51,6 +54,8 @@ echo "== go fuzz: FuzzTable1Flags in ./cmd/repro for 30s"
 go test ./cmd/repro -run '^$' -fuzz '^FuzzTable1Flags$' -fuzztime 30s -parallel 1
 echo "== go fuzz: FuzzPoissonWindow in ./internal/workload for 30s"
 go test ./internal/workload -run '^$' -fuzz '^FuzzPoissonWindow$' -fuzztime 30s -parallel 1
+echo "== go fuzz: FuzzFIFO in ./internal/netsim for 30s"
+go test ./internal/netsim -run '^$' -fuzz '^FuzzFIFO$' -fuzztime 30s -parallel 1
 echo "== go fuzz: FuzzSornsimFlags in ./cmd/sornsim for 30s"
 go test ./cmd/sornsim -run '^$' -fuzz '^FuzzSornsimFlags$' -fuzztime 30s -parallel 1
 
