@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -222,5 +223,38 @@ func TestFindingString(t *testing.T) {
 	const want = "x.go:12:2: range over map m appends to a slice (maporder)"
 	if got := f.String(); got != want {
 		t.Errorf("Finding.String() = %q, want %q", got, want)
+	}
+}
+
+// TestParseDirHonorsBuildConstraints: a package split by target system,
+// one file per system declaring the same function, must load the way
+// go build selects its files, not as a redeclaration.
+func TestParseDirHonorsBuildConstraints(t *testing.T) {
+	dir := t.TempDir()
+	other := "windows"
+	if runtime.GOOS == other {
+		other = "linux"
+	}
+	for name, src := range map[string]string{
+		"a.go":                           "package p\n\nfunc f() {}\n",
+		"b_" + other + ".go":             "package p\n\nfunc f() {}\n",
+		"c.go":                           "//go:build ignore\n\npackage p\n\nfunc f() {}\n",
+		"d_" + runtime.GOOS + "_test.go": "package p\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files, _, err := sharedLoader(t).parseDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range files {
+		got = append(got, filepath.Base(sharedLoader(t).fset.File(f.Pos()).Name()))
+	}
+	sort.Strings(got)
+	if want := []string{"a.go", "d_" + runtime.GOOS + "_test.go"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("parsed %v, want %v", got, want)
 	}
 }

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -168,8 +169,10 @@ func (l *Loader) importPathFor(dir string) (string, error) {
 	return l.ModulePath + "/" + filepath.ToSlash(rel), nil
 }
 
-// parseDir parses every .go file in dir, returning the files and which
-// of them are _test.go files.
+// parseDir parses every .go file in dir that builds for the host
+// (file-name GOOS/GOARCH suffixes and //go:build lines, as go build
+// selects them), returning the files and which of them are _test.go
+// files.
 func (l *Loader) parseDir(dir string) ([]*ast.File, map[*ast.File]bool, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -180,6 +183,11 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, map[*ast.File]bool, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, "_") || strings.HasPrefix(name, ".") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)

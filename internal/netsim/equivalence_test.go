@@ -188,6 +188,90 @@ func TestDenseActiveEquivalenceReconfigure(t *testing.T) {
 	})
 }
 
+func TestDenseActiveEquivalenceSaturated(t *testing.T) {
+	// The active engine's saturated branch (most of a shard's sources
+	// backlogged: a plane-major scan over the node range) against the
+	// dense reference, under both saturation modes. Queues are deep
+	// enough that a slot's pops finish chunks, and a failed link and a
+	// failed node between the two runs send that branch through its
+	// loss path and its skip of sources missing from the active list.
+	// Both runs measure from their first slot, so conservation covers
+	// every cell. bigPools grows the cell pools past splitTransmitCells
+	// first, so the saturated branch runs its two-pass split; otherwise
+	// it runs the one-pass loop.
+	for _, perPair := range []bool{false, true} {
+		for _, bigPools := range []bool{false, true} {
+			t.Run(fmt.Sprintf("perPair=%v/bigPools=%v", perPair, bigPools), func(t *testing.T) {
+				runDenseActive(t, func(t *testing.T, dense bool, workers int) *Sim {
+					n := 32
+					sc, err := schedule.BuildSORN(schedule.SORNConfig{N: n, Nc: 4, Q: 2})
+					if err != nil {
+						t.Fatal(err)
+					}
+					s, err := newEngine(Config{Schedule: sc.Schedule, Router: routing.NewSORN(sc),
+						SlotNS: 100, PropNS: 300, Seed: 19, LatencySampleEvery: 4,
+						Planes: 2, Workers: workers}, dense)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if bigPools {
+						growPools(s, splitTransmitCells)
+					}
+					tm, err := workload.Locality(sc.Cliques, 0.5)
+					if err != nil {
+						t.Fatal(err)
+					}
+					satCfg := SaturationConfig{TM: tm, Size: workload.FixedSize(3),
+						TargetBacklog: 160, MeasureSlots: 400}
+					if perPair {
+						satCfg.PerPairBacklog = 6
+					}
+					if _, err := s.RunSaturated(satCfg); err != nil {
+						t.Fatal(err)
+					}
+					if deep := deepVOQs(s); deep < n {
+						t.Fatalf("only %d VOQs hold more than two chunks; the scenario must free chunks every slot", deep)
+					}
+					lost := s.Stats().LostCells
+					s.FailLink(1, 2)
+					s.FailLink(6, 20)
+					s.FailNode(5)
+					if _, err := s.RunSaturated(satCfg); err != nil {
+						t.Fatal(err)
+					}
+					if s.Stats().LostCells == lost {
+						t.Fatal("no cell was lost after the failures; the transmit loss path did not run")
+					}
+					return s
+				})
+			})
+		}
+	}
+}
+
+// growPools grows every shard's cell pool to at least cells cells.
+func growPools(s *Sim, cells int) {
+	for i := range s.shards {
+		for p := &s.shards[i].pool; len(p.cells) < cells; {
+			p.grow()
+		}
+	}
+}
+
+// deepVOQs counts the queues holding more than two chunks' worth of
+// cells.
+func deepVOQs(s *Sim) int {
+	deep := 0
+	for _, row := range s.voq {
+		for v := range row {
+			if row[v].len() > 2*chunkCells {
+				deep++
+			}
+		}
+	}
+	return deep
+}
+
 func TestDenseActiveEquivalenceResetReuse(t *testing.T) {
 	// Pooled reuse across engines: a simulator dirtied under one engine
 	// and Reset must be indistinguishable from a fresh simulator. Reset

@@ -39,6 +39,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"repro/internal/matching"
 	"repro/internal/obs"
@@ -153,6 +154,9 @@ type cell struct {
 	idx  uint8
 }
 
+// cellBytes is the size of a cell.
+const cellBytes = int(unsafe.Sizeof(cell{}))
+
 // freshBit marks a cell still queued at its source, never transmitted.
 const freshBit = 0x80
 
@@ -223,7 +227,8 @@ func (p *cellPool) release(k uint32) {
 }
 
 // grow doubles the pool. Storage is sized with make, not append, so a
-// pool at its peak holds exactly its chunk count.
+// pool at its peak holds exactly its chunk count. A large cell array is
+// advised for huge pages before the copy first touches it.
 //
 //sornlint:coldpath
 func (p *cellPool) grow() {
@@ -232,6 +237,7 @@ func (p *cellPool) grow() {
 		chunks = 64
 	}
 	cells := make([]cell, chunks*chunkCells)
+	adviseHugePages(cells)
 	copy(cells, p.cells)
 	next := make([]int32, chunks)
 	copy(next, p.next)
@@ -241,23 +247,26 @@ func (p *cellPool) grow() {
 // fifo is one VOQ: a chain of chunks in the pool of the shard that owns
 // the queue's node. head and tail are cell positions in that pool —
 // the next cell to pop (meaningless while the queue holds no chunk) and
-// where the next push writes — and n counts the queued cells. Emptiness is the count, not head == tail: the end of one
-// chunk and the start of the next are the same position. A queue with a
-// full last chunk (tail at a chunk boundary) takes a new chunk on its
-// next push, and an empty one keeps its last chunk unless a pop just
-// finished it, so an empty queue holds at most one chunk. Staged: each
-// VOQ belongs to exactly one shard's node range (pops by source
+// where the next push writes. The queued-cell count is tail − mark
+// (uint32 arithmetic), so a push moves only tail; pops and links move
+// mark instead. Emptiness is that count, not head == tail: the end of
+// one chunk and the start of the next are the same position. A queue
+// with a full last chunk (tail at a chunk boundary) takes a new chunk
+// on its next push, and an empty one keeps its last chunk unless a pop
+// just finished it, so an empty queue holds at most one chunk. Staged:
+// each VOQ belongs to exactly one shard's node range (pops by source
 // ownership, pushes by destination ownership), so phase-time mutation
 // is race-free by partition.
 //
 //sornlint:staged
 type fifo struct {
 	head, tail uint32
-	n          uint32
+	mark       uint32 // tail − queued cells
 }
 
 // push appends a cell, taking a new chunk (link) once every chunkCells
-// pushes.
+// pushes. It stays within the inliner's budget, so an enqueue pays a
+// call only when the push takes a new chunk.
 //
 //sornlint:hotpath
 func (f *fifo) push(p *cellPool, c *cell) {
@@ -266,36 +275,41 @@ func (f *fifo) push(p *cellPool, c *cell) {
 	}
 	p.cells[f.tail] = *c
 	f.tail++
-	f.n++
 }
 
 // link moves the tail of a queue whose last chunk is full, or that has
 // none, to the start of a new chunk.
 func (f *fifo) link(p *cellPool) {
 	k := p.take()
-	if f.n == 0 {
+	n := f.tail - f.mark
+	if n == 0 {
 		f.head = k * chunkCells
 	} else {
 		p.next[(f.tail-1)/chunkCells] = int32(k)
 	}
 	f.tail = k * chunkCells
+	f.mark = f.tail - n
 }
 
-// pop removes the head cell, returning a pointer into the pool. The
-// pointee stays valid until the next push into the same pool, which in
-// a phase-sharded Step cannot happen before the caller is done with it
-// (pops happen in the transmit phase, pushes in landing/injection); a
-// serial caller that pushes between pops copies the cell first. Popping
-// a chunk's last cell frees the chunk and moves head to the next one.
+// pop removes the head cell, returning a pointer into the pool. Pops
+// never write cell memory (a finished chunk's link word lives in
+// cellPool.next), so the pointee stays valid until the next push into
+// the same pool, even across further pops. In a phase-sharded Step no
+// push can come before the caller is done with it (pops happen in the
+// transmit phase, pushes in landing/injection), which is what lets the
+// saturated transmit pop a whole plane before it reads any popped
+// cell; a serial caller that pushes between pops copies the cell
+// first. Popping a chunk's last cell frees the chunk and moves head to
+// the next one.
 //
 //sornlint:hotpath
 func (f *fifo) pop(p *cellPool) (*cell, bool) {
-	if f.n == 0 {
+	if f.tail == f.mark {
 		return nil, false
 	}
 	c := &p.cells[f.head]
 	f.head++
-	f.n--
+	f.mark++
 	if f.head%chunkCells == 0 {
 		k := f.head/chunkCells - 1
 		f.head = uint32(p.next[k]) * chunkCells
@@ -304,12 +318,12 @@ func (f *fifo) pop(p *cellPool) (*cell, bool) {
 	return c, true
 }
 
-func (f *fifo) len() int { return int(f.n) }
+func (f *fifo) len() int { return int(f.tail - f.mark) }
 
 // each calls fn for every queued cell, head to tail.
 func (f *fifo) each(p *cellPool, fn func(*cell)) {
 	pos := f.head
-	for i := f.n; i > 0; i-- {
+	for i := f.len(); i > 0; i-- {
 		fn(&p.cells[pos])
 		pos++
 		if pos%chunkCells == 0 && i > 1 {
@@ -432,13 +446,22 @@ type shard struct {
 	// if shard 0 had staged too. A serial Step, and the fold after a
 	// serial call, therefore never copy counters or samples.
 	st       *Stats
-	stats    Stats       // staged counter/sample deltas (unused by shard 0)
-	losses   []flowLoss  // staged FlowState.lost increments
-	dirty    []int32     // staged per-pair saturation worklist entries
-	landed   int32       // cells this shard wrote into the delay line this slot
-	dBacklog int64       // staged Sim.totalBacklog delta
-	events   []obs.Event // staged trace events, drained in shard order
-	pool     cellPool    // cell storage of the VOQs of nodes [lo, hi)
+	stats    Stats        // staged counter/sample deltas (unused by shard 0)
+	losses   []flowLoss   // staged FlowState.lost increments
+	dirty    []int32      // staged per-pair saturation worklist entries
+	landed   int32        // cells this shard wrote into the delay line this slot
+	dBacklog int64        // staged Sim.totalBacklog delta
+	events   []obs.Event  // staged trace events, drained in shard order
+	pool     cellPool     // cell storage of the VOQs of nodes [lo, hi)
+	popped   []poppedCell // the saturated transmit's pops of one plane, one per node of [lo, hi)
+}
+
+// poppedCell is one pop of the saturated transmit waiting to be forwarded:
+// the cell, still in its pool (see fifo.pop), and the circuit u→v it
+// leaves on.
+type poppedCell struct {
+	c    *cell
+	u, v int32
 }
 
 // circuitSet records which directed circuits a schedule ever opens —
@@ -849,6 +872,9 @@ func (s *Sim) init(cfg Config) error {
 		sh.dirty = sh.dirty[:0]
 		sh.events = sh.events[:0]
 		sh.pool.reset()
+		if len(sh.popped) != sh.hi-sh.lo {
+			sh.popped = make([]poppedCell, sh.hi-sh.lo)
+		}
 		// Staged stats are drained at every slot barrier, so between
 		// runs only the sample buffers' capacity remains; zero the
 		// counters the same way mergeFrom does, keeping that capacity.
@@ -1541,6 +1567,77 @@ func (s *Sim) deliver(sh *shard, v int, c *cell) {
 	}
 }
 
+// splitTransmitCells is the pool size, in cells (4 MiB), from which the
+// saturated transmit pops a plane before it reads the popped cells.
+const splitTransmitCells = 4 << 20 / cellBytes
+
+// transmitPlaneSplit is the saturated transmit of plane p over shard
+// sh's node range, in two passes. The first pops every listed source's
+// head cell into sh.popped and does the backlog bookkeeping without
+// reading a cell; the second reads the cells for the fresh and loss
+// accounting and the ring write, so the cache misses of a plane's cells
+// overlap instead of each stalling the loop. The pointers stay valid:
+// pops never write cell memory, and nothing pushes into a pool during
+// the transmit phase. Each pass keeps source order, so every staged
+// effect lands in the order the one-pass loop gives. It returns the
+// cells popped, the cells written into the delay line and the sources
+// drained.
+//
+//sornlint:hotpath
+func (s *Sim) transmitPlaneSplit(sh *shard, p, landBase int, checkPos bool) (pops, landed int32, drained int) {
+	st := sh.st
+	measuring := s.measuring
+	row := s.matchRows[p]
+	voq := s.voq
+	backlog := s.backlog
+	srcPos := s.srcPos
+	failedNode := s.failedNode
+	failedLink := s.failedLink
+	hasFailedLink := failedLink != nil
+	pool := &sh.pool
+	pending := sh.popped
+	m := 0
+	for u := sh.lo; u < sh.hi; u++ {
+		if checkPos && srcPos[u] < 0 {
+			continue
+		}
+		v := row[u]
+		c, ok := voq[u][v].pop(pool)
+		if !ok {
+			continue
+		}
+		nb := backlog[u] - 1
+		backlog[u] = nb
+		if nb == 0 {
+			drained++
+		}
+		pending[m] = poppedCell{c: c, u: int32(u), v: int32(v)}
+		m++
+	}
+	for _, pc := range pending[:m] {
+		c, u, v := pc.c, int(pc.u), int(pc.v)
+		if c.isFresh() {
+			s.noteFreshConsumed(sh, u, c.dst(v))
+			c.hops &^= freshBit
+		}
+		if failedNode[v] || (hasFailedLink && failedLink[u] != nil && failedLink[u][v]) {
+			sh.losses = append(sh.losses, flowLoss{flow: c.flow, cells: 1})
+			if measuring {
+				st.LostCells++
+			}
+			continue
+		}
+		if measuring {
+			st.SentCells++
+		}
+		j := landBase + v*s.planes + p
+		s.ringCells[j] = *c
+		s.ringOcc[j] = true
+		landed++
+	}
+	return int32(m), landed, drained
+}
+
 // transmitShardActive is the active-set transmit phase: instead of
 // scanning all of [lo, hi) per plane, it visits only the shard's
 // sources with queued cells, removing each from the list the moment it
@@ -1596,7 +1693,21 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 		// the steady saturated state.
 		checkPos := len(list) != hi-lo
 		drained := 0
+		// A pool past splitTransmitCells is far larger than the cache,
+		// so nearly every popped cell is a miss: transmitPlaneSplit pops
+		// the whole plane before it reads a cell. A smaller pool's cells
+		// mostly hit, and the split's scratch traffic costs more than it
+		// hides, so the pool's size picks the loop.
+		split := len(pool.cells) >= splitTransmitCells
 		for p := 0; p < planes; p++ {
+			if split {
+				np, nl, nd := s.transmitPlaneSplit(sh, p, landBase, checkPos)
+				pops += int64(np)
+				dBacklog -= int64(np)
+				landed += nl
+				drained += nd
+				continue
+			}
 			row := rows[p]
 			for u := lo; u < hi; u++ {
 				if checkPos && srcPos[u] < 0 {

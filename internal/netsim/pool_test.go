@@ -14,7 +14,7 @@ import (
 // queueChunks returns the chunks f holds, head to tail, checking that
 // its links stay inside the pool and end where its tail says.
 func queueChunks(p *cellPool, f *fifo) ([]uint32, error) {
-	if f.n == 0 {
+	if f.len() == 0 {
 		if f.tail%chunkCells != 0 {
 			return []uint32{f.tail / chunkCells}, nil
 		}
@@ -25,7 +25,7 @@ func queueChunks(p *cellPool, f *fifo) ([]uint32, error) {
 		return nil, fmt.Errorf("head %d outside the %d chunks handed out", pos, p.used)
 	}
 	ks := []uint32{pos / chunkCells}
-	for i := f.n; i > 1; i-- {
+	for i := f.len(); i > 1; i-- {
 		pos++
 		if pos%chunkCells == 0 {
 			k := p.next[pos/chunkCells-1]
@@ -37,7 +37,7 @@ func queueChunks(p *cellPool, f *fifo) ([]uint32, error) {
 		}
 	}
 	if f.tail != pos+1 {
-		return nil, fmt.Errorf("%d cells from head %d end at %d, tail is %d", f.n, f.head, pos, f.tail)
+		return nil, fmt.Errorf("%d cells from head %d end at %d, tail is %d", f.len(), f.head, pos, f.tail)
 	}
 	return ks, nil
 }

@@ -7,6 +7,13 @@
 #   1. gofmt -l              -- no formatting drift anywhere in the tree
 #   2. go build ./...        -- the module compiles
 #   3. go vet ./...          -- stdlib vet findings
+#      inlining              -- `go build -gcflags=-m ./internal/netsim`
+#                               still reports that (*fifo).push and
+#                               (*fifo).pop inline: every VOQ push and
+#                               pop of a saturated slot sits on the hot
+#                               path, and a push that stops inlining
+#                               pays a call per enqueue (a few percent
+#                               of a cache-resident Step)
 #   4. sornlint              -- this repo's determinism & correctness
 #                               rules (internal/lint), run with -json
 #                               against the committed lint_baseline.json:
@@ -106,6 +113,15 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== (*fifo).push and (*fifo).pop inline"
+inlining="$(go build -gcflags=-m ./internal/netsim 2>&1)"
+for fn in push pop; do
+  if ! grep -qF "can inline (*fifo).$fn" <<<"$inlining"; then
+    echo "(*fifo).$fn no longer inlines; see go build -gcflags=-m=2 ./internal/netsim for its cost" >&2
+    exit 1
+  fi
+done
 
 echo "== sornlint -json -baseline lint_baseline.json ./..."
 lint_start=$SECONDS
