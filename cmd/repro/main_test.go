@@ -6,9 +6,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 )
 
@@ -98,6 +100,80 @@ func TestRunRejectsBadInput(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzFig2fFlags drives repro -exp fig2f -sim=false with fuzzed -n,
+// -nc, -step and -cap: only schedule builds and fluid solves, no packet
+// simulation. Inputs over 256 nodes or with a step under 0.05 (more
+// than 21 grid points) are skipped, so no input builds a huge schedule
+// or runs a long sweep. run must return an error or a table, never
+// panic, and every row's fluid θ must lie in (0, thetaCap(x, k)].
+func FuzzFig2fFlags(f *testing.F) {
+	f.Add(32, 4, 0.5, 1333)
+	f.Add(128, 8, 0.25, 1333)
+	f.Add(16, 16, 1.0, 1)
+	f.Add(12, 3, 0.1, 5)
+	f.Add(64, 1, 0.3, 1333)
+	f.Add(0, 0, 0.5, 1333)
+	f.Add(30, 4, 0.5, 1333)
+	f.Add(32, 4, math.NaN(), 0)
+	f.Fuzz(func(t *testing.T, n, nc int, step float64, sizeCap int) {
+		if n > 256 || step < 0.05 {
+			t.Skip()
+		}
+		// Every input visits new (n, nc, q) keys; keep the process-wide
+		// build cache from holding all of them.
+		core.SharedBuilds.Reset()
+		args := []string{"-exp", "fig2f", "-sim=false", "-csv",
+			fmt.Sprintf("-n=%d", n), fmt.Sprintf("-nc=%d", nc),
+			fmt.Sprintf("-step=%v", step), fmt.Sprintf("-cap=%d", sizeCap)}
+		var out bytes.Buffer
+		if err := run(args, &out); err != nil {
+			return
+		}
+		if n == 0 {
+			n = 128
+		}
+		if nc == 0 {
+			nc = 8
+		}
+		rows := 0
+		for _, line := range strings.Split(out.String(), "\n") {
+			cols := strings.Split(line, ",")
+			x, errX := strconv.ParseFloat(cols[0], 64)
+			if len(cols) != 6 || errX != nil {
+				continue
+			}
+			rows++
+			theta, err := strconv.ParseFloat(cols[2], 64)
+			if err != nil {
+				t.Fatalf("repro %s: fluid θ %q in row %q", strings.Join(args, " "), cols[2], line)
+			}
+			// The table rounds θ to 4 decimals.
+			if limit := thetaCap(x, n/nc); !(theta > 0 && theta <= limit+5e-5) {
+				t.Fatalf("repro %s: fluid θ %v outside (0, %.4f] in row %q",
+					strings.Join(args, " "), theta, limit, line)
+			}
+		}
+		if rows == 0 {
+			t.Fatalf("repro %s printed no rows:\n%s", strings.Join(args, " "), out.Bytes())
+		}
+	})
+}
+
+// thetaCap bounds the fluid θ of a SORN with cliques of k nodes under a
+// saturation matrix with intra-clique fraction x. Every node sends and
+// receives one unit of capacity, so θ·h ≤ 1 for the demand-weighted
+// mean hop count h. Intra traffic takes the direct path with
+// probability 1/(k−1) and two hops otherwise, and inter traffic takes at
+// least one hop, so h ≥ x·(2k−3)/(k−1) + (1−x). At x = 1 this is 2-hop
+// VLB's (k−1)/(2k−3), which tops 1/2 for small cliques (0.5063 at
+// n=32, nc=4).
+func thetaCap(x float64, k int) float64 {
+	if k < 2 {
+		return 1
+	}
+	return 1 / (x*float64(2*k-3)/float64(k-1) + (1 - x))
 }
 
 // FuzzTable1Flags drives repro -exp table1 with fuzzed deployment flags.

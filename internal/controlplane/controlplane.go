@@ -320,22 +320,15 @@ func rebuildOnCliques(cl *schedule.Cliques, q float64) (*schedule.SORN, error) {
 	if err != nil {
 		return nil, err
 	}
-	// contiguous id for node v = clique*k + localIndex; invert it.
+	// contiguous id for node v = clique*k + localIndex; rename each
+	// contiguous id to its real node (one relabeled copy per distinct
+	// matching of the base schedule).
 	toReal := make([]int, n) // contiguous -> real
 	for v := 0; v < n; v++ {
 		toReal[cl.CliqueOf(v)*k+cl.LocalIndex(v)] = v
 	}
-	fromReal := make([]int, n)
-	for c, r := range toReal {
-		fromReal[r] = c
-	}
-	relabeled := base.Schedule.Clone()
-	for t, m := range base.Schedule.Slots {
-		for contig, dstContig := range m {
-			relabeled.Slots[t][toReal[contig]] = toReal[dstContig]
-		}
-	}
-	if err := relabeled.Validate(); err != nil {
+	relabeled, err := base.Schedule.Relabel(toReal)
+	if err != nil {
 		return nil, fmt.Errorf("controlplane: relabeled schedule invalid: %w", err)
 	}
 	return &schedule.SORN{

@@ -57,6 +57,16 @@ func NewBuildCache() *BuildCache {
 // maximizes hits.
 var SharedBuilds = NewBuildCache()
 
+// Reset drops every cached build; Networks already handed out stay
+// valid. A long-lived process that visits an unbounded set of keys (a
+// fuzzer driving the sweeps with random sizes and localities) calls it
+// between runs, so the cache does not keep every build it ever made.
+func (c *BuildCache) Reset() {
+	c.mu.Lock()
+	clear(c.m)
+	c.mu.Unlock()
+}
+
 // get returns the cached network for key, building it on first use.
 // Errors are cached too: a sweep asking for an impossible build (say,
 // nc not dividing n) fails fast on every point, not just the first.

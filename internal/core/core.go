@@ -83,7 +83,7 @@ func NewORN1D(n int) (*Network, error) {
 		return nil, fmt.Errorf("core: 1D ORN needs at least 2 nodes, got %d", n)
 	}
 	sched := schedule.RoundRobin1D(n)
-	v, err := routing.NewVLB(matching.Compile(sched))
+	v, err := routing.NewVLB(sched)
 	if err != nil {
 		return nil, err
 	}

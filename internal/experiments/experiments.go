@@ -366,7 +366,7 @@ func BlastRadius(n, nc int, q float64, sweepWorkers int) ([]BlastRow, error) {
 			return BlastRow{Design: fmt.Sprintf("SORN Nc=%d", nc),
 				NodeBlast: sornNode, IntraLink: sornIntra, InterLink: sornInter}, nil
 		}
-		vlb, err := routing.NewVLB(matching.Compile(matching.RoundRobin(n)))
+		vlb, err := routing.NewVLB(matching.RoundRobin(n))
 		if err != nil {
 			return BlastRow{}, err
 		}

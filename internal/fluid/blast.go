@@ -12,6 +12,9 @@ import (
 // argues modular (SORN-style) designs shrink relative to flat oblivious
 // designs, where any link failure can touch flows between any pair.
 func LinkBlastRadius(n int, router routing.Router, failU, failV int) (float64, error) {
+	if !inRange(failU, n) || !inRange(failV, n) {
+		return 0, fmt.Errorf("fluid: failed link %d->%d outside [0, %d)", failU, failV, n)
+	}
 	return blastRadius(n, router, func(p routing.Route) bool {
 		for i := 0; i+1 < len(p); i++ {
 			if p[i] == failU && p[i+1] == failV {
@@ -26,6 +29,9 @@ func LinkBlastRadius(n int, router routing.Router, failU, failV int) (float64, e
 // sourced at or destined to the failed node, which are lost regardless of
 // design) whose path distribution transits the failed node.
 func NodeBlastRadius(n int, router routing.Router, fail int) (float64, error) {
+	if !inRange(fail, n) {
+		return 0, fmt.Errorf("fluid: failed node %d outside [0, %d)", fail, n)
+	}
 	return blastRadius(n, router, func(p routing.Route) bool {
 		for _, node := range p[1 : len(p)-1] {
 			if node == fail {
@@ -40,6 +46,9 @@ func blastRadius(n int, router routing.Router, hit func(routing.Route) bool, ski
 	if n < 2 {
 		return 0, fmt.Errorf("fluid: blast radius needs n >= 2, got %d", n)
 	}
+	if router.N() != n {
+		return 0, fmt.Errorf("fluid: router %s over %d nodes, blast radius over %d", router.Name(), router.N(), n)
+	}
 	affected, total := 0, 0
 	found := false
 	visit := func(p routing.Route, prob float64) {
@@ -47,6 +56,7 @@ func blastRadius(n int, router routing.Router, hit func(routing.Route) bool, ski
 			found = true
 		}
 	}
+	buf := make(routing.Route, 0, router.MaxHops()+1)
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
 			if src == dst || skip(src, dst) {
@@ -54,7 +64,7 @@ func blastRadius(n int, router routing.Router, hit func(routing.Route) bool, ski
 			}
 			total++
 			found = false
-			router.Paths(src, dst, visit)
+			buf = router.Paths(buf, src, dst, visit)
 			if found {
 				affected++
 			}
@@ -65,3 +75,6 @@ func blastRadius(n int, router routing.Router, hit func(routing.Route) bool, ski
 	}
 	return float64(affected) / float64(total), nil
 }
+
+// inRange reports whether node lies in [0, n).
+func inRange(node, n int) bool { return node >= 0 && node < n }

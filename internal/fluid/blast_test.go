@@ -12,7 +12,7 @@ func TestBlastRadiusVLBIsGlobal(t *testing.T) {
 	// In a flat VLB design, any node failure touches flows between every
 	// pair (every node is an intermediate for everyone).
 	n := 16
-	v, _ := routing.NewVLB(matching.Compile(matching.RoundRobin(n)))
+	v, _ := routing.NewVLB(matching.RoundRobin(n))
 	b, err := NodeBlastRadius(n, v, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +35,7 @@ func TestBlastRadiusSORNIsModular(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _ := routing.NewVLB(matching.Compile(matching.RoundRobin(64)))
+	v, _ := routing.NewVLB(matching.RoundRobin(64))
 	flat, err := NodeBlastRadius(64, v, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestLinkBlastRadiusIntraVsInter(t *testing.T) {
 func TestBlastRadiusDirectIsMinimal(t *testing.T) {
 	// Direct routing: a failed link affects exactly one pair.
 	n := 8
-	d, _ := routing.NewDirect(matching.Compile(matching.RoundRobin(n)))
+	d, _ := routing.NewDirect(matching.RoundRobin(n))
 	b, err := LinkBlastRadius(n, d, 0, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestBlastRadiusDirectIsMinimal(t *testing.T) {
 }
 
 func TestBlastRadiusErrors(t *testing.T) {
-	d, _ := routing.NewDirect(matching.Compile(matching.RoundRobin(4)))
+	d, _ := routing.NewDirect(matching.RoundRobin(4))
 	if _, err := LinkBlastRadius(1, d, 0, 1); err == nil {
 		t.Error("n=1 accepted")
 	}

@@ -43,6 +43,9 @@ func Solve(s *matching.Schedule, router routing.Router, tm *workload.Matrix) (*R
 	if tm.N != s.N {
 		return nil, fmt.Errorf("fluid: matrix over %d nodes, schedule over %d", tm.N, s.N)
 	}
+	if router.N() != s.N {
+		return nil, fmt.Errorf("fluid: router %s over %d nodes, schedule over %d", router.Name(), router.N(), s.N)
+	}
 	if err := tm.Validate(); err != nil {
 		return nil, err
 	}
@@ -53,7 +56,7 @@ func Solve(s *matching.Schedule, router routing.Router, tm *workload.Matrix) (*R
 	// 1/period. (Accumulating float64 increments of 1/period drifts for
 	// non-power-of-2 periods once a link repeats.)
 	n := s.N
-	slotCount := make([]int, n*n)
+	slotCount := make([]int32, n*n)
 	for _, m := range s.Slots {
 		for u, v := range m {
 			slotCount[u*n+v]++
@@ -61,8 +64,10 @@ func Solve(s *matching.Schedule, router routing.Router, tm *workload.Matrix) (*R
 	}
 
 	// Expected loads from the router's path distribution, accumulated in
-	// src, dst, Paths, hop order. One visit closure serves every pair; it
-	// reads the pair's rate and must not keep the lent path.
+	// src, dst, Paths, hop order. One visit closure and one path buffer
+	// serve every pair; visit reads the pair's rate and must not keep the
+	// lent path. Hops are only range-checked here: whether each loaded
+	// link exists is checked once per link after accumulation.
 	load := make([]float64, n*n)
 	var (
 		rate, hopWeighted float64
@@ -72,14 +77,15 @@ func Solve(s *matching.Schedule, router routing.Router, tm *workload.Matrix) (*R
 		hopWeighted += rate * prob * float64(p.Hops())
 		for i := 0; i+1 < len(p); i++ {
 			u, v := p[i], p[i+1]
-			if uint(u) >= uint(n) || uint(v) >= uint(n) || slotCount[u*n+v] == 0 {
-				pathErr = fmt.Errorf("fluid: router %s uses link %d->%d absent from schedule",
-					router.Name(), u, v)
+			if uint(u) >= uint(n) || uint(v) >= uint(n) {
+				pathErr = fmt.Errorf("fluid: router %s uses link %d->%d outside %d nodes",
+					router.Name(), u, v, n)
 				return
 			}
 			load[u*n+v] += rate * prob
 		}
 	}
+	buf := make(routing.Route, 0, router.MaxHops()+1)
 	demandTotal := 0.0
 	for src := 0; src < tm.N; src++ {
 		for dst := 0; dst < tm.N; dst++ {
@@ -88,7 +94,7 @@ func Solve(s *matching.Schedule, router routing.Router, tm *workload.Matrix) (*R
 				continue
 			}
 			demandTotal += rate
-			router.Paths(src, dst, visit)
+			buf = router.Paths(buf, src, dst, visit)
 			if pathErr != nil {
 				return nil, pathErr
 			}
@@ -104,6 +110,10 @@ func Solve(s *matching.Schedule, router routing.Router, tm *workload.Matrix) (*R
 	for i, l := range load {
 		if l <= 0 {
 			continue
+		}
+		if slotCount[i] == 0 {
+			return nil, fmt.Errorf("fluid: router %s uses link %d->%d absent from schedule",
+				router.Name(), i/n, i%n)
 		}
 		res.LinkCount++
 		c := float64(slotCount[i]) / period

@@ -18,7 +18,7 @@ func TestVLBUniformIsHalf(t *testing.T) {
 	// the exact finite-n value is (n−1)/(2n−3), which tends to 1/2.
 	n := 16
 	s := matching.RoundRobin(n)
-	v, err := routing.NewVLB(matching.Compile(s))
+	v, err := routing.NewVLB(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestDirectUniformIsOne(t *testing.T) {
 	// Direct routing on uniform traffic uses every circuit exactly at
 	// capacity: θ = 1 (paper §2: single-hop is optimal for uniform).
 	s := matching.RoundRobin(16)
-	d, err := routing.NewDirect(matching.Compile(s))
+	d, err := routing.NewDirect(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestDirectPermutationCollapses(t *testing.T) {
 	// circuit's capacity, 1/(n-1): the reason oblivious designs need VLB.
 	n := 16
 	s := matching.RoundRobin(n)
-	d, _ := routing.NewDirect(matching.Compile(s))
+	d, _ := routing.NewDirect(s)
 	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = (i + 1) % n
@@ -83,7 +83,7 @@ func TestVLBPermutationStillHalf(t *testing.T) {
 	// VLB's guarantee: 50% even for adversarial permutations.
 	n := 16
 	s := matching.RoundRobin(n)
-	v, _ := routing.NewVLB(matching.Compile(s))
+	v, _ := routing.NewVLB(s)
 	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = (i + 1) % n
@@ -187,7 +187,7 @@ func TestMeanHopsSORN(t *testing.T) {
 
 func TestSolveErrors(t *testing.T) {
 	s := matching.RoundRobin(8)
-	v, _ := routing.NewVLB(matching.Compile(s))
+	v, _ := routing.NewVLB(s)
 	if _, err := Solve(s, v, workload.Uniform(4)); err == nil {
 		t.Error("size mismatch accepted")
 	}
@@ -205,14 +205,14 @@ func TestRouterUsingAbsentLinkRejected(t *testing.T) {
 	// A direct router built over a full schedule, solved against a
 	// partial schedule, must be rejected, not silently mis-accounted.
 	full := matching.RoundRobin(8)
-	d, _ := routing.NewDirect(matching.Compile(full))
+	d, _ := routing.NewDirect(full)
 	partial := schedule.TopologyA().Schedule
 	if _, err := Solve(partial, d, workload.Uniform(8)); err == nil {
 		t.Error("router using absent links accepted")
 	}
 	// A router over more nodes than the schedule relays through nodes
 	// the schedule does not have: an error, not an index panic.
-	wide, _ := routing.NewVLB(matching.Compile(matching.RoundRobin(16)))
+	wide, _ := routing.NewVLB(matching.RoundRobin(16))
 	if _, err := Solve(full, wide, workload.Uniform(8)); err == nil {
 		t.Error("router using nodes outside the schedule accepted")
 	}
@@ -220,7 +220,7 @@ func TestRouterUsingAbsentLinkRejected(t *testing.T) {
 
 func TestWorstCaseTheta(t *testing.T) {
 	s := matching.RoundRobin(8)
-	v, _ := routing.NewVLB(matching.Compile(s))
+	v, _ := routing.NewVLB(s)
 	perm := make([]int, 8)
 	for i := range perm {
 		perm[i] = (i + 1) % 8
@@ -240,7 +240,7 @@ func TestWorstCaseTheta(t *testing.T) {
 
 func TestBottleneckReported(t *testing.T) {
 	s := matching.RoundRobin(8)
-	v, _ := routing.NewVLB(matching.Compile(s))
+	v, _ := routing.NewVLB(s)
 	res, err := Solve(s, v, workload.Uniform(8))
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +331,7 @@ func TestCapacityExactMultiplesOfPeriod(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := op.Schedule
-		d, err := routing.NewDirect(matching.Compile(s))
+		d, err := routing.NewDirect(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,6 +350,79 @@ func TestCapacityExactMultiplesOfPeriod(t *testing.T) {
 		if res.Theta != 1 {
 			t.Errorf("n=%d epoch=%d: Direct uniform θ = %.20g, want exactly 1",
 				tc.n, tc.epoch, res.Theta)
+		}
+	}
+}
+
+// TestSolveAllocsConstant: a solve allocates a fixed handful of objects
+// (slot counts, loads, the visit closure and the three variables it
+// shares, one path buffer, the result), none per (src, dst) pair, so
+// N=128 allocates exactly as often as N=32.
+func TestSolveAllocsConstant(t *testing.T) {
+	allocs := func(n, nc int) float64 {
+		built, err := schedule.BuildSORN(schedule.SORNConfig{N: n, Nc: nc, Q: 4.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tm, err := workload.Locality(built.Cliques, 0.56)
+		if err != nil {
+			t.Fatal(err)
+		}
+		router := routing.NewSORN(built)
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Solve(built.Schedule, router, tm); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(32, 4), allocs(128, 8)
+	if small != large || large > 8 {
+		t.Fatalf("Solve allocates %v times at N=32 and %v at N=128, want one small constant", small, large)
+	}
+}
+
+// narrowSORN is a SORN router over 16 nodes, for inputs over 32.
+func narrowSORN(t *testing.T) *routing.SORN {
+	t.Helper()
+	built, err := schedule.BuildSORN(schedule.SORNConfig{N: 16, Nc: 4, Q: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return routing.NewSORN(built)
+}
+
+// TestSolveRejectsNarrowRouter: a router over fewer nodes than the
+// schedule and matrix is an error, not an index panic inside Paths.
+func TestSolveRejectsNarrowRouter(t *testing.T) {
+	if _, err := Solve(matching.RoundRobin(32), narrowSORN(t), workload.Uniform(32)); err == nil {
+		t.Fatal("Solve accepted a 16-node router over 32 nodes")
+	}
+}
+
+// TestLinkBlastRadiusRejectsBadInput: a router narrower than n, or a
+// failed link with an endpoint outside [0, n), is an error.
+func TestLinkBlastRadiusRejectsBadInput(t *testing.T) {
+	r := narrowSORN(t)
+	if _, err := LinkBlastRadius(32, r, 0, 1); err == nil {
+		t.Error("LinkBlastRadius accepted a 16-node router over 32 nodes")
+	}
+	for _, l := range [][2]int{{0, 16}, {16, 0}, {-1, 1}, {1, -1}} {
+		if _, err := LinkBlastRadius(16, r, l[0], l[1]); err == nil {
+			t.Errorf("LinkBlastRadius accepted failed link %d->%d over 16 nodes", l[0], l[1])
+		}
+	}
+}
+
+// TestNodeBlastRadiusRejectsBadInput: a router narrower than n, or a
+// failed node outside [0, n), is an error.
+func TestNodeBlastRadiusRejectsBadInput(t *testing.T) {
+	r := narrowSORN(t)
+	if _, err := NodeBlastRadius(32, r, 1); err == nil {
+		t.Error("NodeBlastRadius accepted a 16-node router over 32 nodes")
+	}
+	for _, fail := range []int{16, -1} {
+		if _, err := NodeBlastRadius(16, r, fail); err == nil {
+			t.Errorf("NodeBlastRadius accepted failed node %d over 16 nodes", fail)
 		}
 	}
 }

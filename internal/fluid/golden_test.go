@@ -45,7 +45,7 @@ func goldenCases(t *testing.T) []solveCase {
 		cases = append(cases, sornCase(t, x))
 	}
 	rr := matching.RoundRobin(128)
-	vlb, err := routing.NewVLB(matching.Compile(rr))
+	vlb, err := routing.NewVLB(rr)
 	if err != nil {
 		t.Fatal(err)
 	}

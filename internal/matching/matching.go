@@ -39,7 +39,12 @@ func CyclicShift(n, k int) Matching {
 // Validate reports whether m is a permutation of [0, len(m)) with no
 // self-circuits.
 func (m Matching) Validate() error {
-	seen := make([]bool, len(m))
+	return m.validate(make([]bool, len(m)))
+}
+
+// validate is Validate over a caller-supplied scratch of len(m) false
+// entries, which it leaves all true on success.
+func (m Matching) validate(seen []bool) error {
 	for s, d := range m {
 		if d < 0 || d >= len(m) {
 			return fmt.Errorf("matching: node %d circuits to out-of-range %d", s, d)
@@ -80,6 +85,11 @@ func (m Matching) Equal(o Matching) bool {
 
 // Schedule is a periodic sequence of matchings over n nodes: in absolute
 // slot t, every node s is circuited to Slots[t mod len(Slots)][s].
+//
+// A built schedule is immutable. Builders may append one Matching to
+// Slots several times (a circuit stream of weight w repeats the same
+// matching w times), so writing to one slot can change others. To edit
+// a schedule, edit its Clone, which never shares a Matching.
 type Schedule struct {
 	N     int
 	Slots []Matching
@@ -96,18 +106,21 @@ func (s *Schedule) Validate() error {
 	if len(s.Slots) == 0 {
 		return fmt.Errorf("matching: schedule has no slots")
 	}
+	seen := make([]bool, s.N)
 	for t, m := range s.Slots {
 		if len(m) != s.N {
 			return fmt.Errorf("matching: slot %d has %d entries, want %d", t, len(m), s.N)
 		}
-		if err := m.Validate(); err != nil {
+		clear(seen)
+		if err := m.validate(seen); err != nil {
 			return fmt.Errorf("matching: slot %d: %w", t, err)
 		}
 	}
 	return nil
 }
 
-// Clone returns a deep copy of the schedule.
+// Clone returns a deep copy of the schedule: one new Matching per slot,
+// shared with no other slot, so the clone can be edited in place.
 func (s *Schedule) Clone() *Schedule {
 	c := &Schedule{N: s.N, Slots: make([]Matching, len(s.Slots))}
 	for i, m := range s.Slots {
@@ -130,10 +143,21 @@ func (s *Schedule) Relabel(perm []int) (*Schedule, error) {
 		return nil, err
 	}
 	out := &Schedule{N: s.N, Slots: make([]Matching, len(s.Slots))}
+	// Relabel each distinct matching once: slots that share a Matching
+	// share its relabeled copy too.
+	done := make(map[*int]Matching)
 	for i, m := range s.Slots {
-		rm := make(Matching, len(m))
-		for u, v := range m {
-			rm[perm[u]] = perm[v]
+		if len(m) == 0 {
+			out.Slots[i] = Matching{}
+			continue
+		}
+		rm, ok := done[&m[0]]
+		if !ok {
+			rm = make(Matching, len(m))
+			for u, v := range m {
+				rm[perm[u]] = perm[v]
+			}
+			done[&m[0]] = rm
 		}
 		out.Slots[i] = rm
 	}
@@ -198,8 +222,21 @@ func (s *Schedule) Neighbors(u int) []int {
 // connected in at least one slot — the uniform-connectivity property
 // oblivious designs provide.
 func (s *Schedule) FullCoverage() bool {
+	seen := make([]bool, s.N)
 	for u := 0; u < s.N; u++ {
-		if len(s.Neighbors(u)) != s.N-1 {
+		clear(seen)
+		distinct := 0
+		for _, m := range s.Slots {
+			v := m[u]
+			if v < 0 || v >= s.N {
+				return false
+			}
+			if !seen[v] {
+				seen[v] = true
+				distinct++
+			}
+		}
+		if distinct != s.N-1 {
 			return false
 		}
 	}
@@ -259,8 +296,10 @@ func AWGRMatchings(n int) []Matching {
 	return out
 }
 
-// Compiled is a schedule indexed for O(log P) next-circuit queries, the
-// hot operation of both the routing model and the slotted simulator.
+// Compiled is a schedule indexed for O(log P) next-circuit queries: an
+// n×n table of slot lists, so build it only where those queries are
+// asked (the worst-case circuit wait of `repro -exp ncsweep`); routers
+// and the simulator do not use it.
 type Compiled struct {
 	sched *Schedule
 	// slotsTo[u][v] lists, in increasing order, the slots within one

@@ -287,6 +287,38 @@ func TestScheduleCloneIndependent(t *testing.T) {
 	}
 }
 
+// TestFullCoverageMatchesNeighbors: FullCoverage agrees with its
+// definition through Neighbors (every node reaches the other N−1) on
+// schedules made of random subsets of cyclic shifts, repeats included,
+// and is false for a slot entry outside [0, N).
+func TestFullCoverageMatchesNeighbors(t *testing.T) {
+	r := rng.New(9)
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + r.Intn(12)
+		s := &Schedule{N: n}
+		for k := 1; k < n; k++ {
+			for rep := r.Intn(3); rep > 0; rep-- {
+				s.Slots = append(s.Slots, CyclicShift(n, k))
+			}
+		}
+		if len(s.Slots) == 0 {
+			s.Slots = append(s.Slots, CyclicShift(n, 1))
+		}
+		want := true
+		for u := 0; u < n; u++ {
+			want = want && len(s.Neighbors(u)) == n-1
+		}
+		if got := s.FullCoverage(); got != want {
+			t.Fatalf("n=%d, %d slots: FullCoverage = %v, Neighbors say %v", n, s.Period(), got, want)
+		}
+	}
+	s := RoundRobin(4)
+	s.Slots[0] = Matching{1, 2, 3, 4}
+	if s.FullCoverage() {
+		t.Fatal("FullCoverage accepted an out-of-range circuit")
+	}
+}
+
 func TestRoundRobinPanicsOnTiny(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -731,7 +731,7 @@ func (s *Sim) init(cfg Config) error {
 	if cfg.PropNS < 0 {
 		return fmt.Errorf("netsim: negative propagation delay")
 	}
-	if err := checkHops(cfg.Router); err != nil {
+	if err := checkRouter(cfg.Schedule, cfg.Router); err != nil {
 		return err
 	}
 	n := cfg.Schedule.N
@@ -2139,9 +2139,9 @@ func (s *Sim) Reconfigure(sched *matching.Schedule, router routing.Router) error
 }
 
 // checkReconfig rejects what Reconfigure cannot take: a missing or
-// invalid schedule, one over a different node count, or a router whose
-// routes outgrow a cell. Reconfigure and ReconfigureGraceful both call
-// it before they change any state.
+// invalid schedule, one over a different node count, or a router that
+// checkRouter rejects. Reconfigure and ReconfigureGraceful both call it
+// before they change any state.
 func (s *Sim) checkReconfig(sched *matching.Schedule, router routing.Router) error {
 	if sched == nil || router == nil {
 		return fmt.Errorf("netsim: schedule and router are required")
@@ -2152,12 +2152,15 @@ func (s *Sim) checkReconfig(sched *matching.Schedule, router routing.Router) err
 	if sched.N != s.n {
 		return fmt.Errorf("netsim: new schedule over %d nodes, sim over %d", sched.N, s.n)
 	}
-	return checkHops(router)
+	return checkRouter(sched, router)
 }
 
-// checkHops rejects a router whose routes exceed the waypoints a cell
-// holds.
-func checkHops(r routing.Router) error {
+// checkRouter rejects a router over a different node count than the
+// schedule, or one whose routes exceed the waypoints a cell holds.
+func checkRouter(sched *matching.Schedule, r routing.Router) error {
+	if r.N() != sched.N {
+		return fmt.Errorf("netsim: router %s over %d nodes, schedule over %d", r.Name(), r.N(), sched.N)
+	}
 	if r.MaxHops() > maxWaypoints {
 		return fmt.Errorf("netsim: router %s routes over %d hops, cells hold at most %d", r.Name(), r.MaxHops(), maxWaypoints)
 	}

@@ -52,7 +52,7 @@ func TestSingleCellDeterministicLatency(t *testing.T) {
 	// 3 opens at slot 2 (shift 3); propagation is 5 slots; so a cell
 	// injected at slot 0 completes at slot 7.
 	sched := matching.RoundRobin(8)
-	d, err := routing.NewDirect(matching.Compile(sched))
+	d, err := routing.NewDirect(sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestSingleCellDeterministicLatency(t *testing.T) {
 
 func TestCellConservation(t *testing.T) {
 	sched := matching.RoundRobin(16)
-	v, _ := routing.NewVLB(matching.Compile(sched))
+	v, _ := routing.NewVLB(sched)
 	s := newSim(t, sched, v, 2)
 	s.StartMeasuring()
 	gen, err := workload.NewPoissonFlows(workload.Uniform(16), workload.FixedSize(4), 0.2, 3)
@@ -108,7 +108,7 @@ func TestSaturatedThroughputVLB(t *testing.T) {
 	// the fluid bound (n−1)/(2n−3) ≈ 0.517 cells/node/slot.
 	n := 16
 	sched := matching.RoundRobin(n)
-	v, _ := routing.NewVLB(matching.Compile(sched))
+	v, _ := routing.NewVLB(sched)
 	s := newSim(t, sched, v, 4)
 	st, err := s.RunSaturated(SaturationConfig{
 		TM:            workload.Uniform(n),
@@ -135,7 +135,7 @@ func TestSaturatedThroughputDirectUniform(t *testing.T) {
 	// Direct routing on uniform traffic keeps every circuit busy: r → 1.
 	n := 8
 	sched := matching.RoundRobin(n)
-	d, _ := routing.NewDirect(matching.Compile(sched))
+	d, _ := routing.NewDirect(sched)
 	s := newSim(t, sched, d, 5)
 	st, err := s.RunSaturated(SaturationConfig{
 		TM:            workload.Uniform(n),
@@ -188,7 +188,7 @@ func TestSaturatedSORNMatchesFluid(t *testing.T) {
 
 func TestFailLinkLosesCells(t *testing.T) {
 	sched := matching.RoundRobin(8)
-	d, _ := routing.NewDirect(matching.Compile(sched))
+	d, _ := routing.NewDirect(sched)
 	s := newSim(t, sched, d, 7)
 	s.StartMeasuring()
 	s.FailLink(0, 3)
@@ -211,7 +211,7 @@ func TestFailLinkLosesCells(t *testing.T) {
 
 func TestFailNodeStopsForwarding(t *testing.T) {
 	sched := matching.RoundRobin(8)
-	v, _ := routing.NewVLB(matching.Compile(sched))
+	v, _ := routing.NewVLB(sched)
 	s := newSim(t, sched, v, 8)
 	s.StartMeasuring()
 	s.FailNode(2)
@@ -227,7 +227,7 @@ func TestFailNodeStopsForwarding(t *testing.T) {
 
 func TestLatencySampling(t *testing.T) {
 	sched := matching.RoundRobin(8)
-	d, _ := routing.NewDirect(matching.Compile(sched))
+	d, _ := routing.NewDirect(sched)
 	s, err := New(Config{Schedule: sched, Router: d, SlotNS: 100, PropNS: 500, Seed: 9, LatencySampleEvery: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -287,10 +287,10 @@ func TestReconfigureDrainsAndCompletes(t *testing.T) {
 
 func TestReconfigureRejectsMismatchedSchedule(t *testing.T) {
 	sched := matching.RoundRobin(8)
-	v, _ := routing.NewVLB(matching.Compile(sched))
+	v, _ := routing.NewVLB(sched)
 	s := newSim(t, sched, v, 11)
 	other := matching.RoundRobin(4)
-	ov, _ := routing.NewVLB(matching.Compile(other))
+	ov, _ := routing.NewVLB(other)
 	if err := s.Reconfigure(other, ov); err == nil {
 		t.Fatal("mismatched reconfiguration accepted")
 	}
@@ -298,7 +298,7 @@ func TestReconfigureRejectsMismatchedSchedule(t *testing.T) {
 
 func TestNewValidation(t *testing.T) {
 	sched := matching.RoundRobin(8)
-	v, _ := routing.NewVLB(matching.Compile(sched))
+	v, _ := routing.NewVLB(sched)
 	if _, err := New(Config{Router: v}); err == nil {
 		t.Error("missing schedule accepted")
 	}
@@ -315,7 +315,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestRunSaturatedValidation(t *testing.T) {
 	sched := matching.RoundRobin(8)
-	v, _ := routing.NewVLB(matching.Compile(sched))
+	v, _ := routing.NewVLB(sched)
 	s := newSim(t, sched, v, 12)
 	if _, err := s.RunSaturated(SaturationConfig{TM: workload.Uniform(4), Size: workload.FixedSize(1), TargetBacklog: 1, MeasureSlots: 1}); err == nil {
 		t.Error("size mismatch accepted")
@@ -354,7 +354,7 @@ func TestRunOpenLoopRejectsBadFlows(t *testing.T) {
 				}
 			}()
 			sched := matching.RoundRobin(8)
-			d, _ := routing.NewDirect(matching.Compile(sched))
+			d, _ := routing.NewDirect(sched)
 			s := newSim(t, sched, d, 1)
 			if _, err := s.RunOpenLoop(nil, tc.start); err != nil {
 				t.Fatal(err)
@@ -378,7 +378,7 @@ func TestRunSaturatedRejectsEmptySizes(t *testing.T) {
 	for _, perPair := range []bool{false, true} {
 		t.Run(fmt.Sprintf("perPair=%v", perPair), func(t *testing.T) {
 			sched := matching.RoundRobin(8)
-			v, _ := routing.NewVLB(matching.Compile(sched))
+			v, _ := routing.NewVLB(sched)
 			s := newSim(t, sched, v, 12)
 			sc := SaturationConfig{TM: workload.Uniform(8), Size: workload.FixedSize(0),
 				TargetBacklog: 16, WarmupSlots: 10, MeasureSlots: 10}
@@ -410,7 +410,7 @@ func TestRunSaturatedRejectsQueueLimit(t *testing.T) {
 	for _, perPair := range []bool{false, true} {
 		t.Run(fmt.Sprintf("perPair=%v", perPair), func(t *testing.T) {
 			sched := matching.RoundRobin(8)
-			d, _ := routing.NewDirect(matching.Compile(sched))
+			d, _ := routing.NewDirect(sched)
 			s, err := New(Config{Schedule: sched, Router: d, Seed: 12, QueueLimit: 4})
 			if err != nil {
 				t.Fatal(err)
@@ -445,7 +445,7 @@ func TestOpenLoopLowLoadLatency(t *testing.T) {
 	// within a small factor of the intrinsic bound (schedule wait + prop).
 	n := 16
 	sched := matching.RoundRobin(n)
-	v, _ := routing.NewVLB(matching.Compile(sched))
+	v, _ := routing.NewVLB(sched)
 	s, err := New(Config{Schedule: sched, Router: v, SlotNS: 100, PropNS: 500, Seed: 13, LatencySampleEvery: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -536,7 +536,7 @@ func TestPlanesScaleBandwidth(t *testing.T) {
 	n := 16
 	sched := matching.RoundRobin(n)
 	for _, planes := range []int{1, 4} {
-		d, _ := routing.NewDirect(matching.Compile(sched))
+		d, _ := routing.NewDirect(sched)
 		s, err := New(Config{Schedule: sched, Router: d, SlotNS: 100, PropNS: 500, Seed: 4, Planes: planes})
 		if err != nil {
 			t.Fatal(err)
@@ -566,7 +566,7 @@ func TestPlanesReduceLatency(t *testing.T) {
 	sched := matching.RoundRobin(n)
 	waits := map[int]float64{}
 	for _, planes := range []int{1, 8} {
-		d, _ := routing.NewDirect(matching.Compile(sched))
+		d, _ := routing.NewDirect(sched)
 		s, err := New(Config{
 			Schedule: sched, Router: d, SlotNS: 100, PropNS: 500,
 			Seed: 5, Planes: planes, LatencySampleEvery: 1,
@@ -595,7 +595,7 @@ func TestPlanesReduceLatency(t *testing.T) {
 
 func TestPlanesInvalid(t *testing.T) {
 	sched := matching.RoundRobin(8)
-	v, _ := routing.NewVLB(matching.Compile(sched))
+	v, _ := routing.NewVLB(sched)
 	if _, err := New(Config{Schedule: sched, Router: v, Planes: -1}); err == nil {
 		t.Fatal("negative planes accepted")
 	}
@@ -660,7 +660,7 @@ func TestDirectFlowDeliversInFIFOOrder(t *testing.T) {
 	// last cell's circuit occurs: size cells each need one occurrence of
 	// the same circuit, one per period.
 	sched := matching.RoundRobin(8)
-	d, _ := routing.NewDirect(matching.Compile(sched))
+	d, _ := routing.NewDirect(sched)
 	s := newSim(t, sched, d, 20)
 	s.StartMeasuring()
 	const size = 5
@@ -687,7 +687,7 @@ func TestOperaBulkShapeVsSORN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ov, err := routing.NewVLB(matching.Compile(opera.Schedule))
+	ov, err := routing.NewVLB(opera.Schedule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -724,7 +724,7 @@ func TestQueueLimitDropsUnderOverload(t *testing.T) {
 	// Tiny queues + many flows aimed at one destination force drops, and
 	// accounting must still balance: delivered + dropped == injected.
 	sched := matching.RoundRobin(8)
-	d, _ := routing.NewDirect(matching.Compile(sched))
+	d, _ := routing.NewDirect(sched)
 	s, err := New(Config{
 		Schedule: sched, Router: d, SlotNS: 100, PropNS: 500,
 		Seed: 23, QueueLimit: 4,
@@ -760,7 +760,7 @@ func TestQueueLimitDropsUnderOverload(t *testing.T) {
 
 func TestQueueLimitZeroIsUnbounded(t *testing.T) {
 	sched := matching.RoundRobin(8)
-	d, _ := routing.NewDirect(matching.Compile(sched))
+	d, _ := routing.NewDirect(sched)
 	s, err := New(Config{Schedule: sched, Router: d, Seed: 24})
 	if err != nil {
 		t.Fatal(err)
@@ -846,10 +846,10 @@ func TestReconfigureGracefulDeadlineForcesReroute(t *testing.T) {
 
 func TestReconfigureGracefulValidation(t *testing.T) {
 	sched := matching.RoundRobin(8)
-	v, _ := routing.NewVLB(matching.Compile(sched))
+	v, _ := routing.NewVLB(sched)
 	s := newSim(t, sched, v, 28)
 	other := matching.RoundRobin(4)
-	ov, _ := routing.NewVLB(matching.Compile(other))
+	ov, _ := routing.NewVLB(other)
 	if _, _, err := s.ReconfigureGraceful(other, ov, 10); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
@@ -866,7 +866,7 @@ func TestReconfigureGracefulRejectsLongRouterFirst(t *testing.T) {
 	}
 	long := routing.NewORN(o)
 	flat := matching.RoundRobin(16)
-	vlb, err := routing.NewVLB(matching.Compile(flat))
+	vlb, err := routing.NewVLB(flat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -889,6 +889,54 @@ func TestReconfigureGracefulRejectsLongRouterFirst(t *testing.T) {
 	}
 	if _, _, err := s.ReconfigureGraceful(nil, vlb, 50); err == nil {
 		t.Fatal("ReconfigureGraceful accepted a nil schedule")
+	}
+}
+
+// narrowSORN is a SORN router over 16 nodes, for schedules over 32.
+func narrowSORN(t *testing.T) *routing.SORN {
+	t.Helper()
+	built, err := schedule.BuildSORN(schedule.SORNConfig{N: 16, Nc: 4, Q: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return routing.NewSORN(built)
+}
+
+// TestNewRejectsNarrowRouter: a router over fewer nodes than the
+// schedule is an error at New, not an index panic at the first
+// injection from a node the router does not know.
+func TestNewRejectsNarrowRouter(t *testing.T) {
+	if _, err := New(Config{Schedule: matching.RoundRobin(32), Router: narrowSORN(t), Seed: 1}); err == nil {
+		t.Fatal("New accepted a 16-node router over a 32-node schedule")
+	}
+}
+
+// TestReconfigureRejectsNarrowRouter: both reconfiguration paths refuse
+// a router over fewer nodes than the new schedule, before they change
+// any state.
+func TestReconfigureRejectsNarrowRouter(t *testing.T) {
+	flat := matching.RoundRobin(32)
+	vlb, err := routing.NewVLB(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newSim(t, flat, vlb, 3)
+	for src := 0; src < 32; src++ {
+		s.InjectFlow(src, (src+5)%32, 4)
+	}
+	s.Step()
+	slot, before := s.Slot(), *s.Stats()
+	if err := s.Reconfigure(flat, narrowSORN(t)); err == nil {
+		t.Error("Reconfigure accepted a 16-node router over 32 nodes")
+	}
+	if _, _, err := s.ReconfigureGraceful(flat, narrowSORN(t), 50); err == nil {
+		t.Error("ReconfigureGraceful accepted a 16-node router over 32 nodes")
+	}
+	if s.Slot() != slot {
+		t.Fatalf("refused reconfigurations stepped from slot %d to %d", slot, s.Slot())
+	}
+	if diff, ok := before.BitIdentical(s.Stats()); !ok {
+		t.Fatalf("refused reconfigurations changed Stats: %s", diff)
 	}
 }
 
@@ -938,7 +986,7 @@ func TestIdleSlotsCountedWithoutBacklog(t *testing.T) {
 	// version only incremented when the node had backlog for *some*
 	// circuit — a completely idle network recorded zero idle slots.
 	sched := matching.RoundRobin(8)
-	d, _ := routing.NewDirect(matching.Compile(sched))
+	d, _ := routing.NewDirect(sched)
 	s := newSim(t, sched, d, 40)
 	s.StartMeasuring()
 	for i := 0; i < 10; i++ {
@@ -953,7 +1001,7 @@ func TestIdleSlotsExcludeTransmissionsAndFailedNodes(t *testing.T) {
 	// A transmitting node-slot is not idle, and failed nodes contribute
 	// no idle slots at all.
 	sched := matching.RoundRobin(8)
-	d, _ := routing.NewDirect(matching.Compile(sched))
+	d, _ := routing.NewDirect(sched)
 	s := newSim(t, sched, d, 41)
 	s.FailNode(5)
 	s.StartMeasuring()
@@ -1018,7 +1066,7 @@ func TestLatencySamplingBernoulliRate(t *testing.T) {
 	// realized rate near 1/k.
 	n := 8
 	sched := matching.RoundRobin(n)
-	d, _ := routing.NewDirect(matching.Compile(sched))
+	d, _ := routing.NewDirect(sched)
 	s, err := New(Config{Schedule: sched, Router: d, SlotNS: 100, PropNS: 500, Seed: 42, LatencySampleEvery: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -1044,7 +1092,7 @@ func TestLatencySamplingDoesNotPerturbTraffic(t *testing.T) {
 	run := func(every int) int64 {
 		n := 16
 		sched := matching.RoundRobin(n)
-		v, _ := routing.NewVLB(matching.Compile(sched))
+		v, _ := routing.NewVLB(sched)
 		s, err := New(Config{Schedule: sched, Router: v, SlotNS: 100, PropNS: 500, Seed: 43, LatencySampleEvery: every})
 		if err != nil {
 			t.Fatal(err)
@@ -1078,7 +1126,7 @@ func checkConservation(t *testing.T, s *Sim) {
 
 func TestCellConservationQueueLimit(t *testing.T) {
 	sched := matching.RoundRobin(8)
-	d, _ := routing.NewDirect(matching.Compile(sched))
+	d, _ := routing.NewDirect(sched)
 	s, err := New(Config{Schedule: sched, Router: d, SlotNS: 100, PropNS: 500, Seed: 44, QueueLimit: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -1102,7 +1150,7 @@ func TestCellConservationQueueLimit(t *testing.T) {
 func TestCellConservationFailures(t *testing.T) {
 	n := 16
 	sched := matching.RoundRobin(n)
-	v, _ := routing.NewVLB(matching.Compile(sched))
+	v, _ := routing.NewVLB(sched)
 	s := newSim(t, sched, v, 45)
 	s.StartMeasuring()
 	s.FailLink(0, 3)
@@ -1188,7 +1236,7 @@ func TestPerPairBacklogSaturation(t *testing.T) {
 	// must agree exactly.
 	n := 16
 	sched := matching.RoundRobin(n)
-	v, _ := routing.NewVLB(matching.Compile(sched))
+	v, _ := routing.NewVLB(sched)
 	sc := SaturationConfig{
 		TM: workload.Uniform(n), Size: workload.FixedSize(4),
 		PerPairBacklog: 8, WarmupSlots: 2000, MeasureSlots: 6000,
@@ -1227,7 +1275,7 @@ func TestPerPairBacklogSkipsFailedNodes(t *testing.T) {
 	// a failed source accumulates no fresh cells.
 	n := 8
 	sched := matching.RoundRobin(n)
-	d, _ := routing.NewDirect(matching.Compile(sched))
+	d, _ := routing.NewDirect(sched)
 	s := newSim(t, sched, d, 49)
 	s.FailNode(2)
 	if _, err := s.RunSaturated(SaturationConfig{
@@ -1487,7 +1535,7 @@ func TestRerouteFreshCellAtDestinationConsumesFresh(t *testing.T) {
 	// consume the fresh-cell accounting — otherwise the source's fresh
 	// counter leaks and saturation top-up logic under-injects forever.
 	sched := matching.RoundRobin(8)
-	d, _ := routing.NewDirect(matching.Compile(sched))
+	d, _ := routing.NewDirect(sched)
 	s := newSim(t, sched, d, 9)
 	s.StartMeasuring()
 	f := s.InjectFlow(0, 3, 1)
@@ -1518,7 +1566,7 @@ func TestRerouteFreshCellAtDestinationConsumesFresh(t *testing.T) {
 func TestCellConservationNodeFailureMidRun(t *testing.T) {
 	n := 16
 	sched := matching.RoundRobin(n)
-	v, _ := routing.NewVLB(matching.Compile(sched))
+	v, _ := routing.NewVLB(sched)
 	s := newSim(t, sched, v, 48)
 	s.StartMeasuring()
 	for i := 0; i < n; i++ {
@@ -1574,7 +1622,7 @@ func TestCellConservationNodeFailureMidRun(t *testing.T) {
 // concurrent mutation race the sharded phases.
 func TestFailureDuringStepPanics(t *testing.T) {
 	sched := matching.RoundRobin(8)
-	d, _ := routing.NewDirect(matching.Compile(sched))
+	d, _ := routing.NewDirect(sched)
 	s := newSim(t, sched, d, 49)
 	s.stepping = true // as if called from inside Step's sharded phases
 	for name, fn := range map[string]func(){
@@ -1603,7 +1651,7 @@ func TestFailLinkBetweenStepsParallel(t *testing.T) {
 	runScenario(t, func(t *testing.T, workers int) *Sim {
 		n := 16
 		sched := matching.RoundRobin(n)
-		v, err := routing.NewVLB(matching.Compile(sched))
+		v, err := routing.NewVLB(sched)
 		if err != nil {
 			t.Fatal(err)
 		}

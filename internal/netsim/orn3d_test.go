@@ -131,7 +131,7 @@ func orn3DChurn(t *testing.T, s *Sim) {
 	}
 	s.FailNode(5)
 	flat := matching.RoundRobin(27)
-	vlb, err := routing.NewVLB(matching.Compile(flat))
+	vlb, err := routing.NewVLB(flat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestRejectsRoutesLongerThanCell(t *testing.T) {
 		t.Error("New accepted an 8-hop router")
 	}
 	flat := matching.RoundRobin(16)
-	vlb, err := routing.NewVLB(matching.Compile(flat))
+	vlb, err := routing.NewVLB(flat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,7 +86,7 @@ func TestParallelDeterminismSaturated(t *testing.T) {
 	runScenario(t, func(t *testing.T, workers int) *Sim {
 		n := 32
 		sched := matching.RoundRobin(n)
-		v, err := routing.NewVLB(matching.Compile(sched))
+		v, err := routing.NewVLB(sched)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,12 +214,15 @@ func TestParallelDeterminismReconfigure(t *testing.T) {
 type viaDst struct{ n int }
 
 func (r viaDst) Name() string { return "via-dst" }
+func (r viaDst) N() int       { return r.n }
 func (r viaDst) MaxHops() int { return 3 }
 func (r viaDst) RouteInto(buf routing.Route, src, dst, slot int, g *rng.RNG) routing.Route {
 	return append(buf, src, dst, (dst+1)%r.n, dst)
 }
-func (r viaDst) Paths(src, dst int, fn func(routing.Route, float64)) {
-	fn(routing.Route{src, dst, (dst + 1) % r.n, dst}, 1)
+func (r viaDst) Paths(buf routing.Route, src, dst int, fn func(routing.Route, float64)) routing.Route {
+	buf = append(buf[:0], src, dst, (dst+1)%r.n, dst)
+	fn(buf, 1)
+	return buf
 }
 
 // TestSerialCallsPublishBeforeReturn: InjectFlow, FailNode and
@@ -266,7 +269,7 @@ func TestSerialCallsPublishBeforeReturn(t *testing.T) {
 				t.Fatalf("scenario broken: %d cells queued at node 3, flow delivered %d; want 1, 0",
 					s.backlog[3], f1.Delivered())
 			}
-			d, err := routing.NewDirect(matching.Compile(sched))
+			d, err := routing.NewDirect(sched)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -274,7 +274,7 @@ func TestPoolNoLeakThroughReconfigureAndFailNode(t *testing.T) {
 		designs = append(designs, design{b.Schedule, routing.NewSORN(b)})
 	}
 	flat := matching.RoundRobin(n)
-	vlb, err := routing.NewVLB(matching.Compile(flat))
+	vlb, err := routing.NewVLB(flat)
 	if err != nil {
 		t.Fatal(err)
 	}

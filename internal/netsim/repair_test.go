@@ -14,7 +14,7 @@ import (
 
 func TestRepairDuringStepPanics(t *testing.T) {
 	sched := matching.RoundRobin(8)
-	d, _ := routing.NewDirect(matching.Compile(sched))
+	d, _ := routing.NewDirect(sched)
 	s := newSim(t, sched, d, 49)
 	s.FailLink(0, 1)
 	s.FailNode(2)
@@ -40,7 +40,7 @@ func TestRepairDuringStepPanics(t *testing.T) {
 
 func TestRepairOfLiveEntityIsNoOp(t *testing.T) {
 	sched := matching.RoundRobin(8)
-	d, _ := routing.NewDirect(matching.Compile(sched))
+	d, _ := routing.NewDirect(sched)
 	ob := obs.New(obs.Options{})
 	s, err := New(Config{Schedule: sched, Router: d, SlotNS: 100, PropNS: 500, Seed: 5, Obs: ob})
 	if err != nil {
@@ -68,7 +68,7 @@ func TestRepairedLinkCarriesTrafficAgain(t *testing.T) {
 	// Direct routing on a round robin: 0→3 uses exactly the link 0→3, so
 	// failing it loses everything and repairing it restores everything.
 	sched := matching.RoundRobin(8)
-	d, _ := routing.NewDirect(matching.Compile(sched))
+	d, _ := routing.NewDirect(sched)
 	s := newSim(t, sched, d, 50)
 	s.StartMeasuring()
 	s.FailLink(0, 3)
@@ -92,7 +92,7 @@ func TestRepairedLinkCarriesTrafficAgain(t *testing.T) {
 
 func TestInjectToRepairedNodeResumesDelivery(t *testing.T) {
 	sched := matching.RoundRobin(8)
-	d, _ := routing.NewDirect(matching.Compile(sched))
+	d, _ := routing.NewDirect(sched)
 	s := newSim(t, sched, d, 51)
 	s.StartMeasuring()
 	s.FailNode(3)
@@ -212,7 +212,7 @@ func TestParallelDeterminismFaultPlan(t *testing.T) {
 
 	runScenario(t, func(t *testing.T, workers int) *Sim {
 		sched := matching.RoundRobin(n)
-		v, err := routing.NewVLB(matching.Compile(sched))
+		v, err := routing.NewVLB(sched)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +259,7 @@ func TestRunOpenLoopSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched := matching.RoundRobin(n)
-	vlb, err := routing.NewVLB(matching.Compile(sched))
+	vlb, err := routing.NewVLB(sched)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func dirtySim(t *testing.T, workers int, dense bool) *Sim {
 	t.Helper()
 	n := 32
 	sched := matching.RoundRobin(n)
-	v, err := routing.NewVLB(matching.Compile(sched))
+	v, err := routing.NewVLB(sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestSimResetOpenLoopAfterPlaneChange(t *testing.T) {
 	// still reproduce a fresh open-loop run sample-for-sample.
 	n := 32
 	sched := matching.RoundRobin(n)
-	v, err := routing.NewVLB(matching.Compile(sched))
+	v, err := routing.NewVLB(sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestSimResetOpenLoopAfterPlaneChange(t *testing.T) {
 func TestSimResetRejectsNodeCountChange(t *testing.T) {
 	s := dirtySim(t, 1, false)
 	small := matching.RoundRobin(16)
-	v, err := routing.NewVLB(matching.Compile(small))
+	v, err := routing.NewVLB(small)
 	if err != nil {
 		t.Fatal(err)
 	}

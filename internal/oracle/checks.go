@@ -41,6 +41,7 @@ func checkRouterInvariants(sc *scenario, rep *Report) {
 	maxHops := sc.router.MaxHops()
 	one := big.NewRat(1, 1)
 	sum := new(big.Rat)
+	buf := make(routing.Route, 0, maxHops+1)
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
 			if src == dst {
@@ -48,7 +49,7 @@ func checkRouterInvariants(sc *scenario, rep *Report) {
 			}
 			sum.SetInt64(0)
 			paths := 0
-			sc.router.Paths(src, dst, func(p routing.Route, prob float64) {
+			buf = sc.router.Paths(buf, src, dst, func(p routing.Route, prob float64) {
 				paths++
 				rp, ok := model.RatFromFloat(prob)
 				if !ok || rp.Sign() <= 0 {

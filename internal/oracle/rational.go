@@ -39,38 +39,43 @@ func solveRat(s *matching.Schedule, router routing.Router, ratTM [][]*big.Rat) (
 	for u := range load {
 		load[u] = make([]*big.Rat, n)
 	}
-	var pathErr error
+	var (
+		rate    *big.Rat
+		pathErr error
+	)
 	contrib := new(big.Rat)
+	visit := func(p routing.Route, prob float64) {
+		if pathErr != nil {
+			return
+		}
+		rp, ok := model.RatFromFloat(prob)
+		if !ok {
+			pathErr = fmt.Errorf("oracle: %s path probability %v is not a recoverable rational",
+				router.Name(), prob)
+			return
+		}
+		contrib.Mul(rate, rp)
+		for i := 0; i+1 < len(p); i++ {
+			u, v := p[i], p[i+1]
+			if slotCount[u][v] == 0 {
+				pathErr = fmt.Errorf("oracle: router %s uses link %d->%d absent from schedule",
+					router.Name(), u, v)
+				return
+			}
+			if load[u][v] == nil {
+				load[u][v] = new(big.Rat)
+			}
+			load[u][v].Add(load[u][v], contrib)
+		}
+	}
+	buf := make(routing.Route, 0, router.MaxHops()+1)
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
-			rate := ratTM[src][dst]
+			rate = ratTM[src][dst]
 			if rate == nil || pathErr != nil {
 				continue
 			}
-			router.Paths(src, dst, func(p routing.Route, prob float64) {
-				if pathErr != nil {
-					return
-				}
-				rp, ok := model.RatFromFloat(prob)
-				if !ok {
-					pathErr = fmt.Errorf("oracle: %s path probability %v is not a recoverable rational",
-						router.Name(), prob)
-					return
-				}
-				contrib.Mul(rate, rp)
-				for i := 0; i+1 < len(p); i++ {
-					u, v := p[i], p[i+1]
-					if slotCount[u][v] == 0 {
-						pathErr = fmt.Errorf("oracle: router %s uses link %d->%d absent from schedule",
-							router.Name(), u, v)
-						return
-					}
-					if load[u][v] == nil {
-						load[u][v] = new(big.Rat)
-					}
-					load[u][v].Add(load[u][v], contrib)
-				}
-			})
+			buf = router.Paths(buf, src, dst, visit)
 		}
 	}
 	if pathErr != nil {

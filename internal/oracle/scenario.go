@@ -56,7 +56,7 @@ func build(spec Spec) (*scenario, error) {
 			return nil, fmt.Errorf("oracle: orn1 needs n >= 4, got %d", spec.N)
 		}
 		sc.sched = matching.RoundRobin(spec.N)
-		v, err := routing.NewVLB(matching.Compile(sc.sched))
+		v, err := routing.NewVLB(sc.sched)
 		if err != nil {
 			return nil, err
 		}
@@ -73,7 +73,7 @@ func build(spec Spec) (*scenario, error) {
 			return nil, fmt.Errorf("oracle: direct needs n >= 3, got %d", spec.N)
 		}
 		sc.sched = matching.RoundRobin(spec.N)
-		d, err := routing.NewDirect(matching.Compile(sc.sched))
+		d, err := routing.NewDirect(sc.sched)
 		if err != nil {
 			return nil, err
 		}

@@ -38,6 +38,9 @@ func NewRelabeled(inner Router, perm []int) (*Relabeled, error) {
 // Name implements Router.
 func (r *Relabeled) Name() string { return r.inner.Name() + "+relabel" }
 
+// N implements Router.
+func (r *Relabeled) N() int { return len(r.perm) }
+
 // MaxHops implements Router.
 func (r *Relabeled) MaxHops() int { return r.inner.MaxHops() }
 
@@ -53,14 +56,19 @@ func (r *Relabeled) RouteInto(buf Route, src, dst, slot int, g *rng.RNG) Route {
 }
 
 // Paths implements Router: the inner distribution with every hop
-// renamed into one buffer per call, lent to fn like the inner path.
-func (r *Relabeled) Paths(src, dst int, fn func(Route, float64)) {
-	mapped := newPathBuf(r.MaxHops())
-	r.inner.Paths(r.inv[src], r.inv[dst], func(p Route, prob float64) {
+// renamed, lent to fn like the inner path. buf holds both: the inner
+// router builds into its first MaxHops()+1 entries and the renamed
+// path goes into the next MaxHops()+1.
+func (r *Relabeled) Paths(buf Route, src, dst int, fn func(Route, float64)) Route {
+	h := r.MaxHops() + 1
+	buf = pathBuf(buf, 2*h-1)
+	mapped := buf[h : h : 2*h]
+	r.inner.Paths(buf[:0:h], r.inv[src], r.inv[dst], func(p Route, prob float64) {
 		mapped = mapped[:0]
 		for _, u := range p {
 			mapped = append(mapped, r.perm[u])
 		}
 		fn(mapped, prob)
 	})
+	return buf
 }

@@ -43,6 +43,9 @@ func (r Route) Hops() int { return len(r) - 1 }
 type Router interface {
 	// Name identifies the scheme in reports.
 	Name() string
+	// N is the node count the router serves: every src and dst passed
+	// to RouteInto or Paths must lie in [0, N).
+	N() int
 	// MaxHops is the worst-case path length in links.
 	MaxHops() int
 	// RouteInto appends the hop sequence for one packet src→dst,
@@ -61,10 +64,15 @@ type Router interface {
 	RouteInto(buf Route, src, dst, slot int, r *rng.RNG) Route
 	// Paths calls fn for every path of the time-averaged path
 	// distribution with its probability (summing to 1 per src→dst pair).
-	// The path is lent, not given: implementations build every path of
-	// one call into the same buffer, so fn must neither modify path nor
-	// keep it (or a subslice of it) after fn returns; copy it to keep it.
-	Paths(src, dst int, fn func(path Route, prob float64))
+	// Like RouteInto it builds into a caller-owned buffer: every path of
+	// one call is written into buf's backing array from index 0 (buf's
+	// contents are overwritten; nil is fine), and Paths returns the
+	// buffer, replaced by a larger one if it was too small (at least
+	// MaxHops()+1), for the caller to pass to its next call. A caller that reuses one buffer this way
+	// makes the whole enumeration allocation-free. The path is lent, not
+	// given: fn must neither modify path nor keep it (or a subslice of
+	// it) after fn returns; copy it to keep it.
+	Paths(buf Route, src, dst int, fn func(path Route, prob float64)) Route
 }
 
 // appendHop extends a path, skipping no-op hops (next == last node).
@@ -75,31 +83,38 @@ func appendHop(p Route, next int) Route {
 	return append(p, next)
 }
 
-// newPathBuf returns the one path buffer a Paths call lends to fn for
-// every path it enumerates: a path of at most maxHops links has at most
-// maxHops+1 nodes, so building into it never reallocates.
-func newPathBuf(maxHops int) Route { return make(Route, 0, maxHops+1) }
+// pathBuf returns buf emptied, or a new buffer when buf cannot hold a
+// path of maxHops links (maxHops+1 nodes), so that building any path of
+// a Paths call into it never reallocates.
+func pathBuf(buf Route, maxHops int) Route {
+	if cap(buf) < maxHops+1 {
+		return make(Route, 0, maxHops+1)
+	}
+	return buf[:0]
+}
 
 // Direct routes every packet on its single direct circuit. It requires a
 // schedule with full coverage and is the latency-optimal, throughput-1
 // scheme for perfectly uniform traffic (paper §2: "If traffic was
 // uniformly all-to-all, single-hop paths best use bandwidth").
 type Direct struct {
-	compiled *matching.Compiled
+	n int
 }
 
-// NewDirect builds a direct router over a compiled schedule, verifying
-// full coverage.
-func NewDirect(c *matching.Compiled) (*Direct, error) {
-	s := c.Schedule()
+// NewDirect builds a direct router over a schedule, verifying full
+// coverage.
+func NewDirect(s *matching.Schedule) (*Direct, error) {
 	if !s.FullCoverage() {
 		return nil, fmt.Errorf("routing: direct routing requires full coverage")
 	}
-	return &Direct{compiled: c}, nil
+	return &Direct{n: s.N}, nil
 }
 
 // Name implements Router.
 func (d *Direct) Name() string { return "direct" }
+
+// N implements Router.
+func (d *Direct) N() int { return d.n }
 
 // MaxHops implements Router.
 func (d *Direct) MaxHops() int { return 1 }
@@ -110,8 +125,10 @@ func (d *Direct) RouteInto(buf Route, src, dst, slot int, r *rng.RNG) Route {
 }
 
 // Paths implements Router.
-func (d *Direct) Paths(src, dst int, fn func(Route, float64)) {
-	fn(Route{src, dst}, 1)
+func (d *Direct) Paths(buf Route, src, dst int, fn func(Route, float64)) Route {
+	p := append(pathBuf(buf, d.MaxHops()), src, dst)
+	fn(p, 1)
+	return p
 }
 
 // VLB is 2-hop Valiant load balancing over a fully connected schedule:
@@ -120,21 +137,22 @@ func (d *Direct) Paths(src, dst int, fn func(Route, float64)) {
 // arbitrary traffic — a guarantee that requires the spray to be random
 // per packet, not slot-derived (see the package comment).
 type VLB struct {
-	n        int
-	compiled *matching.Compiled
+	n int
 }
 
-// NewVLB builds a VLB router over a compiled full-coverage schedule.
-func NewVLB(c *matching.Compiled) (*VLB, error) {
-	s := c.Schedule()
+// NewVLB builds a VLB router over a full-coverage schedule.
+func NewVLB(s *matching.Schedule) (*VLB, error) {
 	if !s.FullCoverage() {
 		return nil, fmt.Errorf("routing: VLB requires full coverage")
 	}
-	return &VLB{n: s.N, compiled: c}, nil
+	return &VLB{n: s.N}, nil
 }
 
 // Name implements Router.
 func (v *VLB) Name() string { return "vlb" }
+
+// N implements Router.
+func (v *VLB) N() int { return v.n }
 
 // MaxHops implements Router.
 func (v *VLB) MaxHops() int { return 2 }
@@ -155,9 +173,9 @@ func (v *VLB) RouteInto(buf Route, src, dst, slot int, r *rng.RNG) Route {
 // Paths implements Router: the intermediate is uniform over the n−1
 // destinations the round robin visits (including dst itself, which yields
 // the direct path).
-func (v *VLB) Paths(src, dst int, fn func(Route, float64)) {
+func (v *VLB) Paths(buf Route, src, dst int, fn func(Route, float64)) Route {
 	prob := 1 / float64(v.n-1)
-	p := newPathBuf(v.MaxHops())
+	p := pathBuf(buf, v.MaxHops())
 	for w := 0; w < v.n; w++ {
 		if w == src {
 			continue
@@ -167,6 +185,7 @@ func (v *VLB) Paths(src, dst int, fn func(Route, float64)) {
 		p = appendHop(p, dst)
 		fn(p, prob)
 	}
+	return p
 }
 
 // ORN is the 2h-hop routing of h-dimensional optimal ORNs: spray to a
@@ -182,6 +201,9 @@ func NewORN(o *schedule.OptimalORN) *ORN { return &ORN{orn: o} }
 
 // Name implements Router.
 func (o *ORN) Name() string { return fmt.Sprintf("orn-%dd", o.orn.H) }
+
+// N implements Router.
+func (o *ORN) N() int { return o.orn.N }
 
 // MaxHops implements Router.
 func (o *ORN) MaxHops() int { return 2 * o.orn.H }
@@ -211,15 +233,16 @@ func (o *ORN) RouteInto(buf Route, src, dst, slot int, r *rng.RNG) Route {
 }
 
 // Paths implements Router: intermediates are uniform over all N nodes.
-func (o *ORN) Paths(src, dst int, fn func(Route, float64)) {
+func (o *ORN) Paths(buf Route, src, dst int, fn func(Route, float64)) Route {
 	prob := 1 / float64(o.orn.N)
-	p := newPathBuf(o.MaxHops())
+	p := pathBuf(buf, o.MaxHops())
 	for w := 0; w < o.orn.N; w++ {
 		p = append(p[:0], src)
 		p = o.digitPath(p, w)
 		p = o.digitPath(p, dst)
 		fn(p, prob)
 	}
+	return p
 }
 
 // SORN implements the paper's semi-oblivious routing (§4, "Routing").
@@ -228,33 +251,46 @@ func (o *ORN) Paths(src, dst int, fn func(Route, float64)) {
 // inter-clique circuit into the destination clique (landing on w's
 // same-local-index peer), then the final intra-clique hop.
 type SORN struct {
-	s        *schedule.SORN
-	compiled *matching.Compiled
+	s  *schedule.SORN
+	nc int
+	// land[w·nc+c] is the node w's inter-clique circuit reaches in
+	// clique c: the member with w's local index (fixed landing, see
+	// schedule.BuildSORN).
+	land []int32
 }
 
 // NewSORN builds the router for a built SORN schedule.
 func NewSORN(s *schedule.SORN) *SORN {
-	return &SORN{s: s, compiled: matching.Compile(s.Schedule)}
+	cl := s.Cliques
+	nc := cl.NumCliques()
+	land := make([]int32, cl.N()*nc)
+	for w := 0; w < cl.N(); w++ {
+		for c := 0; c < nc; c++ {
+			mem := cl.Members(c)
+			land[w*nc+c] = int32(mem[cl.LocalIndex(w)%len(mem)])
+		}
+	}
+	return &SORN{s: s, nc: nc, land: land}
 }
 
 // Name implements Router.
 func (s *SORN) Name() string { return "sorn" }
 
+// N implements Router.
+func (s *SORN) N() int { return s.s.Cliques.N() }
+
 // MaxHops implements Router.
 func (s *SORN) MaxHops() int {
-	if s.s.Cliques.NumCliques() == 1 {
+	if s.nc == 1 {
 		return 2
 	}
 	return 3
 }
 
 // landing returns the node w's inter-clique circuit reaches in the target
-// clique: the member with w's local index (fixed landing, see
-// schedule.BuildSORN).
+// clique.
 func (s *SORN) landing(w, targetClique int) int {
-	cl := s.s.Cliques
-	mem := cl.Members(targetClique)
-	return mem[cl.LocalIndex(w)%len(mem)]
+	return int(s.land[w*s.nc+targetClique])
 }
 
 // RouteInto implements Router. The load-balancing hop samples exactly
@@ -285,15 +321,16 @@ func (s *SORN) RouteInto(buf Route, src, dst, slot int, r *rng.RNG) Route {
 // Paths implements Router. The load-balancing hop is uniform over the
 // source's clique (including src itself: the slot in which src's own
 // inter-clique or direct circuit is used first).
-func (s *SORN) Paths(src, dst int, fn func(Route, float64)) {
+func (s *SORN) Paths(buf Route, src, dst int, fn func(Route, float64)) Route {
 	cl := s.s.Cliques
 	mem := cl.Members(cl.CliqueOf(src))
-	p := newPathBuf(s.MaxHops())
+	p := pathBuf(buf, s.MaxHops())
 	if cl.SameClique(src, dst) {
 		// Intra: intermediate uniform over clique members except src.
 		if len(mem) == 1 {
-			fn(append(p, src, dst), 1)
-			return
+			p = append(p, src, dst)
+			fn(p, 1)
+			return p
 		}
 		prob := 1 / float64(len(mem)-1)
 		for _, w := range mem {
@@ -305,7 +342,7 @@ func (s *SORN) Paths(src, dst int, fn func(Route, float64)) {
 			p = appendHop(p, dst)
 			fn(p, prob)
 		}
-		return
+		return p
 	}
 	// Inter: load-balancing hop uniform over all clique members
 	// (choosing src itself means using src's own inter-clique circuit).
@@ -319,4 +356,5 @@ func (s *SORN) Paths(src, dst int, fn func(Route, float64)) {
 		p = appendHop(p, dst)
 		fn(p, prob)
 	}
+	return p
 }

@@ -14,16 +14,21 @@ import (
 
 // checkPathsValid verifies that every path the router can produce uses
 // only circuits that exist in the schedule, starts at src, ends at dst,
-// respects MaxHops, and that probabilities sum to 1.
+// respects MaxHops, and that probabilities sum to 1. One buffer serves
+// every pair, as the Paths contract lets a caller reuse it.
 func checkPathsValid(t *testing.T, router Router, c *matching.Compiled, n int) {
 	t.Helper()
+	if router.N() != n {
+		t.Fatalf("%s: N() = %d, want %d", router.Name(), router.N(), n)
+	}
+	var buf Route
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
 			if src == dst {
 				continue
 			}
 			total := 0.0
-			router.Paths(src, dst, func(p Route, prob float64) {
+			buf = router.Paths(buf, src, dst, func(p Route, prob float64) {
 				total += prob
 				if p[0] != src || p[len(p)-1] != dst {
 					t.Fatalf("%s: path %v does not connect %d->%d", router.Name(), p, src, dst)
@@ -76,7 +81,7 @@ func checkRouteValid(t *testing.T, router Router, c *matching.Compiled, n int, s
 
 func TestDirectRouter(t *testing.T) {
 	c := matching.Compile(matching.RoundRobin(8))
-	d, err := NewDirect(c)
+	d, err := NewDirect(c.Schedule())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +94,14 @@ func TestDirectRouter(t *testing.T) {
 
 func TestDirectRequiresFullCoverage(t *testing.T) {
 	s := schedule.TopologyA()
-	if _, err := NewDirect(matching.Compile(s.Schedule)); err == nil {
+	if _, err := NewDirect(s.Schedule); err == nil {
 		t.Fatal("direct router accepted partial coverage")
 	}
 }
 
 func TestVLBRouter(t *testing.T) {
 	c := matching.Compile(matching.RoundRobin(10))
-	v, err := NewVLB(c)
+	v, err := NewVLB(c.Schedule())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +113,7 @@ func TestVLBSpraysAllRelays(t *testing.T) {
 	// The Valiant spray must reach every node except src — including dst,
 	// which yields the direct path — independent of the injection slot.
 	c := matching.Compile(matching.RoundRobin(10))
-	v, _ := NewVLB(c)
+	v, _ := NewVLB(c.Schedule())
 	r := rng.New(3)
 	seen := make(map[int]bool)
 	for i := 0; i < 2000; i++ {
@@ -126,7 +131,7 @@ func TestVLBSpraysAllRelays(t *testing.T) {
 
 func TestVLBRequiresFullCoverage(t *testing.T) {
 	s := schedule.TopologyA()
-	if _, err := NewVLB(matching.Compile(s.Schedule)); err == nil {
+	if _, err := NewVLB(s.Schedule); err == nil {
 		t.Fatal("VLB accepted partial coverage")
 	}
 }
@@ -176,7 +181,7 @@ func TestSORNRouter(t *testing.T) {
 func TestSORNRouterIntraIs2Hop(t *testing.T) {
 	s, _ := schedule.BuildSORN(schedule.SORNConfig{N: 32, Nc: 4, Q: 2})
 	router := NewSORN(s)
-	router.Paths(0, 1, func(p Route, prob float64) {
+	router.Paths(nil, 0, 1, func(p Route, prob float64) {
 		if p.Hops() > 2 {
 			t.Fatalf("intra path %v has %d hops", p, p.Hops())
 		}
@@ -191,7 +196,7 @@ func TestSORNRouterIntraIs2Hop(t *testing.T) {
 func TestSORNRouterInterUsesOneInterHop(t *testing.T) {
 	s, _ := schedule.BuildSORN(schedule.SORNConfig{N: 32, Nc: 4, Q: 2})
 	router := NewSORN(s)
-	router.Paths(0, 20, func(p Route, prob float64) {
+	router.Paths(nil, 0, 20, func(p Route, prob float64) {
 		crossings := 0
 		for i := 0; i+1 < len(p); i++ {
 			if !s.Cliques.SameClique(p[i], p[i+1]) {
@@ -212,7 +217,7 @@ func TestSORNRouterPaperExample(t *testing.T) {
 	s := schedule.TopologyA()
 	router := NewSORN(s)
 	seen := 0
-	router.Paths(0, 6, func(p Route, prob float64) {
+	router.Paths(nil, 0, 6, func(p Route, prob float64) {
 		seen++
 		if p.Hops() > 3 {
 			t.Fatalf("path %v too long", p)
@@ -250,7 +255,7 @@ func TestSORNSingletonCliques(t *testing.T) {
 	c := matching.Compile(s.Schedule)
 	checkPathsValid(t, router, c, 8)
 	checkRouteValid(t, router, c, 8, 6)
-	router.Paths(0, 5, func(p Route, prob float64) {
+	router.Paths(nil, 0, 5, func(p Route, prob float64) {
 		if p.Hops() != 1 {
 			t.Fatalf("singleton-clique path %v should be direct", p)
 		}
@@ -285,7 +290,7 @@ func TestRouteSamplesPathsDistribution(t *testing.T) {
 		for _, pair := range [][2]int{{0, 1}, {0, 5}, {3, 12}, {7, 2}, {15, 4}} {
 			src, dst := pair[0], pair[1]
 			want := make(map[string]float64)
-			router.Paths(src, dst, func(p Route, prob float64) {
+			router.Paths(nil, src, dst, func(p Route, prob float64) {
 				want[fmt.Sprint(p)] += prob
 			})
 			got := make(map[string]int)
@@ -344,7 +349,7 @@ func BenchmarkSORNRoute(b *testing.B) {
 }
 
 func BenchmarkVLBRoute(b *testing.B) {
-	v, err := NewVLB(matching.Compile(matching.RoundRobin(128)))
+	v, err := NewVLB(matching.RoundRobin(128))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -415,11 +420,11 @@ type testRouter struct {
 func routersUnderTest(t *testing.T) []testRouter {
 	t.Helper()
 	rr := matching.Compile(matching.RoundRobin(16))
-	direct, err := NewDirect(rr)
+	direct, err := NewDirect(rr.Schedule())
 	if err != nil {
 		t.Fatal(err)
 	}
-	vlb, err := NewVLB(rr)
+	vlb, err := NewVLB(rr.Schedule())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,16 +153,15 @@ func BuildSORNDemandAware(cfg DemandAwareConfig) (*SORN, error) {
 		weights = append(weights, slots[ti])
 	}
 
-	order := interleave(weights)
-	sched := &matching.Schedule{N: cfg.N}
-	for _, si := range order {
-		st := streams[si]
+	ms := make([]matching.Matching, len(streams))
+	for i, st := range streams {
 		if st.intra {
-			sched.Slots = append(sched.Slots, intraMatching(cl, st.shift))
+			ms[i] = intraMatching(cl, st.shift)
 		} else {
-			sched.Slots = append(sched.Slots, cliquePermMatching(cl, terms[st.term].Perm))
+			ms[i] = cliquePermMatching(cl, terms[st.term].Perm)
 		}
 	}
+	sched := slotsOf(cfg.N, ms, interleave(weights))
 	if err := sched.Validate(); err != nil {
 		return nil, fmt.Errorf("schedule: demand-aware schedule invalid: %w", err)
 	}

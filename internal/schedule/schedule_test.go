@@ -478,14 +478,6 @@ func TestApproxRatio(t *testing.T) {
 	}
 }
 
-func BenchmarkBuildSORN(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := BuildSORN(SORNConfig{N: 128, Nc: 8, Q: 4.5}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkBuildOptimalORN(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := BuildOptimalORN(4096, 2); err != nil {

@@ -85,18 +85,17 @@ func BuildSORN(cfg SORNConfig) (*SORN, error) {
 		return nil, fmt.Errorf("schedule: SORN config yields an empty schedule")
 	}
 
-	order := interleave(weights)
-	sched := &matching.Schedule{N: cfg.N}
-	for _, si := range order {
-		st := streams[si]
-		var m matching.Matching
+	// One matching per stream, shared by all of its slots (the schedule
+	// is immutable; see matching.Schedule).
+	ms := make([]matching.Matching, len(streams))
+	for i, st := range streams {
 		if st.intra {
-			m = intraMatching(cl, st.shift)
+			ms[i] = intraMatching(cl, st.shift)
 		} else {
-			m = interMatching(cl, st.shift, 0)
+			ms[i] = interMatching(cl, st.shift, 0)
 		}
-		sched.Slots = append(sched.Slots, m)
 	}
+	sched := slotsOf(cfg.N, ms, interleave(weights))
 	if err := sched.Validate(); err != nil {
 		return nil, fmt.Errorf("schedule: built invalid SORN schedule: %w", err)
 	}
@@ -171,6 +170,16 @@ func OptimalQ(x float64) (q, r float64) {
 		return math.Inf(1), 0.5
 	}
 	return 2 / (1 - x), 1 / (3 - x)
+}
+
+// slotsOf returns the schedule whose slot t is stream order[t]'s
+// matching, the same Matching for every slot of a stream.
+func slotsOf(n int, ms []matching.Matching, order []int) *matching.Schedule {
+	sched := &matching.Schedule{N: n, Slots: make([]matching.Matching, len(order))}
+	for t, si := range order {
+		sched.Slots[t] = ms[si]
+	}
+	return sched
 }
 
 // intraMatching connects each node to the node shift positions ahead

@@ -7,7 +7,11 @@
 #      reproducer specs), FuzzScheduleValidate in internal/matching
 #      (schedules built from raw bytes), FuzzTable1Flags in cmd/repro
 #      (repro -exp table1 with fuzzed -n, -uplinks, -slot, -prop and -x:
-#      an error or a finite table, never a panic), FuzzPoissonWindow in
+#      an error or a finite table, never a panic), FuzzFig2fFlags in
+#      cmd/repro (repro -exp fig2f -sim=false with fuzzed -n, -nc, -step
+#      and -cap, at most 256 nodes and 21 grid points: an error or a
+#      table whose fluid θ stays within the hop-count capacity bound,
+#      never a panic), FuzzPoissonWindow in
 #      internal/workload (flow windows over fuzzed locality workloads
 #      must equal the reference append-and-sort generator flow for flow),
 #      FuzzFIFO in internal/netsim (push, pop, purge and drop sequences on
@@ -52,6 +56,8 @@ echo "== go fuzz: FuzzScheduleValidate in ./internal/matching for 30s"
 go test ./internal/matching -run '^$' -fuzz '^FuzzScheduleValidate$' -fuzztime 30s -parallel 1
 echo "== go fuzz: FuzzTable1Flags in ./cmd/repro for 30s"
 go test ./cmd/repro -run '^$' -fuzz '^FuzzTable1Flags$' -fuzztime 30s -parallel 1
+echo "== go fuzz: FuzzFig2fFlags in ./cmd/repro for 30s"
+go test ./cmd/repro -run '^$' -fuzz '^FuzzFig2fFlags$' -fuzztime 30s -parallel 1
 echo "== go fuzz: FuzzPoissonWindow in ./internal/workload for 30s"
 go test ./internal/workload -run '^$' -fuzz '^FuzzPoissonWindow$' -fuzztime 30s -parallel 1
 echo "== go fuzz: FuzzFIFO in ./internal/netsim for 30s"
