@@ -12,7 +12,8 @@
 // with -count, the line with the lowest ns/op wins (the least-noise
 // run). Custom b.ReportMetric units land under "metrics". Each entry
 // records the GOMAXPROCS and simulator worker setting it ran under, so
-// wall-clock comparisons across entries carry their parallelism context;
+// wall-clock comparisons across entries carry their parallelism context,
+// and the number of passes its lowest ns/op was taken over (-passes);
 // beyond that, no timestamps or host-volatile fields are recorded:
 // identical bench output under an identical environment must produce an
 // identical file.
@@ -69,10 +70,14 @@ type Run struct {
 	CPU   string `json:"cpu,omitempty"`
 	// GOMAXPROCS and Workers record the parallelism context of the run:
 	// the Go scheduler's processor limit, and the simulator worker
-	// setting the benchmarks used ("auto" = one shard per CPU).
-	GOMAXPROCS int               `json:"gomaxprocs,omitempty"`
-	Workers    string            `json:"workers,omitempty"`
-	Bench      map[string]*Bench `json:"bench"`
+	// setting the benchmarks used ("serial" = one shard, the netsim
+	// default; ledger entries before it record "auto", one shard per CPU).
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	Workers    string `json:"workers,omitempty"`
+	// Passes is how many times each benchmark ran, the lowest ns/op
+	// kept (0: not recorded).
+	Passes int               `json:"passes,omitempty"`
+	Bench  map[string]*Bench `json:"bench"`
 }
 
 // Ledger is the whole JSON file: runs in insertion order.
@@ -98,8 +103,9 @@ func main() {
 	}
 	label := flag.String("label", "", "label for this run (required)")
 	out := flag.String("out", "BENCH_netsim.json", "ledger file to update")
-	workers := flag.String("workers", "auto", "simulator worker setting the benchmarks ran with")
+	workers := flag.String("workers", "serial", "simulator worker setting the benchmarks ran with")
 	maxprocs := flag.Int("gomaxprocs", runtime.GOMAXPROCS(0), "GOMAXPROCS the benchmarks ran under")
+	passes := flag.Int("passes", 0, "passes each benchmark ran, the lowest ns/op kept (0: not recorded)")
 	flag.Parse()
 	if *label == "" {
 		fmt.Fprintln(os.Stderr, "benchjson: -label is required")
@@ -116,6 +122,7 @@ func main() {
 	}
 	run.GOMAXPROCS = *maxprocs
 	run.Workers = *workers
+	run.Passes = *passes
 	if err := merge(*out, run); err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)

@@ -222,3 +222,31 @@ func TestCompareWarnsOnEnvMismatch(t *testing.T) {
 		}
 	})
 }
+
+// TestMergeRecordsPasses: an entry's pass count survives the ledger
+// round trip, and an entry without one records none.
+func TestMergeRecordsPasses(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ledger.json")
+	for _, run := range []*Run{
+		{Label: "five", Passes: 5, Bench: map[string]*Bench{"BenchmarkA": {NsPerOp: 1}}},
+		{Label: "unset", Bench: map[string]*Bench{"BenchmarkA": {NsPerOp: 1}}},
+	} {
+		if err := merge(path, run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ledger Ledger
+	if err := json.Unmarshal(data, &ledger); err != nil {
+		t.Fatal(err)
+	}
+	if got := []int{ledger.Runs[0].Passes, ledger.Runs[1].Passes}; got[0] != 5 || got[1] != 0 {
+		t.Fatalf("passes %v after the round trip, want [5 0]", got)
+	}
+	if strings.Count(string(data), `"passes"`) != 1 {
+		t.Fatalf("an unrecorded pass count was written:\n%s", data)
+	}
+}

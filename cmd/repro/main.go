@@ -50,7 +50,7 @@ func run(args []string, stdout io.Writer) error {
 	fs.IntVar(&c.N, "n", 0, "nodes (0 = the experiment's default: table1 4096, fig2f 128, ablations 64)")
 	fs.IntVar(&c.Nc, "nc", 0, "cliques (0 = the experiment's default: fig2f and ablations 8)")
 	fs.Uint64Var(&c.Seed, "seed", 0, "simulation seed (0 = the experiment's default: fig2f 42, ablations 11)")
-	fs.IntVar(&c.Workers, "workers", 0, "step-shard goroutines per simulation (0 = one per CPU, 1 = serial); results are bit-identical for every value")
+	fs.IntVar(&c.Workers, "workers", 0, "step-shard goroutines per simulation (0 or 1 = serial, the fastest on the 2-vCPU hosts measured); results are bit-identical for every value")
 	fs.IntVar(&c.SweepWorkers, "sweepworkers", 0, "concurrent sweep points (0 = one per CPU, 1 = serial); results are bit-identical for every value")
 	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
 	tracePath := fs.String("trace", "", "write the event trace as JSONL to this file (fig2f, adapt, diurnal, fct); fig2f then runs its sweep serially")

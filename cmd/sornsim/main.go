@@ -105,7 +105,7 @@ func simulate(args []string, out *strings.Builder) error {
 	propNS := fs.Int64("propns", 500, "per-hop propagation (ns)")
 	planes := fs.Int("planes", 1, "parallel uplinks per node")
 	qlimit := fs.Int("qlimit", 0, "per-VOQ queue limit in cells for openloop mode (0 = unbounded)")
-	workers := fs.Int("workers", 0, "step-shard goroutines (0 = one per CPU, 1 = serial; results identical)")
+	workers := fs.Int("workers", 0, "step-shard goroutines (0 or 1 = serial, the fastest on the 2-vCPU hosts measured; results identical)")
 	sweepWorkers := fs.Int("sweepworkers", 0, "concurrent sweep points in avail mode (0 = one per CPU, 1 = serial; results identical)")
 	hist := fs.Bool("hist", false, "print a log2 histogram of cell latencies")
 	tracePath := fs.String("trace", "", "write the event trace (flow/failure/reconfig) as JSONL to this file")

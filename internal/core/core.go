@@ -138,8 +138,8 @@ type SimOptions struct {
 	// Planes is the parallel uplink count per node (default 1).
 	Planes int
 	// Workers shards each simulation step across this many goroutines
-	// (0 = one per available CPU, 1 = serial). Results are bit-identical
-	// for every value; see the netsim package comment.
+	// (0 or 1 = serial, see netsim.Config.Workers). Results are
+	// bit-identical for every value; see the netsim package comment.
 	Workers int
 	// Obs optionally attaches the observability layer (metrics time
 	// series, phase timing, event trace). nil disables it; enabling it

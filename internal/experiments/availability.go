@@ -39,8 +39,8 @@ type AvailabilityConfig struct {
 	// replay the identical plan.
 	Plan *faultplan.Plan
 	Seed uint64
-	// Workers shards each simulation step (0 = one per CPU, 1 = serial);
-	// the whole experiment is bit-identical for every value.
+	// Workers shards each simulation step (0 or 1 = serial, k = k
+	// shards); the whole experiment is bit-identical for every value.
 	Workers int
 	// SweepWorkers bounds how many of the two design runs execute
 	// concurrently (0 = one per CPU, 1 = serial); bit-identical results

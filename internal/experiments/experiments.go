@@ -49,10 +49,8 @@ type Fig2fConfig struct {
 	SizeCap      int
 	Seed         uint64
 	// Workers is the per-simulation shard count (core.SimOptions.Workers):
-	// 0 = one per available CPU, 1 = serial. Results are bit-identical
-	// for every value. When the sweep itself runs multiple points at once,
-	// 0 resolves to serial sims (see sweep.Config.SimWorkers) so the two
-	// levels of parallelism don't oversubscribe the CPUs.
+	// 0 or 1 = serial, k = k shards. Results are bit-identical for every
+	// value.
 	Workers int
 	// SweepWorkers bounds how many points run concurrently
 	// (sweep.Config.Concurrency: 0 = one worker per CPU, 1 = serial).
@@ -397,8 +395,8 @@ type AdaptationConfig struct {
 	X1, X2     float64 // offered locality before and after the shift
 	PhaseSlots int64   // measured slots per phase (warmup is a third of it)
 	Seed       uint64
-	// Workers shards each simulation step (0 = one per CPU, 1 = serial);
-	// results are bit-identical for every value.
+	// Workers shards each simulation step (0 or 1 = serial, k = k
+	// shards); results are bit-identical for every value.
 	Workers int
 	// Obs, when non-nil, captures the experiment's slot-resolved metric
 	// series (labeled per phase) and event trace — phase boundaries,
@@ -651,8 +649,8 @@ type PlaneSweepConfig struct {
 	Planes []int   // uplink counts to sweep
 	Load   float64 // offered load per node
 	Seed   uint64
-	// Workers is the per-simulation shard count (0 = one per CPU,
-	// 1 = serial); bit-identical results for every value.
+	// Workers is the per-simulation shard count (0 or 1 = serial,
+	// k = k shards); bit-identical results for every value.
 	Workers int
 	// SweepWorkers bounds how many plane counts simulate concurrently
 	// (0 = one per CPU, 1 = serial); bit-identical results for every value.
@@ -902,8 +900,8 @@ type FCTConfig struct {
 	Loads []float64
 	Slots int64
 	Seed  uint64
-	// Workers shards each simulation step (0 = one per CPU, 1 = serial);
-	// results are bit-identical for every value.
+	// Workers shards each simulation step (0 or 1 = serial, k = k
+	// shards); results are bit-identical for every value.
 	Workers int
 	// SweepWorkers bounds how many (design, load) cells simulate
 	// concurrently (0 = one per CPU, 1 = serial); bit-identical results

@@ -50,78 +50,93 @@ func Solve(s *matching.Schedule, router routing.Router, tm *workload.Matrix) (*R
 		return nil, err
 	}
 
-	// Capacities from the schedule: count integer slots per directed link
-	// u→v (flat index u·n+v) and divide once by the period in the
-	// bottleneck scan, so every capacity is an exact multiple of
-	// 1/period. (Accumulating float64 increments of 1/period drifts for
-	// non-power-of-2 periods once a link repeats.)
-	n := s.N
-	slotCount := make([]int32, n*n)
-	for _, m := range s.Slots {
-		for u, v := range m {
-			slotCount[u*n+v]++
-		}
-	}
-
-	// Expected loads from the router's path distribution, accumulated in
-	// src, dst, Paths, hop order. One visit closure and one path buffer
-	// serve every pair; visit reads the pair's rate and must not keep the
-	// lent path. Hops are only range-checked here: whether each loaded
-	// link exists is checked once per link after accumulation.
-	load := make([]float64, n*n)
-	var (
-		rate, hopWeighted float64
-		pathErr           error
-	)
-	visit := func(p routing.Route, prob float64) {
-		hopWeighted += rate * prob * float64(p.Hops())
-		for i := 0; i+1 < len(p); i++ {
-			u, v := p[i], p[i+1]
-			if uint(u) >= uint(n) || uint(v) >= uint(n) {
-				pathErr = fmt.Errorf("fluid: router %s uses link %d->%d outside %d nodes",
-					router.Name(), u, v, n)
-				return
-			}
-			load[u*n+v] += rate * prob
-		}
-	}
-	buf := make(routing.Route, 0, router.MaxHops()+1)
-	demandTotal := 0.0
-	for src := 0; src < tm.N; src++ {
-		for dst := 0; dst < tm.N; dst++ {
-			rate = tm.Rates[src][dst]
-			if rate <= 0 {
-				continue
-			}
-			demandTotal += rate
-			buf = router.Paths(buf, src, dst, visit)
-			if pathErr != nil {
-				return nil, pathErr
-			}
-		}
-	}
+	stride := loadStride(s.N)
+	load, hopWeighted, demandTotal := linkLoads(router, tm, stride)
 	//sornlint:ignore floateq -- exact zero: no positive rate was ever added
 	if demandTotal == 0 {
 		return nil, fmt.Errorf("fluid: traffic matrix is empty")
 	}
+	return bottleneck(s, router, load, stride, hopWeighted, demandTotal)
+}
 
+// loadStride returns the row stride of the load matrix for n nodes: n
+// rounded up to whole 64-byte lines of float64s, plus one line when
+// that count is even. A row of an even number of lines, such as 4 KiB
+// at n=512, puts the same column of every row in a few L1 cache sets,
+// and one pair's adds down a column (link y→dst over the clique
+// members y) then evict each other; an odd count spreads consecutive
+// rows over every set.
+func loadStride(n int) int {
+	lines := (n + 7) / 8
+	if lines%2 == 0 {
+		lines++
+	}
+	return lines * 8
+}
+
+// linkLoads accumulates the expected load of every directed link u→v
+// (at load[u·stride+v]) under the router's path distribution, in src,
+// dst, Paths, hop order: one Router.AddLoads call per positive-rate
+// pair. It returns the loads, the demand-weighted hop total and the
+// total demand. The caller has checked that router and matrix share n.
+func linkLoads(router routing.Router, tm *workload.Matrix, stride int) (load []float64, hopWeighted, demandTotal float64) {
+	load = make([]float64, tm.N*stride)
+	for src, row := range tm.Rates {
+		for dst, rate := range row {
+			if rate <= 0 {
+				continue
+			}
+			demandTotal += rate
+			hopWeighted = router.AddLoads(load, stride, src, dst, rate, hopWeighted)
+		}
+	}
+	return load, hopWeighted, demandTotal
+}
+
+// bottleneck compares the loads against the schedule's capacities (the
+// fraction of node bandwidth per virtual link) and reports the binding
+// link, scanning links in u, v order. A loaded link the schedule never
+// provides is an error.
+func bottleneck(s *matching.Schedule, router routing.Router, load []float64, stride int, hopWeighted, demandTotal float64) (*Result, error) {
+	// Count integer slots per directed link and divide once by the
+	// period, so every capacity is an exact multiple of 1/period.
+	// (Accumulating float64 increments of 1/period drifts for
+	// non-power-of-2 periods once a link repeats.) The counts are taken
+	// for rowBlock source rows at a time, slots[(u−lo)·n+v] for link
+	// u→v, which keeps the scratch at rowBlock rows and reads each
+	// matching's block of rows in one sequential run.
+	const rowBlock = 64
+	n := s.N
+	slots := make([]int32, min(n, rowBlock)*n)
 	period := float64(s.Period())
 	res := &Result{Theta: math.Inf(1), BottleneckSrc: -1, BottleneckDst: -1}
-	for i, l := range load {
-		if l <= 0 {
-			continue
+	for lo := 0; lo < n; lo += rowBlock {
+		hi := min(lo+rowBlock, n)
+		clear(slots)
+		for _, m := range s.Slots {
+			for i, v := range m[lo:hi] {
+				slots[i*n+v]++
+			}
 		}
-		if slotCount[i] == 0 {
-			return nil, fmt.Errorf("fluid: router %s uses link %d->%d absent from schedule",
-				router.Name(), i/n, i%n)
-		}
-		res.LinkCount++
-		c := float64(slotCount[i]) / period
-		theta := c / l
-		if theta < res.Theta {
-			res.Theta = theta
-			res.BottleneckSrc, res.BottleneckDst = i/n, i%n
-			res.BottleneckLoad, res.BottleneckCap = l, c
+		for u := lo; u < hi; u++ {
+			row := slots[(u-lo)*n : (u-lo+1)*n]
+			for v, l := range load[u*stride : u*stride+n] {
+				if l <= 0 {
+					continue
+				}
+				if row[v] == 0 {
+					return nil, fmt.Errorf("fluid: router %s uses link %d->%d absent from schedule",
+						router.Name(), u, v)
+				}
+				res.LinkCount++
+				c := float64(row[v]) / period
+				theta := c / l
+				if theta < res.Theta {
+					res.Theta = theta
+					res.BottleneckSrc, res.BottleneckDst = u, v
+					res.BottleneckLoad, res.BottleneckCap = l, c
+				}
+			}
 		}
 	}
 	res.MeanHops = hopWeighted / demandTotal

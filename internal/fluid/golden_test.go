@@ -110,10 +110,10 @@ func TestSolveGolden(t *testing.T) {
 }
 
 // TestSolveAllocatesPerPairNotPerPath bounds Solve's allocations on SORN
-// at N=128: routers lend one path buffer per Paths call and the solver
-// keeps flat per-link arrays, so a solve may allocate at most once per
-// (src, dst) pair plus a constant, never once per path (up to N/Nc
-// paths per pair here).
+// at N=128: Router.AddLoads builds no path and the solver keeps flat
+// per-link arrays, so a solve may allocate at most once per (src, dst)
+// pair plus a constant, never once per path (up to N/Nc paths per pair
+// here). TestSolveAllocsConstant pins the exact count.
 func TestSolveAllocatesPerPairNotPerPath(t *testing.T) {
 	c := sornCase(t, 0.5)
 	n := c.s.N

@@ -36,7 +36,6 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"unsafe"
@@ -85,8 +84,10 @@ type Config struct {
 	// per slot — the paper's 16-uplink deployment, and the reason
 	// Table 1 divides δm by the uplink count.
 	Planes int
-	// Workers shards Step across this many goroutines. 0 picks
-	// GOMAXPROCS (capped at the node count), 1 runs serially. Every
+	// Workers shards Step across this many goroutines (capped at the
+	// node count). 0 and 1 run serially on one shard: on the 2-vCPU
+	// hosts the repository is measured on, two shards ran the paper's
+	// N=128 workloads 1.4–1.8× slower than one and never faster. Every
 	// value yields bit-identical Stats — see the package comment — so
 	// the choice is purely a wall-clock knob.
 	Workers int
@@ -748,10 +749,7 @@ func (s *Sim) init(cfg Config) error {
 		return fmt.Errorf("netsim: worker count %d invalid", cfg.Workers)
 	}
 	if cfg.Workers == 0 {
-		// Bit-identical for every worker count (see package comment),
-		// so defaulting to the host's parallelism is purely a speed
-		// choice, not a reproducibility one.
-		cfg.Workers = runtime.GOMAXPROCS(0)
+		cfg.Workers = 1
 	}
 	if cfg.Workers > n {
 		cfg.Workers = n
@@ -1935,8 +1933,14 @@ func (s *Sim) RunSaturated(sc SaturationConfig) (*Stats, error) {
 	if sc.TM.N != s.n {
 		return nil, fmt.Errorf("netsim: matrix over %d nodes, sim over %d", sc.TM.N, s.n)
 	}
-	if (sc.TargetBacklog <= 0 && sc.PerPairBacklog <= 0) || sc.WarmupSlots < 0 || sc.MeasureSlots <= 0 {
-		return nil, fmt.Errorf("netsim: invalid saturation config %+v", sc)
+	switch {
+	case sc.TargetBacklog <= 0 && sc.PerPairBacklog <= 0:
+		return nil, fmt.Errorf("netsim: invalid saturation config: TargetBacklog %d and PerPairBacklog %d, one must be positive",
+			sc.TargetBacklog, sc.PerPairBacklog)
+	case sc.WarmupSlots < 0:
+		return nil, fmt.Errorf("netsim: invalid saturation config: WarmupSlots %d is negative", sc.WarmupSlots)
+	case sc.MeasureSlots <= 0:
+		return nil, fmt.Errorf("netsim: invalid saturation config: MeasureSlots %d must be positive", sc.MeasureSlots)
 	}
 	end := s.slot + sc.WarmupSlots + sc.MeasureSlots
 	measureAt := s.slot + sc.WarmupSlots

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -100,6 +101,40 @@ func TestCellConservation(t *testing.T) {
 	}
 	if int64(s.FlowsCompleted()) != st.CompletedFlows {
 		t.Fatal("completed-flow counters disagree")
+	}
+}
+
+// TestRunSaturatedConfigErrorNamesField: an invalid saturation config
+// is reported by field name and value, not as a formatted struct (whose
+// pointer fields print as heap addresses that change between runs), so
+// the message holds no "0x" and is the same on every call.
+func TestRunSaturatedConfigErrorNamesField(t *testing.T) {
+	const n = 16
+	sched := matching.RoundRobin(n)
+	v, _ := routing.NewVLB(sched)
+	valid := SaturationConfig{TM: workload.Uniform(n), Size: workload.FixedSize(4),
+		TargetBacklog: 8, WarmupSlots: 10, MeasureSlots: 10}
+	for _, tc := range []struct {
+		field string
+		edit  func(*SaturationConfig)
+	}{
+		{"TargetBacklog 0 and PerPairBacklog 0", func(c *SaturationConfig) { c.TargetBacklog = 0 }},
+		{"WarmupSlots -1", func(c *SaturationConfig) { c.WarmupSlots = -1 }},
+		{"MeasureSlots 0", func(c *SaturationConfig) { c.MeasureSlots = 0 }},
+	} {
+		sc := valid
+		tc.edit(&sc)
+		var msgs [2]string
+		for i := range msgs {
+			_, err := newSim(t, sched, v, 1).RunSaturated(sc)
+			if err == nil {
+				t.Fatalf("%s: accepted", tc.field)
+			}
+			msgs[i] = err.Error()
+		}
+		if !strings.Contains(msgs[0], tc.field) || strings.Contains(msgs[0], "0x") || msgs[0] != msgs[1] {
+			t.Errorf("%s: errors %q and %q, want the field named, no address, the same twice", tc.field, msgs[0], msgs[1])
+		}
 	}
 }
 

@@ -224,6 +224,13 @@ func (r viaDst) Paths(buf routing.Route, src, dst int, fn func(routing.Route, fl
 	fn(buf, 1)
 	return buf
 }
+func (r viaDst) AddLoads(load []float64, stride, src, dst int, rate, hopWeighted float64) float64 {
+	relay := (dst + 1) % r.n
+	load[src*stride+dst] += rate
+	load[dst*stride+relay] += rate
+	load[relay*stride+dst] += rate
+	return hopWeighted + rate*3
+}
 
 // TestSerialCallsPublishBeforeReturn: InjectFlow, FailNode and
 // Reconfigure stage their shared effects like a Step does, and must

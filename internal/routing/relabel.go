@@ -72,3 +72,20 @@ func (r *Relabeled) Paths(buf Route, src, dst int, fn func(Route, float64)) Rout
 	})
 	return buf
 }
+
+// AddLoads implements Router through Paths, which renames each inner
+// path before its loads are added. Relabeled serves the oracle's
+// relabeling check, not production solves, so its visit closure and
+// path buffer allocate on every call.
+//
+//sornlint:coldpath -- oracle relabeling check only; allocates per call
+func (r *Relabeled) AddLoads(load []float64, stride, src, dst int, rate, hopWeighted float64) float64 {
+	r.Paths(nil, src, dst, func(p Route, prob float64) {
+		w := rate * prob
+		hopWeighted += w * float64(p.Hops())
+		for i := 0; i+1 < len(p); i++ {
+			load[p[i]*stride+p[i+1]] += w
+		}
+	})
+	return hopWeighted
+}

@@ -7,13 +7,17 @@
 //   - SORN routing (§4): 2-hop VLB inside cliques, 3 hops across cliques
 //     (load-balancing intra hop → inter-clique circuit → final intra hop)
 //
-// Every Router exposes the hop sequence two ways: RouteInto samples one
-// concrete path for a packet (used by the slotted simulator), and Paths
-// enumerates the full path distribution (used by the fluid throughput
-// solver). The two MUST agree: RouteInto's load-balancing hops draw from
-// exactly the distribution Paths declares, using the caller's RNG. An
-// earlier revision instead took the "next available" circuit at the
-// injection slot — zero intrinsic wait, but the relay choice then
+// Every Router exposes the hop sequence three ways: RouteInto samples
+// one concrete path for a packet (used by the slotted simulator), Paths
+// enumerates the full path distribution (the distribution's
+// specification, used by the oracle, the blast-radius functions and the
+// tests), and AddLoads adds that distribution's expected link loads
+// without building paths (used by the fluid throughput solver, bit for
+// bit what accumulating Paths gives). RouteInto and Paths MUST agree:
+// RouteInto's load-balancing hops draw from exactly the distribution
+// Paths declares, using the caller's RNG. An earlier revision instead
+// took the "next available" circuit at the injection slot — zero
+// intrinsic wait, but the relay choice then
 // correlates with the slot, and under arrivals that are themselves
 // slot-correlated (saturation backlog refills, multi-plane staggering)
 // the spray concentrates on a few relays and the Valiant throughput
@@ -73,6 +77,22 @@ type Router interface {
 	// given: fn must neither modify path nor keep it (or a subslice of
 	// it) after fn returns; copy it to keep it.
 	Paths(buf Route, src, dst int, fn func(path Route, prob float64)) Route
+	// AddLoads adds the expected link loads of rate units of src→dst
+	// demand to load, a row-major matrix with N columns and row stride
+	// stride ≥ N (link u→v at load[u·stride+v]), and returns hopWeighted
+	// plus the demand-weighted hop count. It walks exactly the
+	// distribution Paths enumerates, in Paths order: for each path,
+	// w := rate·prob is added to every hop's link in hop order, and
+	// w·Hops() to the running hopWeighted. Keeping that order keeps
+	// every float sum bit-identical to accumulating through Paths, which
+	// stays the distribution's specification. Hops are not range-checked:
+	// the caller checks N() once and sizes load to hold N rows. The fluid
+	// solver calls it once per demand pair, so implementations build no
+	// Route and must not allocate; the one exception is Relabeled, which
+	// only the oracle's relabeling check uses.
+	//
+	//sornlint:hotpath
+	AddLoads(load []float64, stride, src, dst int, rate, hopWeighted float64) float64
 }
 
 // appendHop extends a path, skipping no-op hops (next == last node).
@@ -129,6 +149,12 @@ func (d *Direct) Paths(buf Route, src, dst int, fn func(Route, float64)) Route {
 	p := append(pathBuf(buf, d.MaxHops()), src, dst)
 	fn(p, 1)
 	return p
+}
+
+// AddLoads implements Router: the direct path carries the whole rate.
+func (d *Direct) AddLoads(load []float64, stride, src, dst int, rate, hopWeighted float64) float64 {
+	load[src*stride+dst] += rate
+	return hopWeighted + rate
 }
 
 // VLB is 2-hop Valiant load balancing over a fully connected schedule:
@@ -188,6 +214,26 @@ func (v *VLB) Paths(buf Route, src, dst int, fn func(Route, float64)) Route {
 	return p
 }
 
+// AddLoads implements Router over Paths' intermediates in Paths order;
+// w = dst collapses to the direct path.
+func (v *VLB) AddLoads(load []float64, stride, src, dst int, rate, hopWeighted float64) float64 {
+	w := rate * (1 / float64(v.n-1))
+	for m := 0; m < v.n; m++ {
+		switch m {
+		case src:
+			continue
+		case dst:
+			load[src*stride+dst] += w
+			hopWeighted += w
+		default:
+			load[src*stride+m] += w
+			load[m*stride+dst] += w
+			hopWeighted += w * 2
+		}
+	}
+	return hopWeighted
+}
+
 // ORN is the 2h-hop routing of h-dimensional optimal ORNs: spray to a
 // uniformly random intermediate by fixing one digit per hop (in the
 // schedule's dimension order), then correct each digit toward the
@@ -243,6 +289,34 @@ func (o *ORN) Paths(buf Route, src, dst int, fn func(Route, float64)) Route {
 		fn(p, prob)
 	}
 	return p
+}
+
+// AddLoads implements Router over Paths' intermediates in Paths order.
+func (o *ORN) AddLoads(load []float64, stride, src, dst int, rate, hopWeighted float64) float64 {
+	w := rate * (1 / float64(o.orn.N))
+	for m := 0; m < o.orn.N; m++ {
+		hops := o.addDigitLoads(load, stride, src, m, w) + o.addDigitLoads(load, stride, m, dst, w)
+		hopWeighted += w * float64(hops)
+	}
+	return hopWeighted
+}
+
+// addDigitLoads adds w to every link of digitPath's walk from cur to
+// target, skipping the digits that need no correction as digitPath's
+// appendHop does, and returns the number of links.
+func (o *ORN) addDigitLoads(load []float64, stride, cur, target int, w float64) int {
+	a, h := o.orn.Base, o.orn.H
+	hops, digit := 0, 1
+	for d := 0; d < h; d++ {
+		next := cur + ((target/digit)%a-(cur/digit)%a)*digit
+		if next != cur {
+			load[cur*stride+next] += w
+			hops++
+			cur = next
+		}
+		digit *= a
+	}
+	return hops
 }
 
 // SORN implements the paper's semi-oblivious routing (§4, "Routing").
@@ -357,4 +431,54 @@ func (s *SORN) Paths(buf Route, src, dst int, fn func(Route, float64)) Route {
 		fn(p, prob)
 	}
 	return p
+}
+
+// AddLoads implements Router over Paths' load-balancing hops in Paths
+// order, with appendHop's collapses: an intra intermediate equal to dst
+// and an inter one equal to src drop a hop, as does a landing node equal
+// to dst. The landing node lies in dst's clique, so it never equals src
+// or the intermediate.
+func (s *SORN) AddLoads(load []float64, stride, src, dst int, rate, hopWeighted float64) float64 {
+	cl := s.s.Cliques
+	mem := cl.Members(cl.CliqueOf(src))
+	if cl.SameClique(src, dst) {
+		if len(mem) == 1 {
+			load[src*stride+dst] += rate
+			return hopWeighted + rate
+		}
+		w := rate * (1 / float64(len(mem)-1))
+		for _, m := range mem {
+			switch m {
+			case src:
+				continue
+			case dst:
+				load[src*stride+dst] += w
+				hopWeighted += w
+			default:
+				load[src*stride+m] += w
+				load[m*stride+dst] += w
+				hopWeighted += w * 2
+			}
+		}
+		return hopWeighted
+	}
+	w := rate * (1 / float64(len(mem)))
+	land := s.land[cl.CliqueOf(dst):]
+	for _, m := range mem {
+		y := int(land[m*s.nc])
+		hops := 3
+		if m == src {
+			hops--
+		} else {
+			load[src*stride+m] += w
+		}
+		load[m*stride+y] += w
+		if y == dst {
+			hops--
+		} else {
+			load[y*stride+dst] += w
+		}
+		hopWeighted += w * float64(hops)
+	}
+	return hopWeighted
 }

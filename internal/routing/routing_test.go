@@ -507,3 +507,61 @@ func TestRouteIntoDoesNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// TestAddLoadsMatchesPaths: for every router and pair, AddLoads into a
+// padded matrix adds exactly what accumulating Paths does — rate·prob
+// per hop in Paths and hop order, rate·prob·hops to the hop total —
+// bit for bit, and leaves the row padding alone.
+func TestAddLoadsMatchesPaths(t *testing.T) {
+	const n, stride = 16, 19
+	for _, router := range routersUnderTest(t) {
+		load := make([]float64, n*stride)
+		want := make([]float64, n*stride)
+		hw, wantHW := 0.0, 0.0
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				if src == dst {
+					continue
+				}
+				rate := float64(1+src*n+dst) / 7
+				hw = router.AddLoads(load, stride, src, dst, rate, hw)
+				router.Paths(nil, src, dst, func(p Route, prob float64) {
+					wantHW += rate * prob * float64(p.Hops())
+					for i := 0; i+1 < len(p); i++ {
+						want[p[i]*stride+p[i+1]] += rate * prob
+					}
+				})
+				if math.Float64bits(hw) != math.Float64bits(wantHW) {
+					t.Fatalf("%s: hop total after %d->%d = %v, Paths gives %v", router.Name(), src, dst, hw, wantHW)
+				}
+			}
+		}
+		for i := range load {
+			if math.Float64bits(load[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: load[%d][%d] = %v, Paths gives %v", router.Name(), i/stride, i%stride, load[i], want[i])
+			}
+		}
+	}
+}
+
+// TestAddLoadsDoesNotAllocate: the fluid solver calls AddLoads once per
+// demand pair, so the native routers must not allocate. Relabeled goes
+// through its Paths (a closure and a path buffer per call) and serves
+// only the oracle's relabeling check.
+func TestAddLoadsDoesNotAllocate(t *testing.T) {
+	const n = 16
+	for _, router := range routersUnderTest(t) {
+		if _, ok := router.Router.(*Relabeled); ok {
+			continue
+		}
+		load := make([]float64, n*n)
+		hw := 0.0
+		if avg := testing.AllocsPerRun(50, func() {
+			for _, pair := range [][2]int{{0, 1}, {0, 15}, {5, 6}, {12, 3}} {
+				hw = router.AddLoads(load, n, pair[0], pair[1], 0.25, hw)
+			}
+		}); avg != 0 {
+			t.Errorf("%s: AddLoads allocates %.1f per call", router.Name(), avg)
+		}
+	}
+}

@@ -18,9 +18,7 @@
 //     in point-index order.
 //
 // Per-point work composes with netsim's own Workers sharding through
-// SimWorkers: a concurrent sweep demotes "auto" per-sim parallelism to
-// serial so k points don't oversubscribe the host with k×GOMAXPROCS
-// shard goroutines.
+// SimWorkers, which keeps a concurrent sweep's simulations serial.
 package sweep
 
 import (
@@ -64,10 +62,11 @@ func (c Config) Workers(points int) int {
 
 // SimWorkers composes the sweep's concurrency with a per-simulation
 // Workers setting. An explicit setting passes through untouched; the
-// "auto" setting (0, one shard per CPU) resolves to serial when the
-// sweep itself runs points concurrently, so the host runs ~one goroutine
-// per CPU overall instead of points×CPUs. Both layers are bit-identical
-// across worker counts, so this only shapes wall-clock, never results.
+// default 0 becomes an explicit 1 when the sweep itself runs points
+// concurrently. Both mean one serial shard (netsim.Config.Workers), so
+// the demotion no longer changes any simulation; it dates from when 0
+// meant one shard per CPU. Both layers are bit-identical across worker
+// counts, so this only shapes wall-clock, never results.
 func (c Config) SimWorkers(points, simWorkers int) int {
 	if simWorkers == 0 && c.Workers(points) > 1 {
 		return 1

@@ -6,29 +6,32 @@
 #
 #   ./scripts/bench.sh -label after-pr2          # full run, updates BENCH_netsim.json
 #   ./scripts/bench.sh -base main -label pr25    # interleaved pair: pr25-before / pr25-after
+#   ./scripts/bench.sh -base main -label pr27 -passes 5   # more passes per benchmark
 #   ./scripts/bench.sh -quick                    # CI smoke: tiny run into a temp file
 #
 # Full mode runs BenchmarkFigure2fSimulated (the end-to-end saturated
 # 64-node sweep), BenchmarkFig2fSweep (the paper's full default Figure
 # 2(f) sweep through the bounded-parallel sweep engine — the headline
 # sweep wall-clock) and BenchmarkQSweep, plus the netsim
-# micro-benchmarks, the fluid solver at N=128 and N=512, cold SORN
+# micro-benchmarks, the fluid solver (BenchmarkSolveSORN: N=128, and
+# N=512 at x = 0, 0.56 and 1, the ends and headline of the fluid-n512
+# workload's grid), cold SORN
 # builds (BenchmarkBuildSORN: the N=128 schedule, and the N=512
 # schedule with its router) and the two non-simulator layers of the
 # open-loop workloads: a steady control epoch (BenchmarkDecideSteady)
 # and a 100k-slot flow window (BenchmarkPoissonWindow). The test
-# binaries are built once and every benchmark runs in 3 passes with the
-# lowest ns/op kept, so a single noisy pass can't masquerade as a
-# regression.
+# binaries are built once and every benchmark runs in -passes passes
+# (default 3) with the lowest ns/op kept, so a single noisy pass can't
+# masquerade as a regression; the ledger entry records the pass count.
 #
 # -base REV measures a before/after pair on one host in one sitting: it
-# checks REV out into a temporary git worktree, builds REV's test
-# binaries there and the working tree's here, and runs each benchmark
+# exports REV into a temporary directory (git archive), builds REV's
+# test binaries there and the working tree's here, and runs each benchmark
 # on both sides back to back, swapping which side goes first every
 # pass. The two sides are recorded as LABEL-before and LABEL-after, so
 # host drift during the run lands on both entries instead of showing up
 # as a change. Benchmark files (*_bench_test.go) of the working tree are
-# copied into the worktree first, so both sides run the same benchmark
+# copied into the export first, so both sides run the same benchmark
 # code; they must still compile against REV.
 #
 # Quick mode only proves the harness works — benchmarks build, run, and
@@ -40,17 +43,23 @@ cd "$(dirname "$0")/.."
 label=""
 base=""
 quick=0
+passes=3
 out="BENCH_netsim.json"
 while [ $# -gt 0 ]; do
   case "$1" in
     -quick) quick=1 ;;
     -label) label="$2"; shift ;;
     -base) base="$2"; shift ;;
+    -passes) passes="$2"; shift ;;
     -out) out="$2"; shift ;;
-    *) echo "usage: bench.sh [-quick] [-label NAME] [-base REV] [-out FILE]" >&2; exit 2 ;;
+    *) echo "usage: bench.sh [-quick] [-label NAME] [-base REV] [-passes N] [-out FILE]" >&2; exit 2 ;;
   esac
   shift
 done
+if ! [[ "$passes" =~ ^[1-9][0-9]*$ ]]; then
+  echo "bench.sh: -passes must be a positive integer, got '$passes'" >&2
+  exit 2
+fi
 
 if [ "$quick" = 1 ]; then
   tmp="$(mktemp)"
@@ -60,7 +69,7 @@ if [ "$quick" = 1 ]; then
       -benchtime 200x -benchmem ./internal/netsim/
     go test -run NONE -bench 'BenchmarkOpenLoopSparse$|BenchmarkLargeN$' \
       -benchtime 1x -benchmem ./internal/netsim/
-    go test -run NONE -bench 'BenchmarkSolveSORN128$' -benchtime 1x -benchmem ./internal/fluid/
+    go test -run NONE -bench 'BenchmarkSolveSORN$/n128' -benchtime 1x -benchmem ./internal/fluid/
     go test -run NONE -bench 'BenchmarkBuildSORN/' -benchtime 1x -benchmem ./internal/schedule/
     go test -run NONE -bench 'BenchmarkPoissonWindow$' -benchtime 1x -benchmem .
   } | go run ./cmd/benchjson -label quick-smoke -out "$tmp"
@@ -81,27 +90,19 @@ benches=(
   ". BenchmarkDecideSteady$|BenchmarkPoissonWindow$ -"
   "./internal/netsim BenchmarkStepSaturated|BenchmarkStepChurn|BenchmarkInjectSaturated -"
   "./internal/netsim BenchmarkOpenLoopSparse$|BenchmarkLargeN$ 5x"
-  "./internal/fluid BenchmarkSolveSORN128$|BenchmarkSolveSORN512$ 3x"
+  "./internal/fluid BenchmarkSolveSORN$ 3x"
   "./internal/schedule BenchmarkBuildSORN/ -"
 )
-passes=3
 
 # Each run entry records its parallelism context: the GOMAXPROCS in
-# force and the simulator worker setting ("auto" = one shard per CPU,
-# the netsim default). Wall-clock entries are only comparable between
-# runs with the same context.
+# force and the simulator worker setting ("serial" = one shard, the
+# netsim default). Wall-clock entries are only comparable between runs
+# with the same context.
 gomaxprocs="${GOMAXPROCS:-$(nproc)}"
-workers="${NETSIM_WORKERS:-auto}"
+workers="${NETSIM_WORKERS:-serial}"
 
 work="$(mktemp -d)"
-tree=""
-cleanup() {
-  if [ -n "$tree" ]; then
-    git worktree remove --force "$tree" >/dev/null 2>&1 || true
-  fi
-  rm -rf "$work"
-}
-trap cleanup EXIT
+trap 'rm -rf "$work"' EXIT
 
 # binname PKG prints the test binary name for a package path.
 binname() { local p="${1#./}"; p="${p//\//_}"; echo "${p:-root}.test"; }
@@ -135,12 +136,13 @@ if [ -z "$base" ]; then
       runone "$PWD" "$work/after" "$line"
     done
   done | tee /dev/stderr | go run ./cmd/benchjson -label "$label" -out "$out" \
-      -gomaxprocs "$gomaxprocs" -workers "$workers"
+      -gomaxprocs "$gomaxprocs" -workers "$workers" -passes "$passes"
   exit 0
 fi
 
 tree="$work/base"
-git worktree add --detach "$tree" "$base" >/dev/null
+mkdir -p "$tree"
+git archive "$base" | tar -x -C "$tree"
 git ls-files --cached --others --exclude-standard -- '*_bench_test.go' | while read -r f; do
   mkdir -p "$tree/$(dirname "$f")"
   cp "$f" "$tree/$f"
@@ -158,6 +160,6 @@ for ((p = 0; p < passes; p++)); do
   done
 done
 go run ./cmd/benchjson -label "$label-before" -out "$out" \
-  -gomaxprocs "$gomaxprocs" -workers "$workers" <"$work/before.txt"
+  -gomaxprocs "$gomaxprocs" -workers "$workers" -passes "$passes" <"$work/before.txt"
 go run ./cmd/benchjson -label "$label-after" -out "$out" \
-  -gomaxprocs "$gomaxprocs" -workers "$workers" <"$work/after.txt"
+  -gomaxprocs "$gomaxprocs" -workers "$workers" -passes "$passes" <"$work/after.txt"

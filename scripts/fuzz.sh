@@ -17,9 +17,12 @@
 #      FuzzFIFO in internal/netsim (push, pop, purge and drop sequences on
 #      the chunked VOQs of one cell pool against a slice-of-slices
 #      reference, with every chunk either held by one queue or free)
-#      and FuzzSornsimFlags in cmd/sornsim (sornsim's three simulation
+#      FuzzSornsimFlags in cmd/sornsim (sornsim's three simulation
 #      modes on 16 nodes with fuzzed flags and specs: an error or a
-#      report with no NaN, infinity or negative number, never a panic).
+#      report with no NaN, infinity or negative number, never a panic)
+#      and FuzzSolveMatchesPaths in internal/fluid (fluid solves of
+#      random instances of every router over at most 64 nodes: every
+#      load and Result field bit-identical to the Paths reference).
 #      A failing input is written under the package's testdata/fuzz/ and
 #      replays as an ordinary test from then on. For a longer pass, run
 #      the same go test -fuzz command with a larger -fuzztime.
@@ -64,6 +67,8 @@ echo "== go fuzz: FuzzFIFO in ./internal/netsim for 30s"
 go test ./internal/netsim -run '^$' -fuzz '^FuzzFIFO$' -fuzztime 30s -parallel 1
 echo "== go fuzz: FuzzSornsimFlags in ./cmd/sornsim for 30s"
 go test ./cmd/sornsim -run '^$' -fuzz '^FuzzSornsimFlags$' -fuzztime 30s -parallel 1
+echo "== go fuzz: FuzzSolveMatchesPaths in ./internal/fluid for 30s"
+go test ./internal/fluid -run '^$' -fuzz '^FuzzSolveMatchesPaths$' -fuzztime 30s -parallel 1
 
 echo "== oracle fuzz: up to $iters scenarios, ${seconds}s budget, seed $seed"
 go run ./cmd/sornsim -selfcheck -fuzziters "$iters" -fuzzseconds "$seconds" -seed "$seed"
