@@ -161,6 +161,66 @@ func FuzzFig2fFlags(f *testing.F) {
 	})
 }
 
+// ablationNames are the registry entries after fig2f: the ablations,
+// which read repro's shared -n, -nc and -seed flags.
+func ablationNames() []string {
+	var names []string
+	after := false
+	for _, e := range experiments.Registry {
+		if after {
+			names = append(names, e.Name)
+		}
+		after = after || e.Name == "fig2f"
+	}
+	return names
+}
+
+// FuzzAblationFlags drives every ablation entry with fuzzed -n, -nc and
+// -seed. Inputs over 32 nodes, or at -n 0 (an entry's own default, 64),
+// or with more than 64 cliques are skipped, so no input builds a large
+// network: at -n 16 -nc 4 every entry runs in under a second. run must
+// return an error or print at least one table row, never panic.
+func FuzzAblationFlags(f *testing.F) {
+	names := ablationNames()
+	for i := range names {
+		f.Add(uint8(i), 16, 4, uint64(11))
+	}
+	f.Add(uint8(0), 32, 8, uint64(0))
+	f.Add(uint8(4), 8, 8, uint64(1))
+	f.Add(uint8(9), -16, 4, uint64(7))
+	f.Add(uint8(13), 12, 0, uint64(3))
+	f.Add(uint8(2), 1, 1, uint64(5))
+	f.Add(uint8(6), 20, -3, uint64(9))
+	f.Fuzz(func(t *testing.T, entry uint8, n, nc int, seed uint64) {
+		if n > 32 || n == 0 || nc > 64 {
+			t.Skip()
+		}
+		// Every input visits new (n, nc, q) keys; keep the process-wide
+		// build cache from holding all of them.
+		core.SharedBuilds.Reset()
+		args := []string{"-exp", names[int(entry)%len(names)], "-csv",
+			fmt.Sprintf("-n=%d", n), fmt.Sprintf("-nc=%d", nc), fmt.Sprintf("-seed=%d", seed)}
+		var out bytes.Buffer
+		if err := run(args, &out); err != nil {
+			return
+		}
+		// Title, CSV header, rows with the header's column count, notes.
+		lines := strings.Split(out.String(), "\n")
+		rows := 0
+		if len(lines) > 2 {
+			cols := strings.Count(lines[1], ",")
+			for _, line := range lines[2:] {
+				if line != "" && strings.Count(line, ",") == cols {
+					rows++
+				}
+			}
+		}
+		if rows == 0 {
+			t.Fatalf("repro %s printed no rows:\n%s", strings.Join(args, " "), out.Bytes())
+		}
+	})
+}
+
 // thetaCap bounds the fluid θ of a SORN with cliques of k nodes under a
 // saturation matrix with intra-clique fraction x. Every node sends and
 // receives one unit of capacity, so θ·h ≤ 1 for the demand-weighted

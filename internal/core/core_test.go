@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -139,6 +140,34 @@ func TestSimOptionsDefaults(t *testing.T) {
 	o := SimOptions{}.withDefaults()
 	if o.SlotNS != 100 || o.PropNS != 500 || o.MeasureSlots == 0 || o.TargetBacklog == 0 {
 		t.Fatalf("defaults not applied: %+v", o)
+	}
+}
+
+// TestSimOptionsNegativeSampleRejected: withDefaults fills only zeros, so
+// a negative LatencySampleEvery reaches netsim, whose error names it —
+// through NewSim, through a fresh SimPool slot and through a pooled Reset.
+func TestSimOptionsNegativeSampleRejected(t *testing.T) {
+	nw, err := NewSORN(16, 4, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := SimOptions{Seed: 1, LatencySampleEvery: -3}
+	const want = "LatencySampleEvery -3"
+	if o := bad.withDefaults(); o.LatencySampleEvery != -3 {
+		t.Fatalf("withDefaults turned LatencySampleEvery -3 into %d", o.LatencySampleEvery)
+	}
+	if _, err := nw.NewSim(bad); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("NewSim: error %v, want one naming %q", err, want)
+	}
+	pool := NewSimPool(1)
+	if _, err := pool.Acquire(0, nw, bad); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Acquire on an empty slot: error %v, want one naming %q", err, want)
+	}
+	if _, err := pool.Acquire(0, nw, SimOptions{Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pool.Acquire(0, nw, bad); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Acquire on a pooled sim: error %v, want one naming %q", err, want)
 	}
 }
 

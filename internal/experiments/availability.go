@@ -129,9 +129,11 @@ func Availability(cfg AvailabilityConfig) (*AvailabilityResult, error) {
 	// uniform oblivious baseline is the schedule the fallback uses, with
 	// no control loop at all. The two design runs are independent (same
 	// workload seed, same fault plan, different fabrics), so they sweep as
-	// two points over cached builds. A cached build stays read-only here:
-	// mid-run Reconfigure swaps the *simulator's* schedule, never the
-	// shared Network's.
+	// two points over cached builds and one simulator per sweep worker: a
+	// serial sweep resets the first design's simulator for the second,
+	// reusing its flow arena, cell pools and delay ring. A cached build
+	// stays read-only here: mid-run Reconfigure swaps the *simulator's*
+	// schedule, never the shared Network's.
 	sorn, err := core.SharedBuilds.SORN(cfg.N, cfg.Nc, cfg.X)
 	if err != nil {
 		return nil, err
@@ -159,19 +161,28 @@ func Availability(cfg AvailabilityConfig) (*AvailabilityResult, error) {
 		stats   netsim.Stats
 	}
 	sw := observedSweep(cfg.SweepWorkers, cfg.Seed, cfg.Obs)
+	pool := core.NewSimPool(sw.Workers(2))
 	runs, err := sweep.Run(sw, 2, func(p sweep.Point) (designRun, error) {
-		simWorkers := sw.SimWorkers(2, cfg.Workers)
+		nw, label := obl, "oblivious"
+		var resil *controlplane.Resilient
 		if p.Index == 0 {
 			ctl, err := controlplane.NewController(cfg.N, cfg.Nc, 0.5)
 			if err != nil {
 				return designRun{}, err
 			}
 			ctl.Obs = cfg.Obs
-			resil := controlplane.NewResilient(ctl)
-			w, st, err := runAvailability(cfg, simWorkers, sorn, tm, flows, "SORN+fallback", resil)
-			return designRun{windows: w, stats: st}, err
+			nw, label, resil = sorn, "SORN+fallback", controlplane.NewResilient(ctl)
 		}
-		w, st, err := runAvailability(cfg, simWorkers, obl, tm, flows, "oblivious", nil)
+		if cfg.Obs != nil {
+			cfg.Obs.StartRun(label)
+		}
+		sim, err := pool.Acquire(p.Worker, nw, core.SimOptions{
+			Seed: cfg.Seed, Workers: sw.SimWorkers(2, cfg.Workers), LatencySampleEvery: 16, Obs: cfg.Obs,
+		})
+		if err != nil {
+			return designRun{}, err
+		}
+		w, st, err := runAvailability(cfg, sim, tm, flows, resil)
 		return designRun{windows: w, stats: st}, err
 	})
 	if err != nil {
@@ -200,18 +211,10 @@ func Availability(cfg AvailabilityConfig) (*AvailabilityResult, error) {
 // that slot's transmissions and a control decision at slot t plans
 // against everything observed strictly before t. It ends at the next
 // fault event, control epoch, window end or the end of the run, where
-// the window is reported.
-func runAvailability(cfg AvailabilityConfig, simWorkers int, nw *core.Network, tm *workload.Matrix,
-	flows []workload.Flow, label string, resil *controlplane.Resilient) ([]AvailabilityWindow, netsim.Stats, error) {
-	if cfg.Obs != nil {
-		cfg.Obs.StartRun(label)
-	}
-	sim, err := nw.NewSim(core.SimOptions{
-		Seed: cfg.Seed, Workers: simWorkers, LatencySampleEvery: 16, Obs: cfg.Obs,
-	})
-	if err != nil {
-		return nil, netsim.Stats{}, err
-	}
+// the window is reported. sim is fresh or reset; the returned Stats is a
+// value copy, which stays valid when sim is reset for the next design.
+func runAvailability(cfg AvailabilityConfig, sim *netsim.Sim, tm *workload.Matrix,
+	flows []workload.Flow, resil *controlplane.Resilient) ([]AvailabilityWindow, netsim.Stats, error) {
 	drv := faultplan.NewDriver(cfg.Plan)
 
 	sim.StartMeasuring()
@@ -244,6 +247,7 @@ func runAvailability(cfg AvailabilityConfig, simWorkers int, nw *core.Network, t
 		if fs, ok := drv.NextSlot(); ok && fs < end {
 			end = fs
 		}
+		var err error
 		if flows, err = sim.RunOpenLoop(flows, end); err != nil {
 			return nil, netsim.Stats{}, err
 		}

@@ -364,15 +364,17 @@ func BlastRadius(n, nc int, q float64, sweepWorkers int) ([]BlastRow, error) {
 			return BlastRow{Design: fmt.Sprintf("SORN Nc=%d", nc),
 				NodeBlast: sornNode, IntraLink: sornIntra, InterLink: sornInter}, nil
 		}
-		vlb, err := routing.NewVLB(matching.RoundRobin(n))
+		// The cached flat baseline, whose constructor rejects n < 2
+		// rather than panicking in the schedule build.
+		orn, err := core.SharedBuilds.ORN1D(n)
 		if err != nil {
 			return BlastRow{}, err
 		}
-		vlbNode, err := fluid.NodeBlastRadius(n, vlb, 1)
+		vlbNode, err := fluid.NodeBlastRadius(n, orn.Router, 1)
 		if err != nil {
 			return BlastRow{}, err
 		}
-		vlbLink, err := fluid.LinkBlastRadius(n, vlb, 0, 1)
+		vlbLink, err := fluid.LinkBlastRadius(n, orn.Router, 0, 1)
 		if err != nil {
 			return BlastRow{}, err
 		}

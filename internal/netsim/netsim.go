@@ -71,12 +71,12 @@ type Config struct {
 	PropNS int64
 	Seed   uint64
 	// LatencySampleEvery records the end-to-end latency of every k-th
-	// delivered cell (0 disables sampling).
+	// delivered cell (0 disables sampling; negative is an error).
 	LatencySampleEvery int
 	// QueueLimit caps each virtual output queue, in cells; cells pushed
 	// onto a full queue are dropped (counted in Stats.DroppedCells). 0
 	// means unbounded — the default, since the paper's designs assume
-	// deep NIC buffers.
+	// deep NIC buffers. Negative is an error.
 	QueueLimit int
 	// Planes is the number of parallel uplinks per node (default 1).
 	// Each plane runs the same schedule phase-staggered by
@@ -750,6 +750,12 @@ func (s *Sim) init(cfg Config) error {
 	}
 	if cfg.Workers == 0 {
 		cfg.Workers = 1
+	}
+	if cfg.LatencySampleEvery < 0 {
+		return fmt.Errorf("netsim: invalid config: LatencySampleEvery %d is negative (0 disables sampling)", cfg.LatencySampleEvery)
+	}
+	if cfg.QueueLimit < 0 {
+		return fmt.Errorf("netsim: invalid config: QueueLimit %d is negative (0 means unbounded)", cfg.QueueLimit)
 	}
 	if cfg.Workers > n {
 		cfg.Workers = n

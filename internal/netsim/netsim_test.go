@@ -810,6 +810,39 @@ func TestQueueLimitZeroIsUnbounded(t *testing.T) {
 	}
 }
 
+// TestNegativeSampleAndQueueLimitRejected: 0 is the documented "off" for
+// LatencySampleEvery and "unbounded" for QueueLimit; a negative value is
+// a config error naming the field and value, from New and from Reset,
+// never a silent alias for 0 and never a panic.
+func TestNegativeSampleAndQueueLimitRejected(t *testing.T) {
+	sched := matching.RoundRobin(8)
+	d, _ := routing.NewDirect(sched)
+	for _, tc := range []struct {
+		want string
+		edit func(*Config)
+	}{
+		{"LatencySampleEvery -1", func(c *Config) { c.LatencySampleEvery = -1 }},
+		{"QueueLimit -4", func(c *Config) { c.QueueLimit = -4 }},
+	} {
+		cfg := Config{Schedule: sched, Router: d, Seed: 24}
+		tc.edit(&cfg)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%s: panicked: %v", tc.want, r)
+				}
+			}()
+			if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("New with %s: error %v, want one naming %q", tc.want, err, tc.want)
+			}
+			s := newSim(t, sched, d, 24)
+			if err := s.Reset(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Reset with %s: error %v, want one naming %q", tc.want, err, tc.want)
+			}
+		}()
+	}
+}
+
 func TestReconfigureGracefulRebalanceIsDrainFree(t *testing.T) {
 	// A q rebalance keeps every circuit family (fixed neighbor
 	// superset), so graceful reconfiguration completes with zero drain

@@ -8,7 +8,10 @@
 // seeds (including 0) before they reach the xoshiro state.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a deterministic pseudo-random number generator (xoshiro256**).
 // It is not safe for concurrent use; give each goroutine its own RNG,
@@ -82,28 +85,15 @@ func (r *RNG) Intn(n int) int {
 	// Lemire's nearly-divisionless bounded rejection sampling.
 	un := uint64(n)
 	v := r.Uint64()
-	hi, lo := mul64(v, un)
+	hi, lo := bits.Mul64(v, un)
 	if lo < un {
 		thresh := (-un) % un
 		for lo < thresh {
 			v = r.Uint64()
-			hi, lo = mul64(v, un)
+			hi, lo = bits.Mul64(v, un)
 		}
 	}
 	return int(hi)
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aHi*bLo + (aLo*bLo)>>32
-	hi = aHi*bHi + t>>32
-	t = t&mask + aLo*bHi
-	hi += t >> 32
-	lo = a * b
-	return hi, lo
 }
 
 // Int63 returns a uniformly distributed non-negative int64.

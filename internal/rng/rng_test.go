@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -328,4 +329,54 @@ func TestExpPanicsOnBadRate(t *testing.T) {
 		}
 	}()
 	New(1).Exp(0)
+}
+
+// mul64 is the portable 128-bit product Intn used before it called
+// bits.Mul64; it stays here as the reference the intrinsic is checked
+// against.
+func mul64(a, b uint64) (hi, lo uint64) {
+	const mask = 0xffffffff
+	aLo, aHi := a&mask, a>>32
+	bLo, bHi := b&mask, b>>32
+	t := aHi*bLo + (aLo*bLo)>>32
+	hi = aHi*bHi + t>>32
+	t = t&mask + aLo*bHi
+	hi += t >> 32
+	lo = a * b
+	return hi, lo
+}
+
+func TestMul64MatchesReference(t *testing.T) {
+	edges := []uint64{0, 1, 2, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1<<63 - 1, 1 << 63, math.MaxUint64 - 1, math.MaxUint64}
+	check := func(a, b uint64) {
+		t.Helper()
+		wantHi, wantLo := mul64(a, b)
+		if hi, lo := bits.Mul64(a, b); hi != wantHi || lo != wantLo {
+			t.Fatalf("bits.Mul64(%#x, %#x) = (%#x, %#x), reference (%#x, %#x)", a, b, hi, lo, wantHi, wantLo)
+		}
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+	}
+	r := New(3)
+	for i := 0; i < 100000; i++ {
+		check(r.Uint64(), r.Uint64())
+	}
+}
+
+// TestIntnSequencePinned pins Intn's output for a fixed seed across bounds
+// from 1 to 2^62: every simulated route draw goes through Intn, so a change
+// here changes every simulation digest.
+func TestIntnSequencePinned(t *testing.T) {
+	bounds := []int{1, 2, 3, 7, 10, 128, 1000, 1 << 20, 1<<40 + 3, 1<<62 + 5}
+	want := []int{0, 0, 2, 6, 9, 98, 719, 891298, 837139985008, 3147258357027704415,
+		0, 1, 0, 4, 8, 78, 851, 741909, 778266525252, 428241451981137462}
+	r := New(42)
+	for i, w := range want {
+		if got := r.Intn(bounds[i%len(bounds)]); got != w {
+			t.Fatalf("draw %d: Intn(%d) = %d, want %d", i, bounds[i%len(bounds)], got, w)
+		}
+	}
 }

@@ -3,6 +3,12 @@
 // retained samples, log-scale histograms for latency distributions, and a
 // fixed-width table renderer used by the cmd/ binaries to print the paper's
 // tables and figure series.
+//
+// Sample, which holds every latency and FCT observation a simulation
+// records, stores them in fixed-capacity blocks (8 values, doubling to
+// 4096, then 4096 each), so a growing stream never copies what it has
+// stored and allocates about its final size once. Percentile sorts a
+// cached copy, so Values and Mean always see insertion order.
 package stats
 
 import (
@@ -80,86 +86,170 @@ func (s *Summary) Max() float64 {
 	return s.max
 }
 
+// Sample block sizes: the first block holds sampleFirstBlock values and
+// each later one twice its predecessor, up to sampleBlock values (32 KiB,
+// Go's largest small-object size class); every block after that holds
+// sampleBlock.
+const (
+	sampleFirstBlock = 8
+	sampleBlock      = 4096
+)
+
 // Sample retains every observation and answers percentile queries exactly.
 // Suitable for the volumes this repository produces (≤ millions of points).
+//
+// Observations live in fixed-capacity blocks: growth allocates the next
+// block and never copies a stored value, so a stream of n values
+// allocates about n + sampleBlock slots where an append-grown slice
+// allocates about five times n. A Sample copied by value keeps seeing exactly its
+// own observations while the original keeps adding: Add writes only past
+// the copy's count, and a block, once stored, is never moved. DrainTo
+// hands the blocks back to the drained Sample for reuse, so a copy taken
+// before a DrainTo must not be read after the drained Sample adds again.
+//
 // Staged: shard-phase code only ever appends into samples inside its own
 // shard's staged Stats, merged at the slot barrier in shard order.
 //
 //sornlint:staged
 type Sample struct {
-	xs     []float64
-	sorted bool
+	blocks [][]float64 // every block, each full length; nil while cur is the only one
+	cur    []float64   // the block Add fills; len = values stored in it
+	bi     int         // index of cur in blocks
+	n      int
+	// sorted is a sorted copy of the n values, built by the first
+	// Percentile after a change and never written again: a value copy
+	// sharing it sees the same observations.
+	sorted []float64
 }
 
 // Add records one observation.
 func (s *Sample) Add(v float64) {
-	s.xs = append(s.xs, v)
-	s.sorted = false
+	if len(s.cur) == cap(s.cur) {
+		s.grow()
+	}
+	s.cur = append(s.cur, v)
+	s.n++
+	s.sorted = nil
+}
+
+// grow makes cur the next empty block: the one after it when DrainTo left
+// blocks to reuse, else a new one twice cur's size (up to sampleBlock).
+// The first block goes without a blocks table until a second one exists,
+// so a Sample of at most sampleFirstBlock values makes one allocation.
+func (s *Sample) grow() {
+	switch {
+	case s.cur == nil:
+		s.cur = make([]float64, 0, sampleFirstBlock)
+		return
+	case s.blocks == nil:
+		s.blocks = make([][]float64, 1, 8)
+		s.blocks[0] = s.cur[:cap(s.cur)]
+	}
+	s.bi++
+	if s.bi == len(s.blocks) {
+		last := s.blocks[len(s.blocks)-1]
+		s.blocks = append(s.blocks, make([]float64, min(2*len(last), sampleBlock)))
+	}
+	s.cur = s.blocks[s.bi][:0]
+}
+
+// chunk returns the values stored in block i, 0 ≤ i ≤ bi: every block
+// before cur is full.
+func (s *Sample) chunk(i int) []float64 {
+	if i == s.bi {
+		return s.cur
+	}
+	return s.blocks[i]
+}
+
+// addAll appends vs in order, a block-sized copy at a time.
+func (s *Sample) addAll(vs []float64) {
+	s.n += len(vs)
+	s.sorted = nil
+	for len(vs) > 0 {
+		if len(s.cur) == cap(s.cur) {
+			s.grow()
+		}
+		k := min(len(vs), cap(s.cur)-len(s.cur))
+		s.cur = append(s.cur, vs[:k]...)
+		vs = vs[k:]
+	}
 }
 
 // Count returns the number of observations.
-func (s *Sample) Count() int { return len(s.xs) }
+func (s *Sample) Count() int { return s.n }
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) by linear
 // interpolation between closest ranks. It returns NaN with no
 // observations — consistent with Mean, and distinguishable from a real
-// zero-latency percentile.
+// zero-latency percentile. The first query after a change sorts one
+// copy of the observations; later queries reuse it.
 func (s *Sample) Percentile(p float64) float64 {
-	if len(s.xs) == 0 {
+	if s.n == 0 {
 		return math.NaN()
 	}
-	if !s.sorted {
-		sort.Float64s(s.xs)
-		s.sorted = true
+	if s.sorted == nil {
+		s.sorted = s.Values()
+		sort.Float64s(s.sorted)
 	}
+	xs := s.sorted
 	if p <= 0 {
-		return s.xs[0]
+		return xs[0]
 	}
 	if p >= 100 {
-		return s.xs[len(s.xs)-1]
+		return xs[len(xs)-1]
 	}
-	rank := p / 100 * float64(len(s.xs)-1)
+	rank := p / 100 * float64(len(xs)-1)
 	lo := int(rank)
 	frac := rank - float64(lo)
-	if lo+1 >= len(s.xs) {
-		return s.xs[len(s.xs)-1]
+	if lo+1 >= len(xs) {
+		return xs[len(xs)-1]
 	}
-	return s.xs[lo] + frac*(s.xs[lo+1]-s.xs[lo])
+	return xs[lo] + frac*(xs[lo+1]-xs[lo])
 }
 
 // DrainTo appends s's observations to dst in insertion order and resets
-// s to empty. It is the deterministic merge primitive for sharded
-// accumulation: draining shard samples in a fixed shard order yields the
-// same dst stream regardless of how observations were partitioned.
+// s to empty, keeping its blocks for the next Adds. It is the
+// deterministic merge primitive for sharded accumulation: draining shard
+// samples in a fixed shard order yields the same dst stream regardless
+// of how observations were partitioned.
 func (s *Sample) DrainTo(dst *Sample) {
-	if len(s.xs) == 0 {
+	if s.n == 0 {
 		return
 	}
-	dst.xs = append(dst.xs, s.xs...)
-	dst.sorted = false
-	s.xs = s.xs[:0]
-	s.sorted = false
+	for i := 0; i <= s.bi; i++ {
+		dst.addAll(s.chunk(i))
+	}
+	if s.blocks != nil {
+		s.cur = s.blocks[0]
+	}
+	s.cur = s.cur[:0]
+	s.n, s.bi, s.sorted = 0, 0, nil
 }
 
-// Values returns a copy of the retained observations in insertion order
-// (or sorted order after a percentile query). Intended for tests that
-// compare sample streams exactly.
+// Values returns a copy of the retained observations in insertion order.
+// Intended for tests that compare sample streams exactly.
 func (s *Sample) Values() []float64 {
-	out := make([]float64, len(s.xs))
-	copy(out, s.xs)
+	out := make([]float64, 0, s.n)
+	for i := 0; i <= s.bi; i++ {
+		out = append(out, s.chunk(i)...)
+	}
 	return out
 }
 
-// Mean returns the arithmetic mean of the sample, or NaN when empty.
+// Mean returns the arithmetic mean of the sample, or NaN when empty. The
+// sum runs in insertion order.
 func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
+	if s.n == 0 {
 		return math.NaN()
 	}
 	sum := 0.0
-	for _, v := range s.xs {
-		sum += v
+	for i := 0; i <= s.bi; i++ {
+		for _, v := range s.chunk(i) {
+			sum += v
+		}
 	}
-	return sum / float64(len(s.xs))
+	return sum / float64(s.n)
 }
 
 // Max returns the largest observation, or NaN with no observations.

@@ -20,9 +20,15 @@
 #      FuzzSornsimFlags in cmd/sornsim (sornsim's three simulation
 #      modes on 16 nodes with fuzzed flags and specs: an error or a
 #      report with no NaN, infinity or negative number, never a panic)
-#      and FuzzSolveMatchesPaths in internal/fluid (fluid solves of
+#      FuzzSolveMatchesPaths in internal/fluid (fluid solves of
 #      random instances of every router over at most 64 nodes: every
-#      load and Result field bit-identical to the Paths reference).
+#      load and Result field bit-identical to the Paths reference),
+#      FuzzSampleMatchesSlice in internal/stats (interleaved Add,
+#      Percentile, DrainTo and value copies on the block-storage
+#      Sample: every query bit-identical to the flat-slice reference)
+#      and FuzzAblationFlags in cmd/repro (every ablation entry with
+#      fuzzed -n, -nc and -seed, at most 32 nodes: an error or a table
+#      with rows, never a panic).
 #      A failing input is written under the package's testdata/fuzz/ and
 #      replays as an ordinary test from then on. For a longer pass, run
 #      the same go test -fuzz command with a larger -fuzztime.
@@ -69,6 +75,10 @@ echo "== go fuzz: FuzzSornsimFlags in ./cmd/sornsim for 30s"
 go test ./cmd/sornsim -run '^$' -fuzz '^FuzzSornsimFlags$' -fuzztime 30s -parallel 1
 echo "== go fuzz: FuzzSolveMatchesPaths in ./internal/fluid for 30s"
 go test ./internal/fluid -run '^$' -fuzz '^FuzzSolveMatchesPaths$' -fuzztime 30s -parallel 1
+echo "== go fuzz: FuzzSampleMatchesSlice in ./internal/stats for 30s"
+go test ./internal/stats -run '^$' -fuzz '^FuzzSampleMatchesSlice$' -fuzztime 30s -parallel 1
+echo "== go fuzz: FuzzAblationFlags in ./cmd/repro for 30s"
+go test ./cmd/repro -run '^$' -fuzz '^FuzzAblationFlags$' -fuzztime 30s -parallel 1
 
 echo "== oracle fuzz: up to $iters scenarios, ${seconds}s budget, seed $seed"
 go run ./cmd/sornsim -selfcheck -fuzziters "$iters" -fuzzseconds "$seconds" -seed "$seed"
