@@ -68,12 +68,13 @@ type Bench struct {
 type Run struct {
 	Label string `json:"label"`
 	CPU   string `json:"cpu,omitempty"`
-	// GOMAXPROCS and Workers record the parallelism context of the run:
-	// the Go scheduler's processor limit, and the simulator worker
-	// setting the benchmarks used ("serial" = one shard, the netsim
-	// default; ledger entries before it record "auto", one shard per CPU).
-	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
-	Workers    string `json:"workers,omitempty"`
+	// GOMAXPROCS is the Go scheduler's processor limit during the run.
+	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
+	// Workers is the simulator worker setting older entries ran with
+	// ("auto" = one step shard per CPU, "serial" = one shard). The
+	// simulator now always steps serially, so new entries leave it
+	// empty; it stays so the older entries round-trip verbatim.
+	Workers string `json:"workers,omitempty"`
 	// Passes is how many times each benchmark ran, the lowest ns/op
 	// kept (0: not recorded).
 	Passes int               `json:"passes,omitempty"`
@@ -103,7 +104,6 @@ func main() {
 	}
 	label := flag.String("label", "", "label for this run (required)")
 	out := flag.String("out", "BENCH_netsim.json", "ledger file to update")
-	workers := flag.String("workers", "serial", "simulator worker setting the benchmarks ran with")
 	maxprocs := flag.Int("gomaxprocs", runtime.GOMAXPROCS(0), "GOMAXPROCS the benchmarks ran under")
 	passes := flag.Int("passes", 0, "passes each benchmark ran, the lowest ns/op kept (0: not recorded)")
 	flag.Parse()
@@ -121,7 +121,6 @@ func main() {
 		os.Exit(1)
 	}
 	run.GOMAXPROCS = *maxprocs
-	run.Workers = *workers
 	run.Passes = *passes
 	if err := merge(*out, run); err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)

@@ -250,3 +250,50 @@ func TestMergeRecordsPasses(t *testing.T) {
 		t.Fatalf("an unrecorded pass count was written:\n%s", data)
 	}
 }
+
+// TestMergeKeepsRecordedWorkers: entries recorded with a simulator
+// worker setting keep it byte for byte when a new entry, which records
+// none, is merged into the ledger.
+func TestMergeKeepsRecordedWorkers(t *testing.T) {
+	const old = `{
+  "runs": [
+    {
+      "label": "sharded",
+      "gomaxprocs": 2,
+      "workers": "auto",
+      "bench": {
+        "BenchmarkA": {
+          "ns_per_op": 2
+        }
+      }
+    },
+    {
+      "label": "serial",
+      "gomaxprocs": 2,
+      "workers": "serial",
+      "passes": 3,
+      "bench": {
+        "BenchmarkA": {
+          "ns_per_op": 1
+        }
+      }
+    }`
+	path := filepath.Join(t.TempDir(), "ledger.json")
+	if err := os.WriteFile(path, []byte(old+"\n  ]\n}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := &Run{Label: "new", GOMAXPROCS: 2, Passes: 3, Bench: map[string]*Bench{"BenchmarkA": {NsPerOp: 1}}}
+	if err := merge(path, run); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(data), old+",\n") {
+		t.Fatalf("the recorded entries changed:\n%s", data)
+	}
+	if n := strings.Count(string(data), `"workers"`); n != 2 {
+		t.Fatalf("%d workers fields after the merge, want the 2 recorded ones:\n%s", n, data)
+	}
+}

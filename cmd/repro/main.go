@@ -11,8 +11,10 @@
 //	repro -exp fig2f -trace f.jsonl -metrics f.csv
 //
 // -n, -nc and -seed default to 0, meaning the experiment's own default,
-// so a bare -exp X prints the experiment as the paper sizes it. Results
-// are bit-identical for every -workers and -sweepworkers value.
+// so a bare -exp X prints the experiment as the paper sizes it. An
+// experiment of fixed size rejects -n; -exp all passes -n only to the
+// experiments that read it. Results are bit-identical for every
+// -sweepworkers value.
 package main
 
 import (
@@ -47,10 +49,9 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("repro", flag.ContinueOnError)
 	exp := fs.String("exp", "", "experiment: "+strings.Join(names, ", ")+", or all")
 	c := experiments.DefaultRunContext()
-	fs.IntVar(&c.N, "n", 0, "nodes (0 = the experiment's default: table1 4096, fig2f 128, ablations 64)")
+	fs.IntVar(&c.N, "n", 0, "nodes (0 = the experiment's default: table1 4096, fig2f 128, ablations 64; the schedule figures, ncsweep, sync, state and phys have fixed sizes and reject it)")
 	fs.IntVar(&c.Nc, "nc", 0, "cliques (0 = the experiment's default: fig2f and ablations 8)")
 	fs.Uint64Var(&c.Seed, "seed", 0, "simulation seed (0 = the experiment's default: fig2f 42, ablations 11)")
-	fs.IntVar(&c.Workers, "workers", 0, "step-shard goroutines per simulation (0 or 1 = serial, the fastest on the 2-vCPU hosts measured); results are bit-identical for every value")
 	fs.IntVar(&c.SweepWorkers, "sweepworkers", 0, "concurrent sweep points (0 = one per CPU, 1 = serial); results are bit-identical for every value")
 	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
 	tracePath := fs.String("trace", "", "write the event trace as JSONL to this file (fig2f, adapt, diurnal, fct); fig2f then runs its sweep serially")
@@ -91,7 +92,11 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	for _, e := range selected {
-		r, err := e.Run(c)
+		ec := c
+		if *exp == "all" && !e.ReadsN() {
+			ec.N = 0
+		}
+		r, err := e.Run(ec)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.Name, err)
 		}

@@ -179,11 +179,14 @@ func ablationNames() []string {
 // -seed. Inputs over 32 nodes, or at -n 0 (an entry's own default, 64),
 // or with more than 64 cliques are skipped, so no input builds a large
 // network: at -n 16 -nc 4 every entry runs in under a second. run must
-// return an error or print at least one table row, never panic.
+// return an error or print at least one table row, never panic, and a
+// negative -n must be an error for every entry, including those of
+// fixed size, which read no -n at all.
 func FuzzAblationFlags(f *testing.F) {
 	names := ablationNames()
 	for i := range names {
 		f.Add(uint8(i), 16, 4, uint64(11))
+		f.Add(uint8(i), -8, 4, uint64(11))
 	}
 	f.Add(uint8(0), 32, 8, uint64(0))
 	f.Add(uint8(4), 8, 8, uint64(1))
@@ -201,7 +204,11 @@ func FuzzAblationFlags(f *testing.F) {
 		args := []string{"-exp", names[int(entry)%len(names)], "-csv",
 			fmt.Sprintf("-n=%d", n), fmt.Sprintf("-nc=%d", nc), fmt.Sprintf("-seed=%d", seed)}
 		var out bytes.Buffer
-		if err := run(args, &out); err != nil {
+		err := run(args, &out)
+		if n < 0 && err == nil {
+			t.Fatalf("repro %s accepted a negative -n:\n%s", strings.Join(args, " "), out.Bytes())
+		}
+		if err != nil {
 			return
 		}
 		// Title, CSV header, rows with the header's column count, notes.

@@ -11,7 +11,7 @@
 //	sornsim -mode openloop -faultplan 'node7@5000-15000;churn@0-30000,links=0.001,down=300'
 //	sornsim -mode avail -n 64 -nc 8 -slots 40000 -faultplan 'node7@8000-20000' -outage 8000-24000
 //	sornsim -selfcheck -fuzziters 64 -fuzzseconds 120 -seed 3
-//	sornsim -selfcheck -spec 'design=sorn n=24 nc=4 q=0 x=0.56 tm=locality tmparam=0.56 planes=2 workers=4 warmup=800 measure=3200 seed=12648431'
+//	sornsim -selfcheck -spec 'design=sorn n=24 nc=4 q=0 x=0.56 tm=locality tmparam=0.56 planes=2 warmup=800 measure=3200 seed=12648431'
 package main
 
 import (
@@ -75,7 +75,7 @@ func run(args []string, stdout io.Writer) error {
 // reads; -selfcheck counts as a mode. Setting a flag the selected mode
 // does not read is a usage error, not a silently ignored option.
 var (
-	runFlags    = []string{"mode", "n", "nc", "x", "slots", "workers", "trace", "metrics", "metricsevery", "pprof"}
+	runFlags    = []string{"mode", "n", "nc", "x", "slots", "trace", "metrics", "metricsevery", "pprof"}
 	packetFlags = []string{"design", "q", "sizes", "cap", "hist", "warmup", "slotns", "propns", "planes"}
 	modeFlags   = map[string][]string{
 		"saturate":  slices.Concat(runFlags, packetFlags, []string{"backlog"}),
@@ -105,7 +105,6 @@ func simulate(args []string, out *strings.Builder) error {
 	propNS := fs.Int64("propns", 500, "per-hop propagation (ns)")
 	planes := fs.Int("planes", 1, "parallel uplinks per node")
 	qlimit := fs.Int("qlimit", 0, "per-VOQ queue limit in cells for openloop mode (0 = unbounded)")
-	workers := fs.Int("workers", 0, "step-shard goroutines (0 or 1 = serial, the fastest on the 2-vCPU hosts measured; results identical)")
 	sweepWorkers := fs.Int("sweepworkers", 0, "concurrent sweep points in avail mode (0 = one per CPU, 1 = serial; results identical)")
 	hist := fs.Bool("hist", false, "print a log2 histogram of cell latencies")
 	tracePath := fs.String("trace", "", "write the event trace (flow/failure/reconfig) as JSONL to this file")
@@ -229,7 +228,7 @@ func simulate(args []string, out *strings.Builder) error {
 			Schedule: nw.Schedule, Router: nw.Router,
 			SlotNS: *slotNS, PropNS: *propNS, Seed: *seed,
 			LatencySampleEvery: 16, Planes: *planes, QueueLimit: *qlimit,
-			Workers: *workers, Obs: ob,
+			Obs: ob,
 		})
 		if err != nil {
 			return err
@@ -286,7 +285,7 @@ func simulate(args []string, out *strings.Builder) error {
 			N: *n, Nc: *nc, X: *x, Load: *load,
 			Slots: *slots, Window: *window, EpochSlots: *epochSlots,
 			OutageStart: oStart, OutageEnd: oEnd,
-			Plan: plan, Seed: *seed, Workers: *workers, SweepWorkers: *sweepWorkers, Obs: ob,
+			Plan: plan, Seed: *seed, SweepWorkers: *sweepWorkers, Obs: ob,
 		})
 		if aerr != nil {
 			return aerr

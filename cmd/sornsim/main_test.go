@@ -54,7 +54,7 @@ func wantUsageError(t *testing.T, args string) {
 // measure the same window as the plain loop, also at a load low enough
 // that the fabric drains and fast-forwards across the warmup boundary.
 func TestOpenLoopWarmup(t *testing.T) {
-	base := strings.Fields("-mode openloop -n 16 -nc 4 -sizes fixed:4 -seed 3 -workers 1")
+	base := strings.Fields("-mode openloop -n 16 -nc 4 -sizes fixed:4 -seed 3")
 	with := func(extra string) []string { return append(append([]string(nil), base...), strings.Fields(extra)...) }
 
 	full := sornsim(t, with("-load 0.3 -warmup 0 -slots 3000")...)
@@ -94,7 +94,7 @@ func TestBadRunLength(t *testing.T) {
 // with trailing junk are each a usage error rather than a run that
 // quietly differs from what was asked.
 func TestRejectsIgnoredAndBadFlags(t *testing.T) {
-	const small = "-n 16 -nc 4 -slots 100 -workers 1 "
+	const small = "-n 16 -nc 4 -slots 100 "
 	for _, args := range []string{
 		small + "-mode avail -planes 4",
 		small + "-mode avail -propns 5000",
@@ -121,7 +121,7 @@ func TestRejectsIgnoredAndBadFlags(t *testing.T) {
 // the -propns it is given: 0 ns of propagation is a valid fabric, not a
 // request for the 500 ns default.
 func TestSaturateHonorsZeroPropagation(t *testing.T) {
-	base := "-mode saturate -n 16 -nc 4 -warmup 200 -slots 400 -seed 3 -workers 1 -propns "
+	base := "-mode saturate -n 16 -nc 4 -warmup 200 -slots 400 -seed 3 -propns "
 	if zero, def := sornsim(t, strings.Fields(base+"0")...), sornsim(t, strings.Fields(base+"500")...); zero == def {
 		t.Fatalf("-propns 0 reports the same run as -propns 500:\n%s", zero)
 	}
@@ -169,7 +169,7 @@ func FuzzSornsimFlags(f *testing.F) {
 			(err == nil && ns > 0 && over(propns, 1e4*float64(ns))) {
 			t.Skip("expensive, not malformed")
 		}
-		args := []string{"-n", "16", "-nc", "4", "-workers", "1",
+		args := []string{"-n", "16", "-nc", "4",
 			"-slots", strconv.Itoa(int(slots % 401))}
 		if mode != "avail" || warmup != 0 {
 			args = append(args, "-warmup", strconv.Itoa(int(warmup%401)))

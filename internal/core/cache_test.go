@@ -98,18 +98,18 @@ func TestSimPoolReusesAcrossAcquires(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := NewSimPool(2)
-	a, err := pool.Acquire(0, nw, SimOptions{Seed: 1, Workers: 1})
+	a, err := pool.Acquire(0, nw, SimOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := pool.Acquire(0, nw, SimOptions{Seed: 2, Workers: 1})
+	b, err := pool.Acquire(0, nw, SimOptions{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Fatal("same worker, same N: pool did not reuse the Sim")
 	}
-	other, err := pool.Acquire(1, nw, SimOptions{Seed: 1, Workers: 1})
+	other, err := pool.Acquire(1, nw, SimOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestSimPoolReusesAcrossAcquires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := pool.Acquire(0, flat, SimOptions{Seed: 1, Workers: 1})
+	c, err := pool.Acquire(0, flat, SimOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

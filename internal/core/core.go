@@ -137,9 +137,9 @@ type SimOptions struct {
 	TargetBacklog      int64 // default 256 cells per node
 	// Planes is the parallel uplink count per node (default 1).
 	Planes int
-	// Workers shards each simulation step across this many goroutines
-	// (0 or 1 = serial, see netsim.Config.Workers). Results are
-	// bit-identical for every value; see the netsim package comment.
+	// Deprecated: Workers is ignored; every simulation steps serially.
+	// It stays only while the benchmark module still sets it, and goes
+	// with SimOptions itself (ROADMAP items 3 and 5).
 	Workers int
 	// Obs optionally attaches the observability layer (metrics time
 	// series, phase timing, event trace). nil disables it; enabling it
@@ -182,7 +182,6 @@ func (nw *Network) simConfig(opts SimOptions) netsim.Config {
 		Seed:               opts.Seed,
 		LatencySampleEvery: opts.LatencySampleEvery,
 		Planes:             opts.Planes,
-		Workers:            opts.Workers,
 		Obs:                opts.Obs,
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/netsim"
 	"repro/internal/schedule"
 	"repro/internal/workload"
 )
@@ -140,6 +141,35 @@ func TestSimOptionsDefaults(t *testing.T) {
 	o := SimOptions{}.withDefaults()
 	if o.SlotNS != 100 || o.PropNS != 500 || o.MeasureSlots == 0 || o.TargetBacklog == 0 {
 		t.Fatalf("defaults not applied: %+v", o)
+	}
+}
+
+// TestSimOptionsWorkersInert: the deprecated Workers field changes
+// nothing, so a caller still setting it (the benchmark module's
+// Workers: 2 mirror test) gets the serial run's Stats bit for bit.
+func TestSimOptionsWorkersInert(t *testing.T) {
+	nw, err := NewSORN(32, 4, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm, err := nw.LocalityMatrix(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(workers int) *netsim.Stats {
+		st, err := nw.SimulateSaturated(SimOptions{Seed: 3, LatencySampleEvery: 4, Workers: workers,
+			WarmupSlots: 300, MeasureSlots: 1200, TargetBacklog: 64}, tm, workload.FixedSize(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	want, got := run(0), run(3)
+	if want.DeliveredCells == 0 || want.LatencySlots.Count() == 0 {
+		t.Fatal("the run delivered or sampled nothing; the comparison is vacuous")
+	}
+	if diff, ok := want.BitIdentical(got); !ok {
+		t.Fatalf("Workers 3 changed the Stats of Workers 0: %s", diff)
 	}
 }
 

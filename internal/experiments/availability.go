@@ -39,8 +39,9 @@ type AvailabilityConfig struct {
 	// replay the identical plan.
 	Plan *faultplan.Plan
 	Seed uint64
-	// Workers shards each simulation step (0 or 1 = serial, k = k
-	// shards); the whole experiment is bit-identical for every value.
+	// Deprecated: Workers is ignored; every simulation steps serially.
+	// It stays only while the benchmark module still sets it (ROADMAP
+	// items 3 and 5).
 	Workers int
 	// SweepWorkers bounds how many of the two design runs execute
 	// concurrently (0 = one per CPU, 1 = serial); bit-identical results
@@ -177,7 +178,7 @@ func Availability(cfg AvailabilityConfig) (*AvailabilityResult, error) {
 			cfg.Obs.StartRun(label)
 		}
 		sim, err := pool.Acquire(p.Worker, nw, core.SimOptions{
-			Seed: cfg.Seed, Workers: sw.SimWorkers(2, cfg.Workers), LatencySampleEvery: 16, Obs: cfg.Obs,
+			Seed: cfg.Seed, LatencySampleEvery: 16, Obs: cfg.Obs,
 		})
 		if err != nil {
 			return designRun{}, err

@@ -12,7 +12,8 @@ import (
 
 // availabilityScenario is the shared test configuration: data-plane
 // churn (a node outage, a link outage, light random churn) plus a
-// telemetry outage long enough to trip the staleness detector.
+// telemetry outage long enough to trip the staleness detector. workers
+// sets the deprecated, ignored Workers field.
 func availabilityScenario(t *testing.T, workers int) AvailabilityConfig {
 	t.Helper()
 	const n = 16
@@ -108,9 +109,10 @@ func TestAvailabilityFallbackAndRecovery(t *testing.T) {
 	}
 }
 
-// TestAvailabilityDeterminismAcrossWorkers extends the Workers 1-vs-k
-// bit-identical guarantee to runs with an active fault plan and the full
-// resilient control loop in the way.
+// TestAvailabilityDeterminismAcrossWorkers: the deprecated Workers field
+// is inert through an active fault plan and the full resilient control
+// loop, so the benchmark module's traced mirror, which still sets
+// Workers 2, compares against the same run.
 func TestAvailabilityDeterminismAcrossWorkers(t *testing.T) {
 	ref, err := Availability(availabilityScenario(t, 1))
 	if err != nil {

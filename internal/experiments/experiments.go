@@ -48,9 +48,9 @@ type Fig2fConfig struct {
 	Backlog      int64
 	SizeCap      int
 	Seed         uint64
-	// Workers is the per-simulation shard count (core.SimOptions.Workers):
-	// 0 or 1 = serial, k = k shards. Results are bit-identical for every
-	// value.
+	// Deprecated: Workers is ignored; every simulation steps serially.
+	// It stays only while the benchmark module still sets it (ROADMAP
+	// items 3 and 5).
 	Workers int
 	// SweepWorkers bounds how many points run concurrently
 	// (sweep.Config.Concurrency: 0 = one worker per CPU, 1 = serial).
@@ -147,9 +147,8 @@ func fig2fPoint(cfg Fig2fConfig, sw sweep.Config, points int, x float64, size wo
 			cfg.Obs.StartRun(fmt.Sprintf("x=%.2f", x))
 		}
 		sim, err := pool.Acquire(p.Worker, nw, core.SimOptions{
-			Seed:    p.RNG.Uint64(),
-			Workers: sw.SimWorkers(points, cfg.Workers),
-			Obs:     cfg.Obs,
+			Seed: p.RNG.Uint64(),
+			Obs:  cfg.Obs,
 		})
 		if err != nil {
 			return Fig2fPoint{}, err
@@ -397,9 +396,6 @@ type AdaptationConfig struct {
 	X1, X2     float64 // offered locality before and after the shift
 	PhaseSlots int64   // measured slots per phase (warmup is a third of it)
 	Seed       uint64
-	// Workers shards each simulation step (0 or 1 = serial, k = k
-	// shards); results are bit-identical for every value.
-	Workers int
 	// Obs, when non-nil, captures the experiment's slot-resolved metric
 	// series (labeled per phase) and event trace — phase boundaries,
 	// control-plane replans, and the mid-run reconfiguration.
@@ -426,7 +422,7 @@ func Adaptation(cfg AdaptationConfig) ([]AdaptationPhase, error) {
 		return nil, err
 	}
 
-	sim, err := a.Network.NewSim(core.SimOptions{Seed: cfg.Seed, Workers: cfg.Workers, Obs: cfg.Obs})
+	sim, err := a.Network.NewSim(core.SimOptions{Seed: cfg.Seed, Obs: cfg.Obs})
 	if err != nil {
 		return nil, err
 	}
@@ -616,7 +612,6 @@ func LatencyComparison(n, nc, planes int, load float64, seed uint64, sweepWorker
 		opts := core.SimOptions{
 			SlotNS: slotNS, PropNS: propNS, Seed: seed,
 			LatencySampleEvery: 1, Planes: planes,
-			Workers: sw.SimWorkers(len(runs), 0),
 		}
 		sim, err := pool.Acquire(p.Worker, r.nw, opts)
 		if err != nil {
@@ -651,9 +646,6 @@ type PlaneSweepConfig struct {
 	Planes []int   // uplink counts to sweep
 	Load   float64 // offered load per node
 	Seed   uint64
-	// Workers is the per-simulation shard count (0 or 1 = serial,
-	// k = k shards); bit-identical results for every value.
-	Workers int
 	// SweepWorkers bounds how many plane counts simulate concurrently
 	// (0 = one per CPU, 1 = serial); bit-identical results for every value.
 	SweepWorkers int
@@ -678,7 +670,6 @@ func PlaneSweep(cfg PlaneSweepConfig) ([]PlanePoint, error) {
 		opts := core.SimOptions{
 			SlotNS: 100, PropNS: 500, Seed: cfg.Seed,
 			LatencySampleEvery: 1, Planes: cfg.Planes[p.Index],
-			Workers: sw.SimWorkers(len(cfg.Planes), cfg.Workers),
 		}
 		sim, err := pool.Acquire(p.Worker, nw, opts)
 		if err != nil {
@@ -902,8 +893,9 @@ type FCTConfig struct {
 	Loads []float64
 	Slots int64
 	Seed  uint64
-	// Workers shards each simulation step (0 or 1 = serial, k = k
-	// shards); results are bit-identical for every value.
+	// Deprecated: Workers is ignored; every simulation steps serially.
+	// It stays only while the benchmark module still sets it (ROADMAP
+	// items 3 and 5).
 	Workers int
 	// SweepWorkers bounds how many (design, load) cells simulate
 	// concurrently (0 = one per CPU, 1 = serial); bit-identical results
@@ -960,7 +952,7 @@ func FCTvsLoad(cfg FCTConfig) ([]FCTPoint, error) {
 		}
 		opts := core.SimOptions{
 			SlotNS: 100, PropNS: 500, Seed: cfg.Seed, LatencySampleEvery: 16,
-			Workers: sw.SimWorkers(len(cells), cfg.Workers), Obs: cfg.Obs,
+			Obs: cfg.Obs,
 		}
 		sim, err := pool.Acquire(p.Worker, c.nw, opts)
 		if err != nil {

@@ -18,7 +18,6 @@ import (
 type RunContext struct {
 	N, Nc        int
 	Seed         uint64
-	Workers      int
 	SweepWorkers int
 	Obs          *obs.Observer
 
@@ -53,7 +52,8 @@ type Report struct {
 }
 
 // Experiment is one registry entry. N, Nc and Seed are the defaults Run
-// substitutes for a RunContext field left at 0.
+// substitutes for a RunContext field left at 0. An entry with no N
+// default has fixed sizes and reads no N.
 type Experiment struct {
 	Name  string
 	N, Nc int
@@ -61,9 +61,16 @@ type Experiment struct {
 	run   func(RunContext) (*Report, error)
 }
 
+// ReadsN reports whether the entry reads RunContext.N (repro's -n).
+func (e Experiment) ReadsN() bool { return e.N != 0 }
+
 // Run runs the entry under c, with c's zero N, Nc and Seed replaced by
-// the entry's defaults.
+// the entry's defaults. A nonzero c.N is an error for an entry that
+// does not read it.
 func (e Experiment) Run(c RunContext) (*Report, error) {
+	if c.N != 0 && !e.ReadsN() {
+		return nil, fmt.Errorf("does not read -n (its sizes are fixed); got -n %d", c.N)
+	}
 	c.N, c.Nc, c.Seed = cmp.Or(c.N, e.N), cmp.Or(c.Nc, e.Nc), cmp.Or(c.Seed, e.Seed)
 	return e.run(c)
 }
@@ -76,7 +83,9 @@ func ablation(name string, run func(RunContext) (*Report, error)) Experiment {
 // Registry lists every experiment of the paper's evaluation, in the
 // order `repro -exp all` runs them: the schedule figures, Table 1,
 // Figure 2(f), then the ablations of DESIGN.md. The schedule figures
-// are fixed examples and read nothing from the RunContext.
+// are fixed examples and read nothing from the RunContext; ncsweep,
+// sync, state and phys evaluate fixed deployment sizes, so they read no
+// N either.
 var Registry = []Experiment{
 	{Name: "fig1", run: fig1},
 	{Name: "fig2b", run: fig2b},
@@ -87,17 +96,19 @@ var Registry = []Experiment{
 	{Name: "fig2f", N: 128, Nc: 8, Seed: 42, run: fig2f},
 	ablation("mismatch", mismatch),
 	ablation("qsweep", qsweep),
-	ablation("ncsweep", ncsweep),
+	{Name: "ncsweep", run: ncsweep},
 	ablation("blast", blast),
 	ablation("adapt", adapt),
 	ablation("gravity", gravity),
 	ablation("pairs", pairs),
-	ablation("latency", latency),
+	// Larger N separates the designs' cycle times more clearly; 256 is a
+	// perfect square (needed by the 2D ORN) and still simulates quickly.
+	{Name: "latency", N: 256, Nc: 8, Seed: 11, run: latency},
 	ablation("planes", planes),
-	ablation("sync", syncOverhead),
-	ablation("state", state),
+	{Name: "sync", run: syncOverhead},
+	{Name: "state", run: state},
 	ablation("diurnal", diurnal),
-	ablation("phys", physFeasibility),
+	{Name: "phys", run: physFeasibility},
 	ablation("fct", fct),
 }
 
@@ -202,7 +213,7 @@ func table1(c RunContext) (*Report, error) {
 func fig2f(c RunContext) (*Report, error) {
 	cfg := c.Fig2f
 	cfg.N, cfg.Nc, cfg.Seed = c.N, c.Nc, c.Seed
-	cfg.Workers, cfg.SweepWorkers, cfg.Obs = c.Workers, c.SweepWorkers, c.Obs
+	cfg.SweepWorkers, cfg.Obs = c.SweepWorkers, c.Obs
 	pts, err := Fig2f(cfg)
 	if err != nil {
 		return nil, err
@@ -301,7 +312,7 @@ func blast(c RunContext) (*Report, error) {
 
 func adapt(c RunContext) (*Report, error) {
 	phases, err := Adaptation(AdaptationConfig{
-		N: c.N, Nc: c.Nc, X1: 0.2, X2: 0.8, PhaseSlots: 8000, Seed: c.Seed, Workers: c.Workers, Obs: c.Obs,
+		N: c.N, Nc: c.Nc, X1: 0.2, X2: 0.8, PhaseSlots: 8000, Seed: c.Seed, Obs: c.Obs,
 	})
 	if err != nil {
 		return nil, err
@@ -354,14 +365,11 @@ func pairs(c RunContext) (*Report, error) {
 }
 
 func latency(c RunContext) (*Report, error) {
-	// Larger N separates the designs' cycle times more clearly; 256 is a
-	// perfect square (needed by the 2D ORN) and still simulates quickly.
-	n := max(c.N, 256)
-	rows, err := LatencyComparison(n, c.Nc, 1, 0.05, c.Seed, c.SweepWorkers)
+	rows, err := LatencyComparison(c.N, c.Nc, 1, 0.05, c.Seed, c.SweepWorkers)
 	if err != nil {
 		return nil, err
 	}
-	r := newReport(fmt.Sprintf("L1 — packet-level latency at 5%% load (N=%d, 100 ns slots, 500 ns/hop, 1 uplink):", n),
+	r := newReport(fmt.Sprintf("L1 — packet-level latency at 5%% load (N=%d, 100 ns slots, 500 ns/hop, 1 uplink):", c.N),
 		"Design", "Class", "p50 (µs)", "p99 (µs)", "mean hops")
 	r.Notes = []string{"(Table 1's ordering, measured: SORN intra < 2D ORN < SORN inter < 1D ORN)"}
 	for _, row := range rows {
@@ -375,7 +383,7 @@ func latency(c RunContext) (*Report, error) {
 func planes(c RunContext) (*Report, error) {
 	pts, err := PlaneSweep(PlaneSweepConfig{
 		N: c.N, Nc: c.Nc, X: 0.56, Planes: []int{1, 2, 4, 8, 16}, Load: 0.05, Seed: c.Seed,
-		Workers: c.Workers, SweepWorkers: c.SweepWorkers,
+		SweepWorkers: c.SweepWorkers,
 	})
 	if err != nil {
 		return nil, err
@@ -469,7 +477,7 @@ func physFeasibility(RunContext) (*Report, error) {
 func fct(c RunContext) (*Report, error) {
 	pts, err := FCTvsLoad(FCTConfig{
 		N: c.N, Nc: c.Nc, X: 0.56, Loads: []float64{0.1, 0.2, 0.3, 0.4}, Slots: 25000, Seed: c.Seed,
-		Workers: c.Workers, SweepWorkers: c.SweepWorkers, Obs: c.Obs,
+		SweepWorkers: c.SweepWorkers, Obs: c.Obs,
 	})
 	if err != nil {
 		return nil, err

@@ -14,10 +14,11 @@
 //   - the CLI spec grammar (ParseSpec), which composes both.
 //
 // Because a Plan is immutable data ordered by (slot, kind, node ids),
-// replaying it is worker-count-invariant: the Driver applies the same
-// events at the same slots in the same order no matter how the simulator
-// shards its phases, which is what extends netsim's Workers 1-vs-k
-// bit-identical determinism guarantee to runs with active fault plans.
+// replaying it is deterministic: the Driver applies the same events at
+// the same slots in the same order on every run, and concurrent
+// simulators can replay one Plan side by side, which is what extends
+// netsim's determinism guarantee (and a sweep's concurrency 1-vs-k
+// bit-identity) to runs with active fault plans.
 package faultplan
 
 import (

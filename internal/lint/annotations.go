@@ -18,15 +18,12 @@ import (
 //	//sornlint:coldpath    func: deliberate slow path; hotalloc stops
 //	                       its traversal here (e.g. a grow-and-copy
 //	                       branch taken O(log n) times)
-//	//sornlint:shardphase  func: a worker-phase body; everything it
-//	                       transitively calls may only write staged
-//	                       per-shard state (rule shardsafety)
-//	//sornlint:drain       func: the fixed-order merge/drain path;
-//	                       exempt from shardsafety and obsnil, and
-//	                       shard-phase traversal stops here
-//	//sornlint:staged      struct field, struct type, or package var:
-//	                       per-shard staged state that worker phases may
-//	                       write
+//	//sornlint:shardphase  func: a slot-phase body; nothing it
+//	                       transitively calls may emit to the Observer
+//	                       directly (rule obsnil)
+//	//sornlint:drain       func: the path that emits staged events;
+//	                       exempt from obsnil, and slot-phase traversal
+//	                       stops here
 //	//sornlint:obsguard    func or bool struct field: evaluating true
 //	                       implies the Observer is non-nil (rule obsnil
 //	                       accepts it as a guard)
@@ -43,43 +40,35 @@ const (
 	annoColdpath
 	annoShardphase
 	annoDrain
-	annoStaged
 	annoObsguard
 	annoObsguarded
 )
 
-// annoVerbs maps verb spelling to its bit.
+// annoVerbs maps verb spelling to its bit. Every verb applies to
+// functions and interface methods; obsguard also applies to fields.
 var annoVerbs = map[string]int{
 	"hotpath":    annoHotpath,
 	"coldpath":   annoColdpath,
 	"shardphase": annoShardphase,
 	"drain":      annoDrain,
-	"staged":     annoStaged,
 	"obsguard":   annoObsguard,
 	"obsguarded": annoObsguarded,
 }
 
-// funcAnnoMask is the verb set valid on functions and interface methods.
-const funcAnnoMask = annoHotpath | annoColdpath | annoShardphase | annoDrain | annoObsguard | annoObsguarded
-
 // Annotations indexes every annotation in the module. Functions are
 // keyed by types.Func.FullName() — the one identity that survives the
 // loader's separate type-checks of a package (as an analysis unit and as
-// an import). Types, fields, and package vars are keyed by
-// "<pkgpath>.<Name>" / "<pkgpath>.<Type>.<field>".
+// an import). Fields are keyed by "<pkgpath>.<Type>.<field>".
 type Annotations struct {
 	funcs  map[string]int
-	types  map[string]int
 	fields map[string]int
-	vars   map[string]int
 }
 
 // funcIs reports whether the function key carries the verb bit.
 func (a *Annotations) funcIs(key string, bit int) bool { return a != nil && a.funcs[key]&bit != 0 }
 
 // fieldIs reports whether field fieldName of the named type owner
-// carries the verb bit (directly or via a type-level staged annotation
-// when bit is annoStaged).
+// carries the verb bit.
 func (a *Annotations) fieldIs(owner types.Type, fieldName string, bit int) bool {
 	if a == nil {
 		return false
@@ -88,18 +77,7 @@ func (a *Annotations) fieldIs(owner types.Type, fieldName string, bit int) bool 
 	if key == "" {
 		return false
 	}
-	if a.fields[key+"."+fieldName]&bit != 0 {
-		return true
-	}
-	return bit == annoStaged && a.types[key]&annoStaged != 0
-}
-
-// varStaged reports whether the package-level variable is staged.
-func (a *Annotations) varStaged(v *types.Var) bool {
-	if a == nil || v.Pkg() == nil {
-		return false
-	}
-	return a.vars[v.Pkg().Path()+"."+v.Name()]&annoStaged != 0
+	return a.fields[key+"."+fieldName]&bit != 0
 }
 
 // namedKey renders "<pkgpath>.<TypeName>" for a (possibly pointered)
@@ -156,9 +134,7 @@ func collectAnnotations(pkgs []*Package) (*Annotations, map[string][]annoIssue) 
 	c := &annoCollector{
 		anno: &Annotations{
 			funcs:  make(map[string]int),
-			types:  make(map[string]int),
 			fields: make(map[string]int),
-			vars:   make(map[string]int),
 		},
 		issues: make(map[string][]annoIssue),
 	}
@@ -193,7 +169,7 @@ func (c *annoCollector) collectFile(f *ast.File) {
 				continue // indexed by the directive parser
 			}
 			if _, known := annoVerbs[verb]; !known {
-				c.issuef(cm.Pos(), "unknown //sornlint:%s directive; known verbs: ignore, hotpath, coldpath, shardphase, drain, staged, obsguard, obsguarded", verb)
+				c.issuef(cm.Pos(), "unknown //sornlint:%s directive; known verbs: ignore, hotpath, coldpath, shardphase, drain, obsguard, obsguarded", verb)
 				continue
 			}
 			annos = append(annos, cm)
@@ -260,19 +236,15 @@ func (c *annoCollector) verbsIn(doc *ast.CommentGroup) []struct {
 // applyFuncVerbs attaches function verbs from doc to the function key.
 func (c *annoCollector) applyFuncVerbs(doc *ast.CommentGroup, key string) {
 	for _, v := range c.verbsIn(doc) {
-		if v.bit&funcAnnoMask == 0 {
-			c.issuef(v.cm.Pos(), "%s does not apply to a function; it marks fields, types, or package vars", v.cm.Text)
-			continue
-		}
 		if key != "" {
 			c.anno.funcs[key] |= v.bit
 		}
 	}
 }
 
-// collectGenDecl handles type and var declarations: staged types and
-// fields, staged package vars, obsguard fields, and interface-method
-// function verbs.
+// collectGenDecl handles type and var declarations: obsguard fields and
+// interface-method function verbs. A verb on a type or a package var is
+// an issue.
 func (c *annoCollector) collectGenDecl(d *ast.GenDecl) {
 	for _, spec := range d.Specs {
 		var doc *ast.CommentGroup
@@ -288,14 +260,14 @@ func (c *annoCollector) collectGenDecl(d *ast.GenDecl) {
 			if doc == nil && len(d.Specs) == 1 {
 				doc = d.Doc
 			}
-			c.applyVarVerbs(doc, s)
-			c.applyVarVerbs(s.Comment, s)
+			c.applyVarVerbs(doc)
+			c.applyVarVerbs(s.Comment)
 		}
 	}
 }
 
-// applyTypeVerbs attaches staged to a type and walks struct fields and
-// interface methods for their own verbs.
+// applyTypeVerbs walks struct fields and interface methods for their
+// verbs; no verb applies to the type declaration itself.
 func (c *annoCollector) applyTypeVerbs(doc *ast.CommentGroup, s *ast.TypeSpec) {
 	obj := c.pkg.Info.Defs[s.Name]
 	key := ""
@@ -303,20 +275,14 @@ func (c *annoCollector) applyTypeVerbs(doc *ast.CommentGroup, s *ast.TypeSpec) {
 		key = obj.Pkg().Path() + "." + obj.Name()
 	}
 	for _, v := range c.verbsIn(doc) {
-		if v.bit != annoStaged {
-			c.issuef(v.cm.Pos(), "%s does not apply to a type declaration", v.cm.Text)
-			continue
-		}
-		if key != "" {
-			c.anno.types[key] |= v.bit
-		}
+		c.issuef(v.cm.Pos(), "%s does not apply to a type declaration", v.cm.Text)
 	}
 	switch t := s.Type.(type) {
 	case *ast.StructType:
 		for _, field := range t.Fields.List {
 			for _, v := range append(c.verbsIn(field.Doc), c.verbsIn(field.Comment)...) {
-				if v.bit != annoStaged && v.bit != annoObsguard {
-					c.issuef(v.cm.Pos(), "%s does not apply to a struct field; fields take staged or obsguard", v.cm.Text)
+				if v.bit != annoObsguard {
+					c.issuef(v.cm.Pos(), "%s does not apply to a struct field; fields take obsguard", v.cm.Text)
 					continue
 				}
 				for _, name := range field.Names {
@@ -333,10 +299,6 @@ func (c *annoCollector) applyTypeVerbs(doc *ast.CommentGroup, s *ast.TypeSpec) {
 			}
 			fn, ok := c.pkg.Info.Defs[m.Names[0]].(*types.Func)
 			for _, v := range append(c.verbsIn(m.Doc), c.verbsIn(m.Comment)...) {
-				if v.bit&funcAnnoMask == 0 {
-					c.issuef(v.cm.Pos(), "%s does not apply to an interface method", v.cm.Text)
-					continue
-				}
 				if ok {
 					c.anno.funcs[fn.Origin().FullName()] |= v.bit
 				}
@@ -345,17 +307,10 @@ func (c *annoCollector) applyTypeVerbs(doc *ast.CommentGroup, s *ast.TypeSpec) {
 	}
 }
 
-// applyVarVerbs attaches staged to package-level variables.
-func (c *annoCollector) applyVarVerbs(doc *ast.CommentGroup, s *ast.ValueSpec) {
+// applyVarVerbs reports every verb on a package-level variable: none
+// applies there.
+func (c *annoCollector) applyVarVerbs(doc *ast.CommentGroup) {
 	for _, v := range c.verbsIn(doc) {
-		if v.bit != annoStaged {
-			c.issuef(v.cm.Pos(), "%s does not apply to a package variable; vars take staged", v.cm.Text)
-			continue
-		}
-		for _, name := range s.Names {
-			if obj := c.pkg.Info.Defs[name]; obj != nil && obj.Pkg() != nil {
-				c.anno.vars[obj.Pkg().Path()+"."+obj.Name()] |= v.bit
-			}
-		}
+		c.issuef(v.cm.Pos(), "%s does not apply to a package variable", v.cm.Text)
 	}
 }

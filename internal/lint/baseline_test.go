@@ -68,9 +68,9 @@ func position(file string, line, col int) token.Position {
 // off this property.
 func TestBaselineRoundTrip(t *testing.T) {
 	l := sharedLoader(t)
-	findings := fixtureFindings(t, "shardsafety/bad")
+	findings := fixtureFindings(t, "hotalloc/bad")
 	if len(findings) == 0 {
-		t.Fatal("shardsafety/bad produced no findings; the round trip is vacuous")
+		t.Fatal("hotalloc/bad produced no findings; the round trip is vacuous")
 	}
 	root := l.ModuleDir
 
@@ -106,7 +106,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 // pre-existing findings are tolerated, new ones fail the build.
 func TestBaselineGatesNewFindings(t *testing.T) {
 	l := sharedLoader(t)
-	findings := fixtureFindings(t, "shardsafety/bad")
+	findings := fixtureFindings(t, "hotalloc/bad")
 	if len(findings) < 2 {
 		t.Fatalf("need at least 2 findings to exercise the gate, got %d", len(findings))
 	}
@@ -140,7 +140,6 @@ func TestSeededViolationsFailCI(t *testing.T) {
 		fixture string
 		rule    string
 	}{
-		{"shardsafety/bad", shardSafetyName},
 		{"hotalloc/bad", hotAllocName},
 		{"obsnil/bad", obsNilName},
 		{"stalesuppress", staleSuppressName},

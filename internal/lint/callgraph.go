@@ -23,7 +23,8 @@ type Module struct {
 	calls map[string][]string
 
 	// ShardReach maps every function reachable from a //sornlint:shardphase
-	// body (stopping at //sornlint:drain) to the root that reaches it.
+	// slot-phase body (stopping at //sornlint:drain) to the root that
+	// reaches it.
 	ShardReach map[string]string
 	// HotReach maps every function reachable from a //sornlint:hotpath
 	// root (stopping at //sornlint:coldpath) to the root that reaches it.
@@ -248,7 +249,7 @@ func (m *Module) reach(rootBit, stopBit int) map[string]string {
 }
 
 // shortFuncName strips the package path from a function key for
-// messages: "(*repro/internal/netsim.Sim).landShard" -> "(*Sim).landShard",
+// messages: "(*repro/internal/netsim.Sim).landPhase" -> "(*Sim).landPhase",
 // "repro/internal/netsim.New" -> "New".
 func shortFuncName(key string) string {
 	i := strings.LastIndex(key, "/")

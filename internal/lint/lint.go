@@ -10,10 +10,9 @@
 //
 // On top of the per-file rules, a whole-program layer (see Module in
 // callgraph.go) builds a lightweight callgraph over the type-checked
-// module and enforces the sharded simulator's conventions statically:
-// worker phases may only write staged per-shard state (shardsafety),
-// annotated hot paths must not heap-allocate (hotalloc), Observer calls
-// must be nil-guarded and never emitted from worker code (obsnil), and
+// module and enforces the simulator's conventions statically: annotated
+// hot paths must not heap-allocate (hotalloc), Observer calls must be
+// nil-guarded and never emitted from slot-phase code (obsnil), and
 // suppression directives that suppress nothing are themselves findings
 // (stalesuppress). The invariants the rules consume are declared in
 // source with //sornlint:<verb> annotations (see annotations.go).
@@ -73,7 +72,7 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NoDeterm, RNGDiscipline, MapOrder, FloatEq, DroppedErr,
-		ShardSafety, HotAlloc, ObsNil, StaleSuppress,
+		HotAlloc, ObsNil, StaleSuppress,
 	}
 }
 

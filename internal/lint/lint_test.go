@@ -128,7 +128,6 @@ func TestFixtures(t *testing.T) {
 		"maporder/bad", "maporder/clean",
 		"floateq/bad", "floateq/clean",
 		"droppederr/bad", "droppederr/clean",
-		"shardsafety/bad", "shardsafety/clean",
 		"hotalloc/bad", "hotalloc/clean",
 		"obsnil/bad", "obsnil/clean",
 		"stalesuppress",

@@ -14,11 +14,11 @@ import (
 // obs.New earlier in the block. Functions annotated //sornlint:obsguarded
 // or //sornlint:drain are exempt: their callers own the guarantee.
 //
-// Separately, an Observer call inside shard-phase code (reachable from
-// a //sornlint:shardphase body and not on the //sornlint:drain path) is
-// a violation regardless of guards: worker emission order depends on
-// scheduling, so events must be staged per shard and drained in fixed
-// shard order.
+// Separately, an Observer call inside slot-phase code (reachable from a
+// //sornlint:shardphase body and not on the //sornlint:drain path) is a
+// violation regardless of guards: phase code stages its events and the
+// drain path emits them, so every slot's events reach the trace through
+// one path, in one order.
 //
 // The obs package itself is exempt — its methods are the nil-safe
 // boundary the rule protects.
@@ -26,7 +26,7 @@ const obsNilName = "obsnil"
 
 var ObsNil = &Analyzer{
 	Name: obsNilName,
-	Doc:  "require nil-check domination for *obs.Observer calls; forbid direct emission from shard-phase code",
+	Doc:  "require nil-check domination for *obs.Observer calls; forbid direct emission from slot-phase code",
 	Run:  runObsNil,
 }
 
@@ -68,7 +68,7 @@ func runObsNil(p *Pass) {
 type obsWalker struct {
 	p         *Pass
 	facts     map[types.Object]bool // bool locals that imply the observer is non-nil
-	shardRoot string                // non-empty: function is shard-phase reachable
+	shardRoot string                // non-empty: function is slot-phase reachable
 	skipGuard bool                  // obsguarded/drain: nil-guard checking off
 }
 
@@ -217,7 +217,7 @@ func (w *obsWalker) expr(e ast.Expr, guarded bool) {
 			if method := w.observerMethod(x); method != "" {
 				if w.shardRoot != "" {
 					w.p.Reportf(x.Pos(), obsNilName,
-						"(*obs.Observer).%s called from shard-phase code (reachable from %s); stage events per shard and emit them on the //sornlint:drain path",
+						"(*obs.Observer).%s called from slot-phase code (reachable from %s); stage the events and emit them on the //sornlint:drain path",
 						method, w.shardRoot)
 				} else if !guarded && !w.skipGuard {
 					w.p.Reportf(x.Pos(), obsNilName,

@@ -1,5 +1,5 @@
 // Package fixture exercises obsnil: unguarded Observer calls and
-// direct emission from shard-phase code must be flagged.
+// direct emission from slot-phase code must be flagged.
 package fixture
 
 import "repro/internal/obs"
@@ -32,8 +32,8 @@ func (s *sim) escaped(slot int64) func() {
 	return nil
 }
 
-// phase is worker code: emission is a violation even when guarded,
-// because worker emission order depends on scheduling.
+// phase is slot-phase code: emission is a violation even when guarded,
+// because phase code stages its events for the drain path.
 //
 //sornlint:shardphase
 func (s *sim) phase(slot int64) {

@@ -33,10 +33,10 @@ func emptyIgnore() int {
 //sornlint:frobnicate (want:stalesuppress)
 func badVerb() {}
 
-// misapplied carries a declaration-kind mismatch: staged marks types,
-// fields, and package variables, never functions.
+// misapplied carries a declaration-kind mismatch: hotpath marks
+// functions, never types.
 //
-//sornlint:staged (want:stalesuppress)
-func misapplied() {}
+//sornlint:hotpath (want:stalesuppress)
+type misapplied struct{}
 
 var local int //sornlint:hotpath (want:stalesuppress)

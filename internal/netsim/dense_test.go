@@ -4,8 +4,8 @@ package netsim
 // active-set engine replaced, kept as the executable specification it
 // must match bit for bit. Its transmit phase scans every (source, plane)
 // pair each slot, and it never fast-forwards; landing is the one
-// production ring-row scan (landShard), which both engines share.
-// Production Step reaches transmitShardDense only through Sim.reference,
+// production ring-row scan (landPhase), which both engines share.
+// Production Step reaches transmitDense only through Sim.reference,
 // which only this package's tests set.
 
 // useDense switches s to the dense reference engine (or back to the
@@ -15,7 +15,7 @@ package netsim
 func useDense(s *Sim, dense bool) {
 	s.reference = nil
 	if dense {
-		s.reference = (*Sim).transmitShardDense
+		s.reference = (*Sim).transmitDense
 	}
 }
 
@@ -30,10 +30,10 @@ func newEngine(cfg Config, dense bool) (*Sim, error) {
 	return s, nil
 }
 
-// transmitShardDense pops one cell per plane per source node in
-// [lo, hi) onto the node's active circuits, writing each sent cell into
-// the delay line slot each destination owns — the reference engine's
-// transmit phase, scanning every (source, plane) pair.
+// transmitDense pops one cell per plane per source node onto the node's
+// active circuits, writing each sent cell into the delay line slot each
+// destination owns — the reference engine's transmit phase, scanning
+// every (source, plane) pair.
 //
 // The loop is plane-major so the dominant single-plane case is one flat
 // pass over the match row. Unlike the landing phase, transmit order
@@ -42,10 +42,10 @@ func newEngine(cfg Config, dense bool) (*Sim, error) {
 // plane order), commutative (counter and loss sums), uniquely addressed
 // (delay-line entries), or order-canonicalized downstream (the
 // dirty-pair worklist is sorted before each drain), so any iteration
-// layout yields the same result for every worker count.
-func (s *Sim) transmitShardDense(lo, hi int, sh *shard) {
+// layout yields the same result.
+func (s *Sim) transmitDense() {
 	n := s.n
-	st := sh.st
+	st := &s.stats
 	landBase := int((s.slot+s.propSlots)%int64(s.ringSlots)) * n * s.planes
 	landed := int32(0)
 	idle := int64(0)
@@ -60,7 +60,7 @@ func (s *Sim) transmitShardDense(lo, hi int, sh *shard) {
 	hasFailedLink := failedLink != nil
 	for p := 0; p < planes; p++ {
 		row := rows[p]
-		for u := lo; u < hi; u++ {
+		for u := 0; u < n; u++ {
 			if failedNode[u] {
 				continue
 			}
@@ -72,7 +72,7 @@ func (s *Sim) transmitShardDense(lo, hi int, sh *shard) {
 				idle++
 				continue
 			}
-			c, ok := vq[v].pop(&sh.pool)
+			c, ok := vq[v].pop(&s.pool)
 			if !ok {
 				if u != v {
 					idle++
@@ -82,11 +82,11 @@ func (s *Sim) transmitShardDense(lo, hi int, sh *shard) {
 			backlog[u]--
 			dBacklog--
 			if c.isFresh() {
-				s.noteFreshConsumed(sh, u, c.dst(v))
+				s.noteFreshConsumed(u, c.dst(v))
 				c.hops &^= freshBit
 			}
 			if failedNode[v] || (hasFailedLink && failedLink[u] != nil && failedLink[u][v]) {
-				sh.losses = append(sh.losses, flowLoss{flow: c.flow, cells: 1})
+				s.stage.losses = append(s.stage.losses, flowLoss{flow: c.flow, cells: 1})
 				if measuring {
 					st.LostCells++
 				}
@@ -96,8 +96,7 @@ func (s *Sim) transmitShardDense(lo, hi int, sh *shard) {
 				st.SentCells++
 			}
 			// Within a slot each plane's circuits form a matching, so
-			// (v, p) identifies this arrival's slot uniquely: no other
-			// shard can write it.
+			// (v, p) identifies this arrival's slot uniquely.
 			j := landBase + v*s.planes + p
 			s.ringCells[j] = *c
 			s.ringOcc[j] = true
@@ -107,6 +106,6 @@ func (s *Sim) transmitShardDense(lo, hi int, sh *shard) {
 	if measuring {
 		st.IdleSlots += idle
 	}
-	sh.landed = landed
-	sh.dBacklog += dBacklog
+	s.stage.landed = landed
+	s.stage.dBacklog += dBacklog
 }

@@ -22,23 +22,38 @@ import (
 // multiple planes, pooled reuse via Reset, and quiescent stretches the
 // active engine fast-forwards while the dense engine steps through.
 
-// runDenseActive replays scenario under both engines at worker counts
-// 1 and 2 (serial vs staged-shard-merge paths) and compares each active
-// run against the dense serial reference.
-func runDenseActive(t *testing.T, scenario func(t *testing.T, dense bool, workers int) *Sim) {
+// runDenseActive replays scenario on the dense reference engine alone,
+// then on each engine with one and with two simulators stepping at once
+// (see concurrently), and compares every run against the lone dense
+// one.
+func runDenseActive(t *testing.T, scenario func(t *testing.T, dense bool) *Sim) {
 	t.Helper()
-	ref := scenario(t, true, 1)
+	ref := scenario(t, true)
 	for _, workers := range []int{1, 2} {
 		for _, dense := range []bool{true, false} {
 			if dense && workers == 1 {
 				continue // the reference itself
 			}
 			t.Run(fmt.Sprintf("dense=%v/workers=%d", dense, workers), func(t *testing.T) {
-				got := scenario(t, dense, workers)
-				compareSims(t, ref, got)
-				checkConservation(t, got)
+				concurrently(t, workers, func(t *testing.T) {
+					got := scenario(t, dense)
+					compareSims(t, ref, got)
+					checkConservation(t, got)
+				})
 			})
 		}
+	}
+}
+
+// TestDenseActiveEquivalenceScenarios replays the shared scenario table
+// (scenarios) under both engines: per-node and per-pair saturation,
+// open-loop failures under a queue limit, and a reconfiguration with
+// cells queued and in flight.
+func TestDenseActiveEquivalenceScenarios(t *testing.T) {
+	for _, sc := range scenarios() {
+		t.Run(sc.name, func(t *testing.T) {
+			runDenseActive(t, func(t *testing.T, dense bool) *Sim { return sc.run(t, dense, nil) })
+		})
 	}
 }
 
@@ -85,14 +100,13 @@ func sparseFlows(t *testing.T, tm *workload.Matrix, horizon int64) []workload.Fl
 }
 
 func TestDenseActiveEquivalenceSparseOpenLoop(t *testing.T) {
-	runDenseActive(t, func(t *testing.T, dense bool, workers int) *Sim {
+	runDenseActive(t, func(t *testing.T, dense bool) *Sim {
 		sc, err := schedule.BuildSORN(schedule.SORNConfig{N: 32, Nc: 4, Q: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		s, err := newEngine(Config{Schedule: sc.Schedule, Router: routing.NewSORN(sc),
-			SlotNS: 100, PropNS: 500, Seed: 5, LatencySampleEvery: 2,
-			Workers: workers}, dense)
+			SlotNS: 100, PropNS: 500, Seed: 5, LatencySampleEvery: 2}, dense)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +123,7 @@ func TestDenseActiveEquivalenceSparseOpenLoop(t *testing.T) {
 }
 
 func TestDenseActiveEquivalenceFaultChurn(t *testing.T) {
-	runDenseActive(t, func(t *testing.T, dense bool, workers int) *Sim {
+	runDenseActive(t, func(t *testing.T, dense bool) *Sim {
 		n := 32
 		sc, err := schedule.BuildSORN(schedule.SORNConfig{N: n, Nc: 4, Q: 2})
 		if err != nil {
@@ -117,7 +131,7 @@ func TestDenseActiveEquivalenceFaultChurn(t *testing.T) {
 		}
 		s, err := newEngine(Config{Schedule: sc.Schedule, Router: routing.NewSORN(sc),
 			SlotNS: 100, PropNS: 400, Seed: 23, LatencySampleEvery: 1,
-			QueueLimit: 8, Planes: 2, Workers: workers}, dense)
+			QueueLimit: 8, Planes: 2}, dense)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,15 +164,14 @@ func TestDenseActiveEquivalenceFaultChurn(t *testing.T) {
 }
 
 func TestDenseActiveEquivalenceReconfigure(t *testing.T) {
-	runDenseActive(t, func(t *testing.T, dense bool, workers int) *Sim {
+	runDenseActive(t, func(t *testing.T, dense bool) *Sim {
 		n := 24
 		sc, err := schedule.BuildSORN(schedule.SORNConfig{N: n, Nc: 4, Q: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		s, err := newEngine(Config{Schedule: sc.Schedule, Router: routing.NewSORN(sc),
-			SlotNS: 100, PropNS: 300, Seed: 31, LatencySampleEvery: 2,
-			Workers: workers}, dense)
+			SlotNS: 100, PropNS: 300, Seed: 31, LatencySampleEvery: 2}, dense)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,20 +202,20 @@ func TestDenseActiveEquivalenceReconfigure(t *testing.T) {
 }
 
 func TestDenseActiveEquivalenceSaturated(t *testing.T) {
-	// The active engine's saturated branch (most of a shard's sources
-	// backlogged: a plane-major scan over the node range) against the
+	// The active engine's saturated branch (most sources backlogged: a
+	// plane-major scan over every node) against the
 	// dense reference, under both saturation modes. Queues are deep
 	// enough that a slot's pops finish chunks, and a failed link and a
 	// failed node between the two runs send that branch through its
 	// loss path and its skip of sources missing from the active list.
 	// Both runs measure from their first slot, so conservation covers
-	// every cell. bigPools grows the cell pools past splitTransmitCells
+	// every cell. bigPools grows the cell pool past splitTransmitCells
 	// first, so the saturated branch runs its two-pass split; otherwise
 	// it runs the one-pass loop.
 	for _, perPair := range []bool{false, true} {
 		for _, bigPools := range []bool{false, true} {
 			t.Run(fmt.Sprintf("perPair=%v/bigPools=%v", perPair, bigPools), func(t *testing.T) {
-				runDenseActive(t, func(t *testing.T, dense bool, workers int) *Sim {
+				runDenseActive(t, func(t *testing.T, dense bool) *Sim {
 					n := 32
 					sc, err := schedule.BuildSORN(schedule.SORNConfig{N: n, Nc: 4, Q: 2})
 					if err != nil {
@@ -210,12 +223,12 @@ func TestDenseActiveEquivalenceSaturated(t *testing.T) {
 					}
 					s, err := newEngine(Config{Schedule: sc.Schedule, Router: routing.NewSORN(sc),
 						SlotNS: 100, PropNS: 300, Seed: 19, LatencySampleEvery: 4,
-						Planes: 2, Workers: workers}, dense)
+						Planes: 2}, dense)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if bigPools {
-						growPools(s, splitTransmitCells)
+						growPool(s, splitTransmitCells)
 					}
 					tm, err := workload.Locality(sc.Cliques, 0.5)
 					if err != nil {
@@ -249,12 +262,10 @@ func TestDenseActiveEquivalenceSaturated(t *testing.T) {
 	}
 }
 
-// growPools grows every shard's cell pool to at least cells cells.
-func growPools(s *Sim, cells int) {
-	for i := range s.shards {
-		for p := &s.shards[i].pool; len(p.cells) < cells; {
-			p.grow()
-		}
+// growPool grows the cell pool to at least cells cells.
+func growPool(s *Sim, cells int) {
+	for len(s.pool.cells) < cells {
+		s.pool.grow()
 	}
 }
 
@@ -281,14 +292,14 @@ func TestDenseActiveEquivalenceResetReuse(t *testing.T) {
 	// fresh dense sim.
 	for _, towardsDense := range []bool{false, true} {
 		t.Run(fmt.Sprintf("toDense=%v", towardsDense), func(t *testing.T) {
-			cfg := sornResetConfig(t, 1)
+			cfg := sornResetConfig(t)
 			fresh, err := newEngine(cfg, towardsDense)
 			if err != nil {
 				t.Fatal(err)
 			}
 			runSaturatedTarget(t, fresh)
 
-			dirty := dirtySim(t, 1, !towardsDense)
+			dirty := dirtySim(t, !towardsDense)
 			if err := dirty.Reset(cfg); err != nil {
 				t.Fatal(err)
 			}

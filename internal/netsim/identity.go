@@ -8,8 +8,9 @@ import (
 
 // BitIdentical reports whether o equals s exactly: every counter and
 // every sample stream, bit for bit and in insertion order. This is the
-// package's determinism contract — Workers, Sim.Reset reuse, and an
-// attached observer must never change Stats — stated once so the
+// package's determinism contract — Sim.Reset reuse, the engine the
+// tests pick, concurrent sims on other goroutines, and an attached
+// observer must never change Stats — stated once so the
 // determinism test suites and the differential oracle harness share it.
 // On mismatch the returned string names the first differing field.
 func (s *Stats) BitIdentical(o *Stats) (diff string, ok bool) {

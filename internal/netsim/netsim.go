@@ -13,31 +13,25 @@
 // reproducing the per-slot spreading real designs get from transmitting
 // consecutive cells on consecutive circuits (paper §4, footnote 1).
 //
-// # Parallel execution
+// # Slot order
 //
-// Step is internally sharded across Config.Workers goroutines while
-// staying bit-for-bit deterministic: the transmit phase shards by source
-// node (each shard pops only its own VOQs), the landing phase shards by
-// destination node (each shard pushes only its own VOQs), and everything
-// either phase mutates is indexed by a node exactly one shard owns, or is
-// staged per shard and merged in fixed shard order at the slot barrier.
-// Because shards are contiguous, ordered node ranges and each phase walks
-// its nodes in increasing order, the per-location mutation sequence is
-// independent of the worker count: Workers: k produces Stats identical to
-// Workers: 1. Workers: 1 runs the same staging and merge on one shard,
-// with no goroutines, and the serial calls between Steps (InjectFlow,
-// FailNode, Reconfigure) stage into shard 0 and fold it before they
-// return, so there is one accounting path for every worker count.
-// Latency sampling and landing-time reroutes draw from per-node rng
-// streams split serially at construction, so their draw sequences
-// depend only on each node's own event order.
+// Step runs one slot serially, in a fixed order: the landing phase walks
+// destinations in (node, plane) order, then the transmit phase pops
+// sources' VOQs, then fold applies the effects both phases staged (the
+// backlog total, flow losses, the per-pair worklist and trace events).
+// Every slot of every plane is a matching, so each delay-line entry has
+// one possible writer and the ordered pass is deterministic by
+// construction. The serial calls between Steps (InjectFlow, FailNode,
+// Reconfigure) stage the same way and fold before they return, so there
+// is one accounting path. Latency sampling and landing-time reroutes
+// draw from per-node rng streams split serially at construction, so
+// their draw sequences depend only on each node's own event order.
 package netsim
 
 import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"unsafe"
 
 	"repro/internal/matching"
@@ -84,13 +78,6 @@ type Config struct {
 	// per slot — the paper's 16-uplink deployment, and the reason
 	// Table 1 divides δm by the uplink count.
 	Planes int
-	// Workers shards Step across this many goroutines (capped at the
-	// node count). 0 and 1 run serially on one shard: on the 2-vCPU
-	// hosts the repository is measured on, two shards ran the paper's
-	// N=128 workloads 1.4–1.8× slower than one and never faster. Every
-	// value yields bit-identical Stats — see the package comment — so
-	// the choice is purely a wall-clock knob.
-	Workers int
 	// Obs, when non-nil, attaches the observability layer: per-slot
 	// metric updates, phase wall-clock timing, and an event trace (flow
 	// start/finish, failures, reconfigurations). nil — the default —
@@ -178,22 +165,18 @@ func (c *cell) dst(next int) int {
 }
 
 // chunkCells is the VOQ storage granule: a queue is a chain of chunks
-// of this many cells (128 bytes, two cache lines) drawn from its
-// shard's cellPool.
+// of this many cells (128 bytes, two cache lines) drawn from the Sim's
+// cellPool.
 const chunkCells = 8
 
-// cellPool is one shard's VOQ cell storage: a flat array of
-// chunkCells-cell chunks, one link per chunk, and a LIFO free list
-// threaded through those links. A pop that finishes a chunk frees it and
+// cellPool is the VOQ cell storage: a flat array of chunkCells-cell
+// chunks, one link per chunk, and a LIFO free list threaded through
+// those links. A pop that finishes a chunk frees it and
 // the next push that needs a chunk takes the most recently freed one,
 // so pushes write lines a pop read moments ago, not a cold line per
 // queue. The pool doubles when every chunk is in use and never
 // shrinks, so it grows only when the queued total reaches a new peak;
-// reset rewinds it for a Reset Sim. Staged: a node's VOQs draw only
-// from the pool of the shard that owns the node, so a phase touches
-// only its own shard's pool.
-//
-//sornlint:staged
+// reset rewinds it for a Reset Sim.
 type cellPool struct {
 	cells []cell  // chunk k is cells[k*chunkCells : (k+1)*chunkCells]
 	next  []int32 // per chunk: the queue's next chunk, or the next free chunk
@@ -245,21 +228,16 @@ func (p *cellPool) grow() {
 	p.cells, p.next = cells, next
 }
 
-// fifo is one VOQ: a chain of chunks in the pool of the shard that owns
-// the queue's node. head and tail are cell positions in that pool —
-// the next cell to pop (meaningless while the queue holds no chunk) and
-// where the next push writes. The queued-cell count is tail − mark
+// fifo is one VOQ: a chain of chunks in the Sim's cellPool. head and
+// tail are cell positions in that pool — the next cell to pop
+// (meaningless while the queue holds no chunk) and where the next push
+// writes. The queued-cell count is tail − mark
 // (uint32 arithmetic), so a push moves only tail; pops and links move
 // mark instead. Emptiness is that count, not head == tail: the end of
 // one chunk and the start of the next are the same position. A queue
 // with a full last chunk (tail at a chunk boundary) takes a new chunk
 // on its next push, and an empty one keeps its last chunk unless a pop
-// just finished it, so an empty queue holds at most one chunk. Staged:
-// each VOQ belongs to exactly one shard's node range (pops by source
-// ownership, pushes by destination ownership), so phase-time mutation
-// is race-free by partition.
-//
-//sornlint:staged
+// just finished it, so an empty queue holds at most one chunk.
 type fifo struct {
 	head, tail uint32
 	mark       uint32 // tail − queued cells
@@ -295,9 +273,9 @@ func (f *fifo) link(p *cellPool) {
 // pop removes the head cell, returning a pointer into the pool. Pops
 // never write cell memory (a finished chunk's link word lives in
 // cellPool.next), so the pointee stays valid until the next push into
-// the same pool, even across further pops. In a phase-sharded Step no
-// push can come before the caller is done with it (pops happen in the
-// transmit phase, pushes in landing/injection), which is what lets the
+// the same pool, even across further pops. Within a Step no push can
+// come before the caller is done with it (pops happen in the transmit
+// phase, pushes in landing/injection), which is what lets the
 // saturated transmit pop a whole plane before it reads any popped
 // cell; a serial caller that pushes between pops copies the cell
 // first. Popping a chunk's last cell frees the chunk and moves head to
@@ -344,10 +322,6 @@ func (f *fifo) drop(p *cellPool) {
 }
 
 // Stats accumulates measurement-window counters.
-//
-// Every shard but shard 0 stages deltas into a private Stats value that
-// mergeFrom folds into the shared one at the slot barrier — a new
-// counter or sample field must be added there too.
 type Stats struct {
 	DeliveredCells int64 // final-hop deliveries
 	InjectedCells  int64
@@ -375,27 +349,6 @@ type Stats struct {
 	LatencyByHops [8]stats.Sample
 }
 
-// mergeFrom folds a shard's staged deltas into s and resets them. Sample
-// observations are appended in call order, so merging shards in fixed
-// shard order keeps the sample streams deterministic.
-func (s *Stats) mergeFrom(d *Stats) {
-	s.DeliveredCells += d.DeliveredCells
-	s.InjectedCells += d.InjectedCells
-	s.SentCells += d.SentCells
-	s.IdleSlots += d.IdleSlots
-	s.LostCells += d.LostCells
-	s.DroppedCells += d.DroppedCells
-	s.MeasuredSlots += d.MeasuredSlots
-	s.CompletedFlows += d.CompletedFlows
-	*d = Stats{Planes: d.Planes,
-		LatencySlots: d.LatencySlots, FCTSlots: d.FCTSlots, LatencyByHops: d.LatencyByHops}
-	d.LatencySlots.DrainTo(&s.LatencySlots)
-	d.FCTSlots.DrainTo(&s.FCTSlots)
-	for i := range d.LatencyByHops {
-		d.LatencyByHops[i].DrainTo(&s.LatencyByHops[i])
-	}
-}
-
 // Throughput returns delivered cells per node per slot per plane — the
 // paper's r (fraction of node bandwidth) when the network is saturated.
 func (s *Stats) Throughput(n int) float64 {
@@ -417,44 +370,23 @@ func (s *Stats) MeanHops() float64 {
 	return float64(s.SentCells) / float64(s.DeliveredCells)
 }
 
-// flowLoss stages a lost-cell increment against a flow. Cells of one
-// flow can be dropped at relay nodes owned by different shards in the
-// same slot, so shards record losses privately and the barrier applies
-// them serially.
+// flowLoss stages a lost-cell increment against a flow until fold
+// applies it.
 type flowLoss struct {
 	flow  int32
 	cells int32
 }
 
-// shard is one worker's slice of the simulation plus its private
-// staging state. Shards own the contiguous node range [lo, hi): in the
-// transmit phase they pop only VOQs of their own sources, in the landing
-// phase they push only VOQs of their own destinations. Everything else
-// they touch is staged here and folded in shard order at the barrier.
-// Serial calls between Steps (InjectFlow, FailNode, Reconfigure) stage
-// into shard 0 and fold it before they return, so every shared effect
-// has one accounting path whatever the worker count.
-//
-//sornlint:staged
-type shard struct {
-	lo, hi   int
-	idx      int           // position in Sim.shards (identifies the shard to phase bodies)
-	routeBuf routing.Route // scratch for the routes this shard computes
-	// st is where the shard counts Stats. Shard 0 counts straight into
-	// the Sim's Stats: the other shards only write their own staging
-	// stats during a phase, and the merge drains those after shard 0's
-	// in shard order, so every counter and sample stream comes out as
-	// if shard 0 had staged too. A serial Step, and the fold after a
-	// serial call, therefore never copy counters or samples.
-	st       *Stats
-	stats    Stats        // staged counter/sample deltas (unused by shard 0)
-	losses   []flowLoss   // staged FlowState.lost increments
-	dirty    []int32      // staged per-pair saturation worklist entries
-	landed   int32        // cells this shard wrote into the delay line this slot
-	dBacklog int64        // staged Sim.totalBacklog delta
-	events   []obs.Event  // staged trace events, drained in shard order
-	pool     cellPool     // cell storage of the VOQs of nodes [lo, hi)
-	popped   []poppedCell // the saturated transmit's pops of one plane, one per node of [lo, hi)
+// staging holds the effects a slot's phases, or a serial call between
+// Steps, defer to fold: the backlog total, flow losses, the per-pair
+// saturation worklist, the cells written into the delay line and trace
+// events. Counters and samples go straight into the Sim's Stats.
+type staging struct {
+	losses   []flowLoss  // FlowState.lost increments
+	dirty    []int32     // per-pair saturation worklist entries
+	landed   int32       // cells written into the delay line this slot
+	dBacklog int64       // Sim.totalBacklog delta
+	events   []obs.Event // trace events, emitted in staging order
 }
 
 // poppedCell is one pop of the saturated transmit waiting to be forwarded:
@@ -556,36 +488,28 @@ type Sim struct {
 	// latRngs[v] drives latency sampling of deliveries at node v on its
 	// own stream: enabling or tuning sampling never perturbs the
 	// workload stream (rng), and each node's draw sequence depends only
-	// on its own delivery order, keeping sampling identical across
-	// worker counts.
+	// on its own delivery order.
 	latRngs    []rng.RNG
 	sampleProb float64
 	// nodeRngs[u] feeds landing-time reroutes at node u (routers like
 	// the ORN spray draw a random intermediate), again so the draw
-	// sequence is per-node and therefore worker-count invariant.
+	// sequence depends only on the node's own landing order.
 	nodeRngs []rng.RNG
 
-	// voq, backlog, fresh, and freshPair are indexed per node (or per
-	// pair): a shard touches only entries of nodes it owns, so phase-time
-	// writes are race-free by partition — staged in the
-	// one-writer-per-entry sense, not via a merge buffer.
-	//
 	// VOQ rows are allocated lazily, the first time a cell queues at the
 	// row's node, so memory scales with the nodes that actually carry
 	// traffic instead of always paying n² queue headers (at 2048 nodes
 	// the flat layout cost ~100 MiB before a single cell moved). A nil
-	// row means "all of u's queues are empty". Rows are only created by
-	// u's owning shard (landing pushes by destination ownership) or by
-	// serial calls between Steps, so the lazy write is race-free by the
-	// same partition argument as the queues themselves. A row holds only
-	// queue headers; the cells sit in the owning shard's cellPool.
-	voq     [][]fifo //sornlint:staged -- rows indexed [u][next], nil row = empty; one writer per row (u's owning shard), see above
-	backlog []int64  //sornlint:staged
-	fresh   []int64  //sornlint:staged
+	// row means "all of u's queues are empty". A row holds only queue
+	// headers; the cells sit in pool.
+	voq     [][]fifo // rows indexed [u][next]
+	backlog []int64
+	fresh   []int64
+	pool    cellPool
 
 	// totalBacklog tracks the queued-cell total incrementally — staged
-	// through shard.dBacklog and folded by Step's barrier or before a
-	// serial call returns — so Backlog() is O(1). The quiescence
+	// through staging.dBacklog and applied by fold at the end of each
+	// Step or serial call — so Backlog() is O(1). The quiescence
 	// fast-forward consults it every open-loop slot.
 	totalBacklog int64
 
@@ -595,40 +519,31 @@ type Sim struct {
 	// random write into an n²-sized array per consumed cell is pure
 	// overhead otherwise), and rebuilt from the queued cells when a
 	// per-pair run starts.
-	freshPair []int64 //sornlint:staged
+	freshPair []int64
 
 	// The delay line is direct-mapped: within a slot each plane's
 	// circuits form a matching, so destination v receives at most one
 	// cell per plane per slot and slot (s%ringSlots, v, p) has exactly
-	// one possible writer. Transmit shards therefore write the ring
-	// race-free with no staging buffers, and the landing phase scans
-	// each row in (node, plane) order — the canonical order that makes
-	// results independent of the worker count.
+	// one possible writer. The landing phase scans each row in (node,
+	// plane) order, which fixes the order of its per-node rng draws and
+	// sample streams.
 	ringSlots int
-	ringCells []cell //sornlint:staged -- one possible writer per entry, see above
-	ringOcc   []bool //sornlint:staged -- one possible writer per entry, see above
+	ringCells []cell
+	ringOcc   []bool
 	// ringCount[slot%ringSlots] is the number of occupied entries in
 	// that ring slot, so a slot with nothing arriving skips the
 	// n×planes occupancy scan — most steps of a draining or lightly
-	// loaded run. Written only between phase barriers, read by the
-	// landing phase. Maintained by both engines; InFlight() sums it in
-	// O(ringSlots).
+	// loaded run. Updated by fold, read by the landing phase. Maintained
+	// by both engines; InFlight() sums it in O(ringSlots).
 	ringCount []int32
 
-	// Active-set engine state. activeSrc[i] is shard i's unordered list
-	// of sources with queued cells; srcPos gives each node's position in
-	// its shard's list (-1 when absent) for O(1) swap-removal, and
-	// shardOf maps a node to its owning shard. liveShard[i] counts shard
-	// i's non-failed nodes and failedCount the failed total, keeping
-	// idle-slot accounting and the quiescence fast-forward O(1). A
-	// shard only appends nodes it owns
-	// (landing-phase activations) and transmit only removes its own
-	// drained sources, so the lists are race-free by partition.
-	activeSrc [][]int32 //sornlint:staged
-	srcPos    []int32   //sornlint:staged
-	shardOf   []int32
-	liveShard []int64
-
+	// Active-set engine state. activeSrc is the unordered list of
+	// sources with queued cells; srcPos gives each node's position in it
+	// (-1 when absent) for O(1) swap-removal. failedCount counts failed
+	// nodes, keeping idle-slot accounting and the quiescence
+	// fast-forward O(1).
+	activeSrc   []int32
+	srcPos      []int32
 	failedCount int
 
 	// reference, when non-nil, replaces Step's transmit phase body and
@@ -636,7 +551,7 @@ type Sim struct {
 	// the dense reference engine the active engine must match bit for
 	// bit; init clears it, so production sims always run the active
 	// engine and Reset still yields New's state.
-	reference func(s *Sim, lo, hi int, sh *shard)
+	reference func(s *Sim)
 
 	// Deficit worklist for per-pair saturation: when trackPairs is on,
 	// every (src,dst) pair whose fresh-cell count drops is pushed onto
@@ -645,7 +560,7 @@ type Sim struct {
 	// every slot.
 	trackPairs bool
 	dirtyPairs []int32
-	dirtyMark  []bool //sornlint:staged -- per-pair entries, owned by the consuming node's shard
+	dirtyMark  []bool
 
 	// flows is a chunked arena of 1<<flowBlockBits FlowStates per block:
 	// index-addressable, pointer-stable, allocation-free per flow.
@@ -653,8 +568,10 @@ type Sim struct {
 	numFlows int
 	nextFlow int32
 
-	shards    []shard
-	matchRows [][]int // per-plane matching of the current slot
+	stage     staging
+	routeBuf  routing.Route // scratch for the routes injection and reroutes compute
+	popped    []poppedCell  // the saturated transmit's pops of one plane, one per node
+	matchRows [][]int       // per-plane matching of the current slot
 
 	measuring bool
 	stats     Stats
@@ -662,14 +579,14 @@ type Sim struct {
 
 	// failedLink rows are lazily allocated like VOQ rows: a nil outer
 	// slice until the first FailLink (the fault-free fast path keeps a
-	// single nil check per transmit shard), then nil rows for sources
+	// single nil check per transmit phase), then nil rows for sources
 	// with no failed outgoing links.
 	failedLink [][]bool
 	failedNode []bool
 
 	// stepping guards the failure-injection contract: FailLink/FailNode
-	// mutate state the transmit shards read without synchronization, so
-	// they must be called between Steps, never during one.
+	// change what a Step's phases read, so they must be called between
+	// Steps, never during one.
 	stepping bool
 
 	// obs is the optional observability layer; om caches the metric
@@ -692,9 +609,9 @@ func New(cfg Config) (*Sim, error) {
 }
 
 // Reset rewinds s to exactly the state New(cfg) would produce while
-// reusing every allocation whose size still fits — the shards' cell
-// pools, the flow arena, the delay ring, the per-node rng stream
-// slices. A per-worker pool (core.SimPool) resets one warm Sim per
+// reusing every allocation whose size still fits — the cell pool, the
+// flow arena, the delay ring, the per-node rng stream slices. A
+// per-worker pool (core.SimPool) resets one warm Sim per
 // sweep point instead of reallocating ~n² queues each time; the
 // fresh-vs-reset bit-identity contract is pinned by
 // TestSimResetBitIdentity. The new schedule must keep the node count;
@@ -745,20 +662,11 @@ func (s *Sim) init(cfg Config) error {
 	if cfg.Planes < 1 {
 		return fmt.Errorf("netsim: plane count %d invalid", cfg.Planes)
 	}
-	if cfg.Workers < 0 {
-		return fmt.Errorf("netsim: worker count %d invalid", cfg.Workers)
-	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 1
-	}
 	if cfg.LatencySampleEvery < 0 {
 		return fmt.Errorf("netsim: invalid config: LatencySampleEvery %d is negative (0 disables sampling)", cfg.LatencySampleEvery)
 	}
 	if cfg.QueueLimit < 0 {
 		return fmt.Errorf("netsim: invalid config: QueueLimit %d is negative (0 means unbounded)", cfg.QueueLimit)
-	}
-	if cfg.Workers > n {
-		cfg.Workers = n
 	}
 	prop := (cfg.PropNS + cfg.SlotNS - 1) / cfg.SlotNS
 
@@ -812,7 +720,7 @@ func (s *Sim) init(cfg Config) error {
 	rs := int(prop) + 1
 	if int64(rs)*int64(n)*int64(cfg.Planes) > math.MaxInt32 {
 		// Ring rows count their cells in int32s (ringCount,
-		// shard.landed); a ring this large would need ~50 GiB of cells
+		// staging.landed); a ring this large would need ~50 GiB of cells
 		// anyway.
 		return fmt.Errorf("netsim: delay ring of %d slots × %d nodes × %d planes exceeds int32 indexing", rs, n, cfg.Planes)
 	}
@@ -858,60 +766,28 @@ func (s *Sim) init(cfg Config) error {
 	s.numFlows = 0
 	s.nextFlow = 0
 
-	if len(s.shards) != cfg.Workers {
-		s.shards = make([]shard, cfg.Workers)
-	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.idx = i
-		sh.lo = i * n / cfg.Workers
-		sh.hi = (i + 1) * n / cfg.Workers
-		sh.st = &sh.stats
-		if i == 0 {
-			sh.st = &s.stats
-		}
-		sh.landed = 0
-		sh.dBacklog = 0
-		sh.losses = sh.losses[:0]
-		sh.dirty = sh.dirty[:0]
-		sh.events = sh.events[:0]
-		sh.pool.reset()
-		if len(sh.popped) != sh.hi-sh.lo {
-			sh.popped = make([]poppedCell, sh.hi-sh.lo)
-		}
-		// Staged stats are drained at every slot barrier, so between
-		// runs only the sample buffers' capacity remains; zero the
-		// counters the same way mergeFrom does, keeping that capacity.
-		sh.stats = Stats{Planes: sh.stats.Planes,
-			LatencySlots: sh.stats.LatencySlots, FCTSlots: sh.stats.FCTSlots, LatencyByHops: sh.stats.LatencyByHops}
+	s.stage.landed = 0
+	s.stage.dBacklog = 0
+	s.stage.losses = s.stage.losses[:0]
+	s.stage.dirty = s.stage.dirty[:0]
+	s.stage.events = s.stage.events[:0]
+	s.pool.reset()
+	if len(s.popped) != n {
+		s.popped = make([]poppedCell, n)
 	}
 
-	// Active-set state: no source active, per-shard live counts full.
-	// Sized by (n, Workers) geometry, which is tiny next to the queues.
-	if len(s.shardOf) != n {
-		s.shardOf = make([]int32, n)
+	// Active-set state: no source active.
+	if len(s.srcPos) != n {
 		s.srcPos = make([]int32, n)
 	}
 	for i := range s.srcPos {
 		s.srcPos[i] = -1
 	}
-	if len(s.activeSrc) != cfg.Workers {
-		s.activeSrc = make([][]int32, cfg.Workers)
-		s.liveShard = make([]int64, cfg.Workers)
-	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		s.activeSrc[i] = s.activeSrc[i][:0]
-		s.liveShard[i] = int64(sh.hi - sh.lo)
-		for u := sh.lo; u < sh.hi; u++ {
-			s.shardOf[u] = int32(i)
-		}
-	}
+	s.activeSrc = s.activeSrc[:0]
 
 	s.obs, s.om, s.traceFlows = nil, nil, false
 	if cfg.Obs != nil {
 		s.obs = cfg.Obs
-		s.obs.EnsureShards(cfg.Workers)
 		s.om = newSimMetrics(cfg.Obs)
 		s.om.invNP = 1 / float64(s.n*s.planes)
 		s.traceFlows = cfg.Obs.TraceFlows()
@@ -943,9 +819,6 @@ func (s *Sim) Slot() int64 { return s.slot }
 // N returns the node count the simulator was built for — the one
 // dimension Reset cannot change, so pools key reuse on it.
 func (s *Sim) N() int { return s.n }
-
-// Workers returns the resolved worker count Step shards across.
-func (s *Sim) Workers() int { return len(s.shards) }
 
 // Stats returns the accumulated measurement-window statistics.
 func (s *Sim) Stats() *Stats { return &s.stats }
@@ -985,8 +858,8 @@ func (s *Sim) eachFlow(fn func(*FlowState)) {
 }
 
 // Backlog returns the total number of queued cells. The total is
-// maintained incrementally (staged per shard and folded at the slot
-// barrier, or before a serial call returns), so the call is O(1) —
+// maintained incrementally (staged, and applied by fold at the end of
+// each Step or serial call), so the call is O(1) —
 // cheap enough for a driver loop to consult every slot.
 func (s *Sim) Backlog() int64 { return s.totalBacklog }
 
@@ -1008,12 +881,11 @@ func (s *Sim) StartMeasuring() { s.measuring = true }
 
 // failGuard enforces the failure-injection contract: FailLink, FailNode,
 // RepairLink, and RepairNode mutate state — including the lazily
-// allocated failedLink bitmap — that transmit shards read with no
-// synchronization beyond the goroutine creation/join edges of runPhase.
-// Injecting between Steps is therefore safe for every worker count (each
-// Step's goroutines start after the mutation and the creation edge
-// publishes it), while injecting during a Step is a data race; the guard
-// turns that misuse into a deterministic panic instead.
+// allocated failedLink bitmap — that a Step's phases read. They take
+// effect at the next Step when called between Steps; a call during a
+// Step (from an observer callback, say) would change a phase's inputs
+// halfway through it, so the guard turns that misuse into a
+// deterministic panic instead.
 func (s *Sim) failGuard() {
 	if s.stepping {
 		panic("netsim: fail/repair called during Step; inject failures and repairs between Steps")
@@ -1056,20 +928,17 @@ func (s *Sim) FailNode(u int) {
 	}
 	s.failedNode[u] = true
 	s.failedCount++
-	s.liveShard[s.shardOf[u]]--
-	sh := &s.shards[0]
-	pool := s.poolOf(u)
 	purged := int64(0)
 	if row := s.voq[u]; row != nil {
 		for v := range row {
 			q := &row[v]
 			for {
-				c, ok := q.pop(pool)
+				c, ok := q.pop(&s.pool)
 				if !ok {
 					break
 				}
 				if c.isFresh() {
-					s.noteFreshConsumed(sh, u, c.dst(v))
+					s.noteFreshConsumed(u, c.dst(v))
 				}
 				s.flow(c.flow).lost++
 				purged++
@@ -1079,7 +948,7 @@ func (s *Sim) FailNode(u int) {
 	s.backlog[u] -= purged
 	s.totalBacklog -= purged
 	s.deactivateSrc(u)
-	s.fold(sh)
+	s.fold()
 	if s.measuring {
 		s.stats.LostCells += purged
 	}
@@ -1120,7 +989,6 @@ func (s *Sim) RepairNode(u int) {
 	}
 	s.failedNode[u] = false
 	s.failedCount--
-	s.liveShard[s.shardOf[u]]++
 	if s.obs != nil {
 		s.obs.Emit(obs.Event{Slot: s.slot, Type: obs.EvRepairNode, Src: u, Dst: -1})
 	}
@@ -1155,19 +1023,18 @@ func (s *Sim) InjectFlow(src, dst, size int) *FlowState {
 	if s.trackPairs {
 		s.freshPair[src*s.n+dst] += int64(size)
 	}
-	sh := &s.shards[0]
 	for i := 0; i < size; i++ {
-		p := s.router.RouteInto(sh.routeBuf[:0], src, dst, int(s.slot)+i, s.rng)
-		sh.routeBuf = p
+		p := s.router.RouteInto(s.routeBuf[:0], src, dst, int(s.slot)+i, s.rng)
+		s.routeBuf = p
 		var c cell
 		c.flow = fi
 		c.hops = uint8(len(p)-1) | freshBit
 		for h := 2; h < len(p); h++ {
 			c.rest[h-2] = int16(p[h])
 		}
-		s.enqueue(sh, src, p[1], &c)
+		s.enqueue(src, p[1], &c)
 	}
-	s.fold(sh)
+	s.fold()
 	if s.measuring {
 		s.stats.InjectedCells += int64(size)
 	}
@@ -1177,8 +1044,8 @@ func (s *Sim) InjectFlow(src, dst, size int) *FlowState {
 // noteFreshConsumed updates the fresh-cell accounting when a cell leaves
 // its source (transmitted, dropped at injection, purged or delivered in
 // place) and, under per-pair saturation, stages the pair for the
-// deficit worklist in sh; the fold appends it to Sim.dirtyPairs.
-func (s *Sim) noteFreshConsumed(sh *shard, u, dst int) {
+// deficit worklist; the fold appends it to Sim.dirtyPairs.
+func (s *Sim) noteFreshConsumed(u, dst int) {
 	s.fresh[u]--
 	if !s.trackPairs {
 		return
@@ -1187,19 +1054,15 @@ func (s *Sim) noteFreshConsumed(sh *shard, u, dst int) {
 	s.freshPair[pair]--
 	if !s.dirtyMark[pair] {
 		s.dirtyMark[pair] = true
-		sh.dirty = append(sh.dirty, int32(pair))
+		s.stage.dirty = append(s.stage.dirty, int32(pair))
 	}
 }
 
 // enqueue places a cell into node u's VOQ for next, its next waypoint,
-// dropping it if the queue is at its limit. Its shared effects — the
-// backlog total, the drop count, the flow's loss — are staged in sh:
-// the landing phase passes u's owning shard, and the serial calls
-// (injection, reconfiguration) pass shard 0 and fold it before they
-// return. Only u's owning shard, or a serial call between Steps, ever
-// reaches it, which is what makes the lazy row allocation and the
-// active-list append race-free.
-func (s *Sim) enqueue(sh *shard, u, next int, c *cell) {
+// dropping it if the queue is at its limit. The backlog total and the
+// flow's loss are staged for fold; the drop count goes straight into
+// Stats.
+func (s *Sim) enqueue(u, next int, c *cell) {
 	row := s.voq[u]
 	if row == nil {
 		row = s.voqRow(u)
@@ -1209,27 +1072,21 @@ func (s *Sim) enqueue(sh *shard, u, next int, c *cell) {
 		if c.isFresh() {
 			// Fresh cells are dropped only by serial calls: a cell
 			// never returns to its source once transmitted.
-			s.noteFreshConsumed(sh, u, c.dst(next))
+			s.noteFreshConsumed(u, c.dst(next))
 		}
-		sh.losses = append(sh.losses, flowLoss{flow: c.flow, cells: 1})
+		s.stage.losses = append(s.stage.losses, flowLoss{flow: c.flow, cells: 1})
 		if s.measuring {
-			sh.st.DroppedCells++
+			s.stats.DroppedCells++
 		}
 		return
 	}
-	q.push(s.poolOf(u), c)
+	q.push(&s.pool, c)
 	s.backlog[u]++
-	sh.dBacklog++
+	s.stage.dBacklog++
 	if s.backlog[u] == 1 {
 		s.activateSrc(u)
 	}
 }
-
-// poolOf returns the cell pool node u's VOQs draw from: its owning
-// shard's. The landing phase pushes only nodes its shard owns, and the
-// serial calls run between Steps, so every pool has one writer at a
-// time.
-func (s *Sim) poolOf(u int) *cellPool { return &s.shards[s.shardOf[u]].pool }
 
 // voqSlabMax bounds the eager contiguous-slab VOQ layout: up to this
 // many nodes every row is a view into one n×n slab, so the saturated
@@ -1265,21 +1122,19 @@ func (s *Sim) voqRow(u int) []fifo {
 	return row
 }
 
-// activateSrc adds u to its owning shard's active-source list when its
-// backlog becomes nonzero. A landing shard calls it only for nodes it
-// owns, so list writes are race-free by partition.
+// activateSrc adds u to the active-source list when its backlog
+// becomes nonzero.
 //
 //sornlint:hotpath
 func (s *Sim) activateSrc(u int) {
 	if s.srcPos[u] >= 0 {
 		return
 	}
-	i := s.shardOf[u]
-	s.srcPos[u] = int32(len(s.activeSrc[i]))
-	s.activeSrc[i] = append(s.activeSrc[i], int32(u))
+	s.srcPos[u] = int32(len(s.activeSrc))
+	s.activeSrc = append(s.activeSrc, int32(u))
 }
 
-// deactivateSrc removes u from its shard's active list by swap-removal.
+// deactivateSrc removes u from the active list by swap-removal.
 // Serial contexts only (FailNode purges): the transmit phase removes
 // its own drained sources inline.
 func (s *Sim) deactivateSrc(u int) {
@@ -1287,22 +1142,19 @@ func (s *Sim) deactivateSrc(u int) {
 	if pos < 0 {
 		return
 	}
-	i := s.shardOf[u]
-	list := s.activeSrc[i]
+	list := s.activeSrc
 	last := len(list) - 1
 	moved := list[last]
 	list[pos] = moved
 	s.srcPos[moved] = pos // before clearing u: handles moved == u
 	s.srcPos[u] = -1
-	s.activeSrc[i] = list[:last]
+	s.activeSrc = list[:last]
 }
 
-// clearActive empties every shard's active list (Reconfigure rebuilds
-// the queues from scratch and re-activates sources as it re-enqueues).
+// clearActive empties the active list (Reconfigure rebuilds the queues
+// from scratch and re-activates sources as it re-enqueues).
 func (s *Sim) clearActive() {
-	for i := range s.activeSrc {
-		s.activeSrc[i] = s.activeSrc[i][:0]
-	}
+	s.activeSrc = s.activeSrc[:0]
 	for i := range s.srcPos {
 		s.srcPos[i] = -1
 	}
@@ -1324,9 +1176,8 @@ func (s *Sim) phaseTimed() bool {
 	return s.obs != nil && s.slot&(phaseTimeSample-1) == 0
 }
 
-// Step advances the simulation by one slot: a landing phase sharded by
-// destination node, a barrier, a transmit phase sharded by source node,
-// and a final barrier at which per-shard staging merges in shard order.
+// Step advances the simulation by one slot: the landing phase, the
+// transmit phase, then the fold of what both staged.
 func (s *Sim) Step() {
 	s.stepping = true
 	period := int64(s.sched.Period())
@@ -1334,19 +1185,19 @@ func (s *Sim) Step() {
 		s.matchRows[p] = s.sched.Slots[(s.slot+s.offsets[p])%period]
 	}
 	timed := s.phaseTimed()
-	transmit := (*Sim).transmitShardActive
+	transmit := (*Sim).transmitActive
 	if s.reference != nil {
 		transmit = s.reference
 	}
-	s.runPhase(obs.PhaseLand, timed, (*Sim).landShard)
+	s.runPhase(obs.PhaseLand, timed, (*Sim).landPhase)
 	s.ringCount[s.slot%int64(s.ringSlots)] = 0
 	s.runPhase(obs.PhaseTransmit, timed, transmit)
 	if timed {
 		t0 := s.obs.Clock()
-		s.mergeShards()
-		s.obs.AddPhase(obs.PhaseMerge, 0, t0)
+		s.foldSlot()
+		s.obs.AddPhase(obs.PhaseMerge, t0)
 	} else {
-		s.mergeShards()
+		s.foldSlot()
 	}
 	if s.om != nil {
 		s.obsEndSlot()
@@ -1396,114 +1247,82 @@ func (s *Sim) FastForwardTo(target int64) int64 {
 	return skipped
 }
 
-// runPhase executes one phase across all shards: one goroutine per
-// extra shard, with the caller taking shard 0; the WaitGroup barrier
-// orders every phase-k write before every phase-k+1 read. A lone shard
-// stages and merges exactly like one of several — only the goroutine
-// and the barrier go, and it is called inline so the WaitGroup never
-// escapes to the heap (two allocations per Step).
-func (s *Sim) runPhase(p obs.Phase, timed bool, fn func(*Sim, int, int, *shard)) {
-	if len(s.shards) == 1 {
-		s.runShard(p, timed, 0, 0, s.n, &s.shards[0], fn)
-		return
-	}
-	var wg sync.WaitGroup
-	for i := 1; i < len(s.shards); i++ {
-		wg.Add(1)
-		go func(i int, sh *shard) {
-			defer wg.Done()
-			s.runShard(p, timed, i, sh.lo, sh.hi, sh, fn)
-		}(i, &s.shards[i])
-	}
-	sh0 := &s.shards[0]
-	s.runShard(p, timed, 0, sh0.lo, sh0.hi, sh0, fn)
-	wg.Wait()
-}
-
-// runShard runs one shard of a phase, wall-clock-timed into the
-// observer's per-(phase, shard) accumulator on sampled slots. The
-// readings never feed back into simulation state, so timing cannot
-// perturb results; the uninstrumented path pays one branch. timed is
-// only ever true when the observer exists (phaseTimed).
+// runPhase runs one slot phase, wall-clock-timed into the observer's
+// accumulator for p on sampled slots. The readings never feed back into
+// simulation state, so timing cannot perturb results; the
+// uninstrumented path pays one branch. timed is only ever true when the
+// observer exists (phaseTimed).
 //
 //sornlint:obsguarded
-func (s *Sim) runShard(p obs.Phase, timed bool, i, lo, hi int, sh *shard, fn func(*Sim, int, int, *shard)) {
+func (s *Sim) runPhase(p obs.Phase, timed bool, fn func(*Sim)) {
 	if !timed {
-		fn(s, lo, hi, sh)
+		fn(s)
 		return
 	}
 	t0 := s.obs.Clock()
-	fn(s, lo, hi, sh)
-	s.obs.AddPhase(p, i, t0)
+	fn(s)
+	s.obs.AddPhase(p, t0)
 }
 
-// mergeShards is Step's barrier: it folds every shard's staging into
-// the shared state in shard order — the single point where the shards'
-// results meet, and deliberately order-deterministic — and adds the
-// cells each shard wrote into the delay line to the landing row's
-// count.
-func (s *Sim) mergeShards() {
+// foldSlot ends a Step: it adds the cells the transmit phase wrote into
+// the delay line to the landing row's count and folds the slot's
+// staging.
+func (s *Sim) foldSlot() {
 	landIdx := (s.slot + s.propSlots) % int64(s.ringSlots)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		s.ringCount[landIdx] += sh.landed
-		sh.landed = 0
-		s.fold(sh)
-	}
+	s.ringCount[landIdx] += s.stage.landed
+	s.stage.landed = 0
+	s.fold()
 }
 
-// fold applies one shard's staged effects to the shared state and
-// empties its staging: the backlog total, counters and samples (shard
-// 0's sh.st already is the Sim's Stats), flow losses, dirty pairs and
-// trace events. Staged events only exist when the observer does, so the drain
-// emits unguarded.
+// fold applies the staged effects to the shared state and empties the
+// staging: the backlog total, flow losses, dirty pairs and trace events.
+// Staged events only exist when the observer does, so the drain emits
+// unguarded.
 //
 //sornlint:drain
-func (s *Sim) fold(sh *shard) {
-	s.totalBacklog += sh.dBacklog
-	sh.dBacklog = 0
-	if sh.st != &s.stats {
-		s.stats.mergeFrom(sh.st)
-	}
-	if len(sh.losses) > 0 {
-		for _, l := range sh.losses {
+func (s *Sim) fold() {
+	st := &s.stage
+	s.totalBacklog += st.dBacklog
+	st.dBacklog = 0
+	if len(st.losses) > 0 {
+		for _, l := range st.losses {
 			s.flow(l.flow).lost += l.cells
 		}
-		sh.losses = sh.losses[:0]
+		st.losses = st.losses[:0]
 	}
-	if len(sh.dirty) > 0 {
-		s.dirtyPairs = append(s.dirtyPairs, sh.dirty...)
-		sh.dirty = sh.dirty[:0]
+	if len(st.dirty) > 0 {
+		s.dirtyPairs = append(s.dirtyPairs, st.dirty...)
+		st.dirty = st.dirty[:0]
 	}
-	if len(sh.events) > 0 {
-		for _, e := range sh.events {
+	if len(st.events) > 0 {
+		for _, e := range st.events {
 			s.obs.Emit(e)
 		}
-		sh.events = sh.events[:0]
+		st.events = st.events[:0]
 	}
 }
 
-// landShard lands everything in this slot's ring row addressed to
-// destinations [lo, hi), in (node, plane) order — the canonical landing
-// order, which fixes the per-node rng draws and staged sample streams
-// for every worker count. Each slot of every plane is a matching, so a
-// row holds at most one cell per (node, plane) and the scan visits each
-// entry once; a row with nothing arriving (ringCount 0, most steps of a
-// draining or lightly loaded run) is skipped outright.
+// landPhase lands everything in this slot's ring row, in (node, plane)
+// order — the canonical landing order, which fixes the per-node rng
+// draws and the sample streams. Each slot of every plane is a matching,
+// so a row holds at most one cell per (node, plane) and the scan visits
+// each entry once; a row with nothing arriving (ringCount 0, most steps
+// of a draining or lightly loaded run) is skipped outright.
 //
 //sornlint:shardphase
 //sornlint:hotpath
-func (s *Sim) landShard(lo, hi int, sh *shard) {
+func (s *Sim) landPhase() {
 	cur := int(s.slot % int64(s.ringSlots))
 	if s.ringCount[cur] == 0 {
 		return
 	}
-	off := (cur*s.n + lo) * s.planes
-	for v := lo; v < hi; v++ {
+	n := s.n
+	off := cur * n * s.planes
+	for v := 0; v < n; v++ {
 		for p := 0; p < s.planes; p++ {
 			if s.ringOcc[off] {
 				s.ringOcc[off] = false
-				s.land(sh, v, &s.ringCells[off])
+				s.land(v, &s.ringCells[off])
 			}
 			off++
 		}
@@ -1511,34 +1330,34 @@ func (s *Sim) landShard(lo, hi int, sh *shard) {
 }
 
 // land processes a cell arriving at node v.
-func (s *Sim) land(sh *shard, v int, c *cell) {
+func (s *Sim) land(v int, c *cell) {
 	if s.failedNode[v] {
 		// v failed while the cell was in flight (transmit-time drops
 		// cover only cells sent after the failure): lost on arrival.
-		sh.losses = append(sh.losses, flowLoss{flow: c.flow, cells: 1})
+		s.stage.losses = append(s.stage.losses, flowLoss{flow: c.flow, cells: 1})
 		if s.measuring {
-			sh.st.LostCells++
+			s.stats.LostCells++
 		}
 		return
 	}
 	c.idx++
 	if int(c.idx) >= c.hopCount() {
-		s.deliver(sh, v, c)
+		s.deliver(v, c)
 		return
 	}
 	next := int(c.rest[c.idx-1])
 	// After a reconfiguration, the cell's next circuit may no longer
 	// exist; re-route it from its landing node.
 	if !s.circuits.has(v, next) {
-		s.rerouteFrom(sh, v, c)
+		s.rerouteFrom(v, c)
 		return
 	}
-	s.enqueue(sh, v, next, c)
+	s.enqueue(v, next, c)
 }
 
 // deliver counts a final-hop delivery at node v.
-func (s *Sim) deliver(sh *shard, v int, c *cell) {
-	st := sh.st
+func (s *Sim) deliver(v int, c *cell) {
+	st := &s.stats
 	f := s.flow(c.flow)
 	f.delivered++
 	if s.measuring {
@@ -1561,11 +1380,8 @@ func (s *Sim) deliver(sh *shard, v int, c *cell) {
 			st.FCTSlots.Add(float64(s.slot - f.arrival))
 		}
 		if s.traceFlows {
-			// Staged, and drained into the trace in shard order by the
-			// fold. Shards are contiguous ascending node ranges and the
-			// landing phase walks nodes in order, so the merged event
-			// stream is identical for every worker count.
-			sh.events = append(sh.events, obs.Event{Slot: s.slot, Type: obs.EvFlowFinish, Flow: int64(f.id),
+			// Staged, and emitted by the fold in landing order.
+			s.stage.events = append(s.stage.events, obs.Event{Slot: s.slot, Type: obs.EvFlowFinish, Flow: int64(f.id),
 				Src: int(f.src), Dst: int(f.dst), Cells: int64(f.size), Val: float64(s.slot - f.arrival)})
 		}
 	}
@@ -1575,21 +1391,20 @@ func (s *Sim) deliver(sh *shard, v int, c *cell) {
 // saturated transmit pops a plane before it reads the popped cells.
 const splitTransmitCells = 4 << 20 / cellBytes
 
-// transmitPlaneSplit is the saturated transmit of plane p over shard
-// sh's node range, in two passes. The first pops every listed source's
-// head cell into sh.popped and does the backlog bookkeeping without
-// reading a cell; the second reads the cells for the fresh and loss
-// accounting and the ring write, so the cache misses of a plane's cells
-// overlap instead of each stalling the loop. The pointers stay valid:
-// pops never write cell memory, and nothing pushes into a pool during
-// the transmit phase. Each pass keeps source order, so every staged
-// effect lands in the order the one-pass loop gives. It returns the
-// cells popped, the cells written into the delay line and the sources
-// drained.
+// transmitPlaneSplit is the saturated transmit of plane p, in two
+// passes. The first pops every listed source's head cell into s.popped
+// and does the backlog bookkeeping without reading a cell; the second
+// reads the cells for the fresh and loss accounting and the ring write,
+// so the cache misses of a plane's cells overlap instead of each
+// stalling the loop. The pointers stay valid: pops never write cell
+// memory, and nothing pushes into the pool during the transmit phase.
+// Each pass keeps source order, so every staged effect lands in the
+// order the one-pass loop gives. It returns the cells popped, the cells
+// written into the delay line and the sources drained.
 //
 //sornlint:hotpath
-func (s *Sim) transmitPlaneSplit(sh *shard, p, landBase int, checkPos bool) (pops, landed int32, drained int) {
-	st := sh.st
+func (s *Sim) transmitPlaneSplit(p, landBase int, checkPos bool) (pops, landed int32, drained int) {
+	st := &s.stats
 	measuring := s.measuring
 	row := s.matchRows[p]
 	voq := s.voq
@@ -1598,10 +1413,10 @@ func (s *Sim) transmitPlaneSplit(sh *shard, p, landBase int, checkPos bool) (pop
 	failedNode := s.failedNode
 	failedLink := s.failedLink
 	hasFailedLink := failedLink != nil
-	pool := &sh.pool
-	pending := sh.popped
+	pool := &s.pool
+	pending := s.popped
 	m := 0
-	for u := sh.lo; u < sh.hi; u++ {
+	for u, n := 0, s.n; u < n; u++ {
 		if checkPos && srcPos[u] < 0 {
 			continue
 		}
@@ -1621,11 +1436,11 @@ func (s *Sim) transmitPlaneSplit(sh *shard, p, landBase int, checkPos bool) (pop
 	for _, pc := range pending[:m] {
 		c, u, v := pc.c, int(pc.u), int(pc.v)
 		if c.isFresh() {
-			s.noteFreshConsumed(sh, u, c.dst(v))
+			s.noteFreshConsumed(u, c.dst(v))
 			c.hops &^= freshBit
 		}
 		if failedNode[v] || (hasFailedLink && failedLink[u] != nil && failedLink[u][v]) {
-			sh.losses = append(sh.losses, flowLoss{flow: c.flow, cells: 1})
+			s.stage.losses = append(s.stage.losses, flowLoss{flow: c.flow, cells: 1})
 			if measuring {
 				st.LostCells++
 			}
@@ -1642,12 +1457,12 @@ func (s *Sim) transmitPlaneSplit(sh *shard, p, landBase int, checkPos bool) (pop
 	return int32(m), landed, drained
 }
 
-// transmitShardActive is the active-set transmit phase: instead of
-// scanning all of [lo, hi) per plane, it visits only the shard's
-// sources with queued cells, removing each from the list the moment it
-// drains. Per-slot cost is proportional to the active sources, so the
-// drained tail of an open-loop run — and every lightly loaded slot of a
-// sparse one — costs O(cells moved), not O(n).
+// transmitActive is the active-set transmit phase: instead of scanning
+// every node per plane, it visits only the sources with queued cells,
+// removing each from the list the moment it drains. Per-slot cost is
+// proportional to the active sources, so the drained tail of an
+// open-loop run — and every lightly loaded slot of a sparse one — costs
+// O(cells moved), not O(n).
 //
 // Equivalence with a dense scan of every (source, plane) pair — the
 // tests' reference engine: transmit order across nodes carries no
@@ -1663,10 +1478,9 @@ func (s *Sim) transmitPlaneSplit(sh *shard, p, landBase int, checkPos bool) (pop
 //
 //sornlint:shardphase
 //sornlint:hotpath
-func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
+func (s *Sim) transmitActive() {
 	n := s.n
-	st := sh.st
-	shIdx := sh.idx
+	st := &s.stats
 	landBase := int((s.slot+s.propSlots)%int64(s.ringSlots)) * n * s.planes
 	landed := int32(0)
 	pops := int64(0)
@@ -1679,23 +1493,23 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 	failedNode := s.failedNode
 	failedLink := s.failedLink
 	hasFailedLink := failedLink != nil
-	pool := &sh.pool
-	list := s.activeSrc[shIdx]
-	if len(list)*2 >= hi-lo {
-		// Saturated shard: most of the node range is active, so the
-		// list buys nothing — switch to a dense plane-major layout
-		// (hoisted match row, nodes visited in address order) and skip
-		// the few inactive sources via srcPos. Iteration layout carries
-		// no state (see above), so this is
-		// purely a memory-access-pattern choice; sources that drain
-		// are swept from the list after the scan instead of
+	pool := &s.pool
+	list := s.activeSrc
+	live := int64(n - s.failedCount)
+	if len(list)*2 >= n {
+		// Saturated: most nodes are active, so the list buys nothing —
+		// switch to a dense plane-major layout (hoisted match row, nodes
+		// visited in address order) and skip the few inactive sources
+		// via srcPos. Iteration layout carries no state (see above), so
+		// this is purely a memory-access-pattern choice; sources that
+		// drain are swept from the list after the scan instead of
 		// swap-removed mid-iteration, which changes only list order —
 		// never results.
 		voq := s.voq
-		// Full coverage means every node in [lo, hi) is active (failed
-		// nodes are never listed), so the membership probe vanishes in
-		// the steady saturated state.
-		checkPos := len(list) != hi-lo
+		// Full coverage means every node is active (failed nodes are
+		// never listed), so the membership probe vanishes in the steady
+		// saturated state.
+		checkPos := len(list) != n
 		drained := 0
 		// A pool past splitTransmitCells is far larger than the cache,
 		// so nearly every popped cell is a miss: transmitPlaneSplit pops
@@ -1705,7 +1519,7 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 		split := len(pool.cells) >= splitTransmitCells
 		for p := 0; p < planes; p++ {
 			if split {
-				np, nl, nd := s.transmitPlaneSplit(sh, p, landBase, checkPos)
+				np, nl, nd := s.transmitPlaneSplit(p, landBase, checkPos)
 				pops += int64(np)
 				dBacklog -= int64(np)
 				landed += nl
@@ -1713,7 +1527,7 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 				continue
 			}
 			row := rows[p]
-			for u := lo; u < hi; u++ {
+			for u := 0; u < n; u++ {
 				if checkPos && srcPos[u] < 0 {
 					continue
 				}
@@ -1730,11 +1544,11 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 				}
 				dBacklog--
 				if c.isFresh() {
-					s.noteFreshConsumed(sh, u, c.dst(v))
+					s.noteFreshConsumed(u, c.dst(v))
 					c.hops &^= freshBit
 				}
 				if failedNode[v] || (hasFailedLink && failedLink[u] != nil && failedLink[u][v]) {
-					sh.losses = append(sh.losses, flowLoss{flow: c.flow, cells: 1})
+					s.stage.losses = append(s.stage.losses, flowLoss{flow: c.flow, cells: 1})
 					if measuring {
 						st.LostCells++
 					}
@@ -1766,12 +1580,12 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 			}
 			k++
 		}
-		s.activeSrc[shIdx] = list
+		s.activeSrc = list
 		if measuring {
-			st.IdleSlots += s.liveShard[shIdx]*int64(planes) - pops
+			st.IdleSlots += live*int64(planes) - pops
 		}
-		sh.landed = landed
-		sh.dBacklog += dBacklog
+		s.stage.landed = landed
+		s.stage.dBacklog += dBacklog
 		return
 	}
 	for k := 0; k < len(list); {
@@ -1793,11 +1607,11 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 			backlog[u]--
 			dBacklog--
 			if c.isFresh() {
-				s.noteFreshConsumed(sh, u, c.dst(v))
+				s.noteFreshConsumed(u, c.dst(v))
 				c.hops &^= freshBit
 			}
 			if failedNode[v] || (flRow != nil && flRow[v]) {
-				sh.losses = append(sh.losses, flowLoss{flow: c.flow, cells: 1})
+				s.stage.losses = append(s.stage.losses, flowLoss{flow: c.flow, cells: 1})
 				if measuring {
 					st.LostCells++
 				}
@@ -1824,15 +1638,15 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 		}
 		k++
 	}
-	s.activeSrc[shIdx] = list
+	s.activeSrc = list
 	if measuring {
 		// Idle by identity: every live (source, plane) pair either
 		// popped a cell or idled. pops counts transmit-time drops too —
 		// the dense scan counts those as non-idle as well.
-		st.IdleSlots += s.liveShard[shIdx]*int64(planes) - pops
+		st.IdleSlots += live*int64(planes) - pops
 	}
-	sh.landed = landed
-	sh.dBacklog += dBacklog
+	s.stage.landed = landed
+	s.stage.dBacklog += dBacklog
 }
 
 // RunOpenLoop injects the flows arriving before until at their arrival
@@ -1870,7 +1684,7 @@ func (s *Sim) RunOpenLoop(flows []workload.Flow, until int64) (rest []workload.F
 			i++
 		}
 		if timed {
-			s.obs.AddPhase(obs.PhaseInject, 0, t0)
+			s.obs.AddPhase(obs.PhaseInject, t0)
 		}
 		s.Step()
 		// Nothing can happen before the next arrival (or the horizon)
@@ -1982,7 +1796,7 @@ func (s *Sim) RunSaturated(sc SaturationConfig) (*Stats, error) {
 			}
 		}
 		if timed {
-			s.obs.AddPhase(obs.PhaseInject, 0, t0)
+			s.obs.AddPhase(obs.PhaseInject, t0)
 		}
 		s.Step()
 	}
@@ -2021,9 +1835,8 @@ func (s *Sim) runSaturatedPerPair(sc SaturationConfig, measureAt, end int64) (*S
 		if row == nil {
 			continue
 		}
-		pool := s.poolOf(u)
 		for v := range row {
-			row[v].each(pool, func(c *cell) {
+			row[v].each(&s.pool, func(c *cell) {
 				if c.isFresh() {
 					s.freshPair[u*s.n+c.dst(v)]++
 				}
@@ -2055,9 +1868,9 @@ func (s *Sim) runSaturatedPerPair(sc SaturationConfig, measureAt, end int64) (*S
 			t0 = s.obs.Clock()
 		}
 		// The worklist accumulates in transmit-iteration order, which is
-		// a layout detail (plane-major across worker shards); sort the
-		// batch so injection — and the rng draws it consumes — happens
-		// in canonical pair order for every worker count and loop shape.
+		// a layout detail (plane-major or list order); sort the batch so
+		// injection — and the rng draws it consumes — happens in
+		// canonical pair order for every loop shape.
 		slices.Sort(s.dirtyPairs)
 		// Queues are unbounded here, so a top-up never drops a cell and
 		// the worklist cannot grow while it drains.
@@ -2080,7 +1893,7 @@ func (s *Sim) runSaturatedPerPair(sc SaturationConfig, measureAt, end int64) (*S
 		}
 		s.dirtyPairs = s.dirtyPairs[:0]
 		if timed {
-			s.obs.AddPhase(obs.PhaseInject, 0, t0)
+			s.obs.AddPhase(obs.PhaseInject, t0)
 		}
 		s.Step()
 	}
@@ -2115,7 +1928,6 @@ func (s *Sim) Reconfigure(sched *matching.Schedule, router routing.Router) error
 	}
 	s.totalBacklog = 0
 	s.clearActive()
-	sh := &s.shards[0]
 	moved := int64(0)
 	for u := 0; u < s.n; u++ {
 		row := old[u]
@@ -2124,24 +1936,23 @@ func (s *Sim) Reconfigure(sched *matching.Schedule, router routing.Router) error
 		}
 		// Re-enqueueing pushes into the pool being popped, which may
 		// reuse the chunk a pop just freed: reroute a copy of the cell.
-		pool := s.poolOf(u)
 		for v := range row {
 			q := &row[v]
 			for {
-				c, ok := q.pop(pool)
+				c, ok := q.pop(&s.pool)
 				if !ok {
 					break
 				}
 				cc := *c
-				s.rerouteFrom(sh, u, &cc)
+				s.rerouteFrom(u, &cc)
 				moved++
 			}
-			q.drop(pool)
+			q.drop(&s.pool)
 		}
 	}
 	// Fold before the commit event, so the flow_finish events of cells
 	// delivered in place precede it in the trace.
-	s.fold(sh)
+	s.fold()
 	if s.obs != nil {
 		s.obs.Emit(obs.Event{Slot: s.slot, Type: obs.EvReconfigCommit, Src: -1, Dst: -1, Cells: moved})
 	}
@@ -2178,9 +1989,9 @@ func checkRouter(sched *matching.Schedule, r routing.Router) error {
 }
 
 // rerouteFrom recomputes a cell's remaining path from node u. Reroutes
-// draw from u's own rng stream so a parallel landing phase consumes no
-// shared generator state.
-func (s *Sim) rerouteFrom(sh *shard, u int, c *cell) {
+// draw from u's own rng stream, so a landing-time reroute leaves the
+// workload stream alone.
+func (s *Sim) rerouteFrom(u int, c *cell) {
 	dst := s.flow(c.flow).dst
 	if int32(u) == dst {
 		// A cell queued at its destination as a relay waypoint (e.g. an
@@ -2189,19 +2000,19 @@ func (s *Sim) rerouteFrom(sh *shard, u int, c *cell) {
 		// accounting still charges it as queued there; consume it
 		// before it disappears into the delivery counters.
 		if c.isFresh() {
-			s.noteFreshConsumed(sh, u, int(dst))
+			s.noteFreshConsumed(u, int(dst))
 		}
 		done := cell{flow: c.flow, hops: 1, idx: 1}
-		s.deliver(sh, u, &done)
+		s.deliver(u, &done)
 		return
 	}
-	p := s.router.RouteInto(sh.routeBuf[:0], u, int(dst), int(s.slot), &s.nodeRngs[u])
-	sh.routeBuf = p
+	p := s.router.RouteInto(s.routeBuf[:0], u, int(dst), int(s.slot), &s.nodeRngs[u])
+	s.routeBuf = p
 	nc := cell{flow: c.flow, hops: uint8(len(p)-1) | c.hops&freshBit}
 	for h := 2; h < len(p); h++ {
 		nc.rest[h-2] = int16(p[h])
 	}
-	s.enqueue(sh, u, p[1], &nc)
+	s.enqueue(u, p[1], &nc)
 }
 
 // FlowsCompleted returns how many injected flows have finished.

@@ -1523,7 +1523,7 @@ func TestReconfigureWithFreshCellsQueued(t *testing.T) {
 			continue
 		}
 		for v := range row {
-			row[v].each(s.poolOf(u), func(c *cell) {
+			row[v].each(&s.pool, func(c *cell) {
 				if c.isFresh() {
 					perNode[u]++
 				}
@@ -1613,9 +1613,8 @@ func TestRerouteFreshCellAtDestinationConsumesFresh(t *testing.T) {
 	s.fresh[3]++
 	c := cell{flow: 0, hops: 2 | freshBit}
 	c.rest[0] = 3 // waypoint 0 (node 5) is implied by the VOQ
-	sh := &s.shards[0]
-	s.rerouteFrom(sh, 3, &c)
-	s.fold(sh)
+	s.rerouteFrom(3, &c)
+	s.fold()
 	if s.fresh[3] != 0 {
 		t.Fatalf("fresh counter leaked: fresh[3] = %d, want 0", s.fresh[3])
 	}
@@ -1687,12 +1686,12 @@ func TestCellConservationNodeFailureMidRun(t *testing.T) {
 
 // TestFailureDuringStepPanics pins the injection contract: failures are
 // only legal between Steps. The guard must fire rather than let a
-// concurrent mutation race the sharded phases.
+// mutation change a Step's inputs halfway through it.
 func TestFailureDuringStepPanics(t *testing.T) {
 	sched := matching.RoundRobin(8)
 	d, _ := routing.NewDirect(sched)
 	s := newSim(t, sched, d, 49)
-	s.stepping = true // as if called from inside Step's sharded phases
+	s.stepping = true // as if called from inside a Step
 	for name, fn := range map[string]func(){
 		"FailLink": func() { s.FailLink(0, 1) },
 		"FailNode": func() { s.FailNode(2) },
@@ -1713,10 +1712,10 @@ func TestFailureDuringStepPanics(t *testing.T) {
 }
 
 // TestFailLinkBetweenStepsParallel pins the documented lazy-bitmap
-// contract: a FailLink injected between Steps is visible to every worker
-// from the very next Step, at any worker count, with identical results.
+// contract: a FailLink injected between Steps is visible from the very
+// next Step, with identical results on simulators stepping at once.
 func TestFailLinkBetweenStepsParallel(t *testing.T) {
-	runScenario(t, func(t *testing.T, workers int) *Sim {
+	runScenario(t, func(t *testing.T) *Sim {
 		n := 16
 		sched := matching.RoundRobin(n)
 		v, err := routing.NewVLB(sched)
@@ -1724,7 +1723,7 @@ func TestFailLinkBetweenStepsParallel(t *testing.T) {
 			t.Fatal(err)
 		}
 		s, err := New(Config{Schedule: sched, Router: v, SlotNS: 100, PropNS: 500,
-			Seed: 50, LatencySampleEvery: 2, Workers: workers})
+			Seed: 50, LatencySampleEvery: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

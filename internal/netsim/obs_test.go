@@ -4,9 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/routing"
-	"repro/internal/schedule"
-	"repro/internal/workload"
 )
 
 // newTestObserver uses a short snapshot cadence so even the small test
@@ -16,103 +13,7 @@ func newTestObserver() *obs.Observer {
 	return obs.New(obs.Options{MetricsEvery: 16, TraceCap: 1 << 14, TraceFlows: true})
 }
 
-// obsScenario is one workload replayed with and without an observer and
-// at several worker counts. Each run builds a fresh Sim.
-type obsScenario struct {
-	name string
-	run  func(t *testing.T, workers int, ob *obs.Observer) *Sim
-}
-
-func obsScenarios() []obsScenario {
-	return []obsScenario{
-		{name: "saturated-per-pair", run: func(t *testing.T, workers int, ob *obs.Observer) *Sim {
-			sc, err := schedule.BuildSORN(schedule.SORNConfig{N: 32, Nc: 4, Q: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := New(Config{Schedule: sc.Schedule, Router: routing.NewSORN(sc),
-				SlotNS: 100, PropNS: 300, Seed: 7, LatencySampleEvery: 8,
-				Workers: workers, Obs: ob})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.RunSaturated(SaturationConfig{
-				TM:             workload.Uniform(32),
-				Size:           workload.FixedSize(2),
-				PerPairBacklog: 4,
-				WarmupSlots:    300,
-				MeasureSlots:   900,
-			}); err != nil {
-				t.Fatal(err)
-			}
-			return s
-		}},
-		{name: "openloop-failures", run: func(t *testing.T, workers int, ob *obs.Observer) *Sim {
-			n := 27
-			orn, err := schedule.BuildOptimalORN(n, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := New(Config{Schedule: orn.Schedule, Router: routing.NewORN(orn),
-				SlotNS: 100, PropNS: 400, Seed: 3, LatencySampleEvery: 1,
-				QueueLimit: 16, Workers: workers, Obs: ob})
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.StartMeasuring()
-			gen, err := workload.NewPoissonFlows(workload.Uniform(n), workload.FixedSize(3), 0.3, 9)
-			if err != nil {
-				t.Fatal(err)
-			}
-			flows := gen.Window(0, 1200)
-			if _, err := s.RunOpenLoop(flows[:len(flows)/2], 600); err != nil {
-				t.Fatal(err)
-			}
-			s.FailLink(1, 2)
-			s.FailNode(5)
-			if _, err := s.RunOpenLoop(flows[len(flows)/2:], 1200); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 20000 && !s.Drained(); i++ {
-				s.Step()
-			}
-			return s
-		}},
-		{name: "reconfigure", run: func(t *testing.T, workers int, ob *obs.Observer) *Sim {
-			a, err := schedule.BuildSORN(schedule.SORNConfig{N: 24, Nc: 4, Q: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := New(Config{Schedule: a.Schedule, Router: routing.NewSORN(a),
-				SlotNS: 100, PropNS: 300, Seed: 21, LatencySampleEvery: 2,
-				Workers: workers, Obs: ob})
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.StartMeasuring()
-			for i := 0; i < 24; i++ {
-				s.InjectFlow(i, (i+7)%24, 1+i%5)
-			}
-			for i := 0; i < 40; i++ {
-				s.Step()
-			}
-			b, err := schedule.BuildSORN(schedule.SORNConfig{N: 24, Nc: 3, Q: 1.5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Reconfigure(b.Schedule, routing.NewSORN(b)); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 20000 && !s.Drained(); i++ {
-				s.Step()
-			}
-			return s
-		}},
-	}
-}
-
-// eventsEqual asserts two event streams are identical element-wise: the
-// trace must not depend on the worker count.
+// eventsEqual asserts two event streams are identical element-wise.
 func eventsEqual(t *testing.T, a, b []obs.Event) {
 	t.Helper()
 	if len(a) != len(b) {
@@ -120,7 +21,7 @@ func eventsEqual(t *testing.T, a, b []obs.Event) {
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("event[%d] differs:\n  serial   %+v\n  parallel %+v", i, a[i], b[i])
+			t.Fatalf("event[%d] differs:\n  want %+v\n  got  %+v", i, a[i], b[i])
 		}
 	}
 }
@@ -145,49 +46,49 @@ func seriesEqual(t *testing.T, a, b [][]string) {
 
 // TestObsNonPerturbation is the observability layer's core guarantee:
 // attaching an Observer changes NOTHING about the simulation. For each
-// scenario (saturated per-pair draining, open-loop with mid-run link and
-// node failures, mid-run reconfiguration) it runs obs-off and obs-on at
-// Workers 1 and 4 and requires bit-identical Stats, and additionally
-// requires that the obs-on event trace and metric series themselves are
-// identical across worker counts.
+// shared scenario (saturation per node and per pair, open-loop with
+// mid-run link and node failures, mid-run reconfiguration) it runs
+// obs-off and obs-on on both engines and requires bit-identical Stats,
+// and additionally requires that the obs-on event trace and metric
+// series themselves are identical across the engines.
 func TestObsNonPerturbation(t *testing.T) {
 	type capture struct {
 		sim    *Sim
 		events []obs.Event
 		series [][]string
 	}
-	for _, sc := range obsScenarios() {
+	for _, sc := range scenarios() {
 		t.Run(sc.name, func(t *testing.T) {
-			caps := make(map[int]map[bool]capture)
-			for _, workers := range []int{1, 4} {
-				caps[workers] = make(map[bool]capture)
+			caps := make(map[bool]map[bool]capture)
+			for _, dense := range []bool{false, true} {
+				caps[dense] = make(map[bool]capture)
 				for _, withObs := range []bool{false, true} {
 					var ob *obs.Observer
 					if withObs {
 						ob = newTestObserver()
 					}
-					sim := sc.run(t, workers, ob)
+					sim := sc.run(t, dense, ob)
 					c := capture{sim: sim}
 					if withObs {
 						c.events = ob.Events()
 						c.series = ob.SeriesRows()
 					}
-					caps[workers][withObs] = c
+					caps[dense][withObs] = c
 				}
-				off, on := caps[workers][false], caps[workers][true]
+				off, on := caps[dense][false], caps[dense][true]
 				statsEqual(t, &off.sim.stats, &on.sim.stats)
 				if off.sim.Backlog() != on.sim.Backlog() || off.sim.InFlight() != on.sim.InFlight() {
-					t.Fatalf("workers=%d: observer perturbed queues: backlog/inflight %d/%d vs %d/%d",
-						workers, off.sim.Backlog(), off.sim.InFlight(), on.sim.Backlog(), on.sim.InFlight())
+					t.Fatalf("dense=%v: observer perturbed queues: backlog/inflight %d/%d vs %d/%d",
+						dense, off.sim.Backlog(), off.sim.InFlight(), on.sim.Backlog(), on.sim.InFlight())
 				}
 				if off.sim.FlowsCompleted() != on.sim.FlowsCompleted() {
-					t.Fatalf("workers=%d: observer perturbed completions: %d vs %d",
-						workers, off.sim.FlowsCompleted(), on.sim.FlowsCompleted())
+					t.Fatalf("dense=%v: observer perturbed completions: %d vs %d",
+						dense, off.sim.FlowsCompleted(), on.sim.FlowsCompleted())
 				}
 			}
-			statsEqual(t, &caps[1][true].sim.stats, &caps[4][true].sim.stats)
-			eventsEqual(t, caps[1][true].events, caps[4][true].events)
-			seriesEqual(t, caps[1][true].series, caps[4][true].series)
+			statsEqual(t, &caps[true][true].sim.stats, &caps[false][true].sim.stats)
+			eventsEqual(t, caps[true][true].events, caps[false][true].events)
+			seriesEqual(t, caps[true][true].series, caps[false][true].series)
 		})
 	}
 }
@@ -197,15 +98,7 @@ func TestObsNonPerturbation(t *testing.T) {
 // exactly, and the trace carries the failure and flow lifecycle events.
 func TestObsFailureSignals(t *testing.T) {
 	ob := newTestObserver()
-	var sim *Sim
-	for _, sc := range obsScenarios() {
-		if sc.name == "openloop-failures" {
-			sim = sc.run(t, 2, ob)
-		}
-	}
-	if sim == nil {
-		t.Fatal("openloop-failures scenario missing")
-	}
+	sim := scenarioNamed(t, "openloop-failures").run(t, false, ob)
 	st := sim.Stats()
 	if st.LostCells == 0 {
 		t.Fatal("scenario produced no losses")
@@ -248,15 +141,7 @@ func TestObsFailureSignals(t *testing.T) {
 // trace with their re-route cell counts.
 func TestObsReconfigureSignals(t *testing.T) {
 	ob := newTestObserver()
-	var sim *Sim
-	for _, sc := range obsScenarios() {
-		if sc.name == "reconfigure" {
-			sim = sc.run(t, 1, ob)
-		}
-	}
-	if sim == nil {
-		t.Fatal("reconfigure scenario missing")
-	}
+	scenarioNamed(t, "reconfigure").run(t, false, ob)
 	var begin, commit bool
 	for _, e := range ob.Events() {
 		switch e.Type {

@@ -38,11 +38,11 @@ func orn3D(t *testing.T) (*matching.Schedule, routing.Router) {
 	return o.Schedule, routing.NewORN(o)
 }
 
-func orn3DConfig(t *testing.T, workers int) Config {
+func orn3DConfig(t *testing.T) Config {
 	t.Helper()
 	sched, router := orn3D(t)
 	return Config{Schedule: sched, Router: router, SlotNS: 100, PropNS: 300,
-		Seed: 42, LatencySampleEvery: 4, Workers: workers}
+		Seed: 42, LatencySampleEvery: 4}
 }
 
 func runORN3DSaturated(t *testing.T, s *Sim) *Stats {
@@ -90,7 +90,7 @@ func statsFingerprint(st *Stats, n int) string {
 // 24-byte cell layout (every waypoint stored) produced. A layout change
 // that misplaces any waypoint reroutes cells and moves these numbers.
 func TestORN3DStatsGolden(t *testing.T) {
-	s, err := New(orn3DConfig(t, 1))
+	s, err := New(orn3DConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +106,8 @@ func TestORN3DStatsGolden(t *testing.T) {
 }
 
 func TestParallelDeterminismORN3DSaturated(t *testing.T) {
-	runScenario(t, func(t *testing.T, workers int) *Sim {
-		s, err := New(orn3DConfig(t, workers))
+	runScenario(t, func(t *testing.T) *Sim {
+		s, err := New(orn3DConfig(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,8 +155,8 @@ func orn3DChurn(t *testing.T, s *Sim) {
 }
 
 func TestDenseActiveEquivalenceORN3D(t *testing.T) {
-	runDenseActive(t, func(t *testing.T, dense bool, workers int) *Sim {
-		cfg := orn3DConfig(t, workers)
+	runDenseActive(t, func(t *testing.T, dense bool) *Sim {
+		cfg := orn3DConfig(t)
 		cfg.LatencySampleEvery = 1
 		s, err := newEngine(cfg, dense)
 		if err != nil {
@@ -176,32 +176,34 @@ func TestDenseActiveEquivalenceORN3D(t *testing.T) {
 // TestSimResetBitIdentityORN3D dirties a 27-node simulator under a
 // different configuration — two planes, a queue limit, an observer,
 // churn through 6-hop and 2-hop routing — and requires the Reset
-// simulator to reproduce a fresh saturated ORN h=3 run exactly.
+// simulator to reproduce a fresh saturated ORN h=3 run exactly, with
+// workers=k simulators doing so at once.
 func TestSimResetBitIdentityORN3D(t *testing.T) {
+	cfg := orn3DConfig(t)
+	fresh, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runORN3DSaturated(t, fresh)
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			cfg := orn3DConfig(t, workers)
-			fresh, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			runORN3DSaturated(t, fresh)
-
-			dirty := cfg
-			dirty.Seed = 99
-			dirty.Planes = 2
-			dirty.QueueLimit = 8
-			dirty.Obs = obs.New(obs.Options{})
-			pooled, err := New(dirty)
-			if err != nil {
-				t.Fatal(err)
-			}
-			orn3DChurn(t, pooled)
-			if err := pooled.Reset(cfg); err != nil {
-				t.Fatal(err)
-			}
-			runORN3DSaturated(t, pooled)
-			compareSims(t, fresh, pooled)
+			concurrently(t, workers, func(t *testing.T) {
+				dirty := cfg
+				dirty.Seed = 99
+				dirty.Planes = 2
+				dirty.QueueLimit = 8
+				dirty.Obs = obs.New(obs.Options{})
+				pooled, err := New(dirty)
+				if err != nil {
+					t.Fatal(err)
+				}
+				orn3DChurn(t, pooled)
+				if err := pooled.Reset(cfg); err != nil {
+					t.Fatal(err)
+				}
+				runORN3DSaturated(t, pooled)
+				compareSims(t, fresh, pooled)
+			})
 		})
 	}
 }

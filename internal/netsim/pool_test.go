@@ -101,24 +101,19 @@ func auditChunks(p *cellPool, each func(fn func(*fifo))) (held int, err error) {
 	return held, nil
 }
 
-// auditSim audits every shard's pool against the VOQs of the nodes the
-// shard owns and returns the chunks those VOQs hold, per shard.
-func auditSim(t *testing.T, s *Sim) []int {
+// auditSim audits the cell pool against every VOQ and returns the
+// chunks the VOQs hold.
+func auditSim(t *testing.T, s *Sim) int {
 	t.Helper()
-	held := make([]int, len(s.shards))
-	for i := range s.shards {
-		sh := &s.shards[i]
-		h, err := auditChunks(&sh.pool, func(fn func(*fifo)) {
-			for u := sh.lo; u < sh.hi; u++ {
-				for v := range s.voq[u] {
-					fn(&s.voq[u][v])
-				}
+	held, err := auditChunks(&s.pool, func(fn func(*fifo)) {
+		for u := range s.voq {
+			for v := range s.voq[u] {
+				fn(&s.voq[u][v])
 			}
-		})
-		if err != nil {
-			t.Fatalf("slot %d, shard %d: %v", s.Slot(), i, err)
 		}
-		held[i] = h
+	})
+	if err != nil {
+		t.Fatalf("slot %d: %v", s.Slot(), err)
 	}
 	return held
 }
@@ -229,32 +224,19 @@ func FuzzFIFO(f *testing.F) {
 	})
 }
 
-// shardLoad bounds the cells shard i's pool holds during the next
-// Step and any serial call before the next injection: those queued at
-// its nodes plus those in flight to them, which a landing phase may
-// push before transmit pops. Reconfigure and FailNode add no cells,
-// and a reroute re-enqueues at the same node.
-func shardLoad(s *Sim, i int) int64 {
-	sh := &s.shards[i]
-	load := int64(0)
-	for u := sh.lo; u < sh.hi; u++ {
-		load += s.backlog[u]
-		for r := 0; r < s.ringSlots; r++ {
-			for p := 0; p < s.planes; p++ {
-				if s.ringOcc[(r*s.n+u)*s.planes+p] {
-					load++
-				}
-			}
-		}
-	}
-	return load
+// poolLoad bounds the cells the pool holds during the next Step and any
+// serial call before the next injection: those queued plus those in
+// flight, which a landing phase may push before transmit pops.
+// Reconfigure and FailNode add no cells, and a reroute re-enqueues at
+// the same node.
+func poolLoad(s *Sim) int64 {
+	return s.Backlog() + int64(s.InFlight())
 }
 
 // TestPoolNoLeakThroughReconfigureAndFailNode runs a saturated
-// two-shard simulation through 50 Reconfigure calls under
-// FailNode/RepairNode churn. Every pool must account for each chunk it
-// handed out (auditSim), and hand out no more chunks than its peak load
-// needs: peak/chunkCells plus four per VOQ — a queue's head and tail
+// simulation through 50 Reconfigure calls under FailNode/RepairNode
+// churn. The pool must account for each chunk it handed out (auditSim),
+// and hand out no more chunks than its peak load needs: peak/chunkCells plus four per VOQ — a queue's head and tail
 // chunks can each be partly filled, and a Reconfigure holds the old
 // table's queues and the new one's at once. A Reconfigure that lost the
 // chunk an emptied old queue kept would leak about one chunk per queue
@@ -279,19 +261,17 @@ func TestPoolNoLeakThroughReconfigureAndFailNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	designs = append(designs, design{flat, vlb})
-	s, err := New(Config{Schedule: designs[0].sched, Router: designs[0].router, SlotNS: 100, PropNS: 500, Seed: 11, Workers: 2})
+	s, err := New(Config{Schedule: designs[0].sched, Router: designs[0].router, SlotNS: 100, PropNS: 500, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.StartMeasuring()
 	tm := workload.Uniform(n)
 	r := rng.New(5)
-	peak := make([]int64, len(s.shards))
+	peak := int64(0)
 	notePeak := func() {
-		for i := range peak {
-			if l := shardLoad(s, i); l > peak[i] {
-				peak[i] = l
-			}
+		if l := poolLoad(s); l > peak {
+			peak = l
 		}
 	}
 	failed := -1
@@ -320,13 +300,9 @@ func TestPoolNoLeakThroughReconfigureAndFailNode(t *testing.T) {
 		}
 		held := auditSim(t, s)
 		checkConservation(t, s)
-		for i := range s.shards {
-			sh := &s.shards[i]
-			bound := peak[i]/chunkCells + int64(4*(sh.hi-sh.lo)*n)
-			if int64(sh.pool.used) > bound {
-				t.Fatalf("round %d, shard %d: %d chunks handed out (%d held now), bound %d from peak load %d",
-					round, i, sh.pool.used, held[i], bound, peak[i])
-			}
+		if bound := peak/chunkCells + int64(4*n*n); int64(s.pool.used) > bound {
+			t.Fatalf("round %d: %d chunks handed out (%d held now), bound %d from peak load %d",
+				round, s.pool.used, held, bound, peak)
 		}
 	}
 	for i := 0; i < 20000 && !s.Drained(); i++ {
@@ -344,14 +320,13 @@ func TestPoolNoLeakThroughReconfigureAndFailNode(t *testing.T) {
 // pass primes and steps a serial simulator, growing every buffer to
 // what the run needs; Reset keeps those buffers, and the replayed run
 // must then step without one allocation. Latency sampling and the
-// measurement window stay off (their samples grow by design), and
-// Workers is 1: extra shards start a goroutine per phase.
+// measurement window stay off (their samples grow by design).
 func TestSaturatedStepAllocatesNothing(t *testing.T) {
 	built, err := schedule.BuildSORN(schedule.SORNConfig{N: 128, Nc: 8, Q: 4.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Schedule: built.Schedule, Router: routing.NewSORN(built), SlotNS: 100, PropNS: 500, Seed: 1, Workers: 1}
+	cfg := Config{Schedule: built.Schedule, Router: routing.NewSORN(built), SlotNS: 100, PropNS: 500, Seed: 1}
 	tm, err := workload.Locality(built.Cliques, 0.56)
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ func TestRepairDuringStepPanics(t *testing.T) {
 	s := newSim(t, sched, d, 49)
 	s.FailLink(0, 1)
 	s.FailNode(2)
-	s.stepping = true // as if called from inside Step's sharded phases
+	s.stepping = true // as if called from inside a Step
 	for name, fn := range map[string]func(){
 		"RepairLink": func() { s.RepairLink(0, 1) },
 		"RepairNode": func() { s.RepairNode(2) },
@@ -182,10 +182,11 @@ func TestFailRepairFailChurnConservation(t *testing.T) {
 	})
 }
 
-// TestParallelDeterminismFaultPlan extends the Workers 1-vs-k
-// bit-identical guarantee to runs driven by an active fault plan:
-// scripted outages plus random churn, applied between Steps by the
-// faultplan driver, over open-loop traffic.
+// TestParallelDeterminismFaultPlan extends the concurrent-simulator
+// bit-identity guarantee (runScenario) to runs driven by an active fault
+// plan: scripted outages plus random churn, applied between Steps by the
+// faultplan driver, over open-loop traffic. The copies share the plan
+// and the flow list.
 func TestParallelDeterminismFaultPlan(t *testing.T) {
 	n := 16
 	scripted, err := faultplan.New(n, append(
@@ -210,14 +211,14 @@ func TestParallelDeterminismFaultPlan(t *testing.T) {
 	}
 	flows := gen.Window(0, 1500)
 
-	runScenario(t, func(t *testing.T, workers int) *Sim {
+	runScenario(t, func(t *testing.T) *Sim {
 		sched := matching.RoundRobin(n)
 		v, err := routing.NewVLB(sched)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s, err := New(Config{Schedule: sched, Router: v, SlotNS: 100, PropNS: 500,
-			Seed: 53, LatencySampleEvery: 2, Workers: workers})
+			Seed: 53, LatencySampleEvery: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +242,7 @@ func TestParallelDeterminismFaultPlan(t *testing.T) {
 // of calls split at seeded random slots, with a fault plan applied
 // between segments, is bit-identical to one call per fault-free stretch
 // — Stats, metric series, event trace and the flows returned as not yet
-// due — at Workers 1 and 4.
+// due.
 func TestRunOpenLoopSegments(t *testing.T) {
 	const n, end = 16, int64(1200)
 	churn, err := faultplan.Churn(faultplan.ChurnConfig{
@@ -281,10 +282,10 @@ func TestRunOpenLoopSegments(t *testing.T) {
 		events   []obs.Event
 		series   [][]string
 	}
-	run := func(workers int, cuts []int64) result {
+	run := func(cuts []int64) result {
 		ob := newTestObserver()
 		s, err := New(Config{Schedule: sched, Router: vlb, SlotNS: 100, PropNS: 500,
-			Seed: 53, LatencySampleEvery: 2, Workers: workers, Obs: ob})
+			Seed: 53, LatencySampleEvery: 2, Obs: ob})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,20 +312,18 @@ func TestRunOpenLoopSegments(t *testing.T) {
 		return res
 	}
 
-	ref := run(1, nil)
-	for _, workers := range []int{1, 4} {
-		got := run(workers, cuts)
-		if got.segments <= ref.segments {
-			t.Fatalf("workers=%d: the cuts added no segments (%d vs %d)", workers, got.segments, ref.segments)
-		}
-		if diff, ok := ref.sim.Stats().BitIdentical(got.sim.Stats()); !ok {
-			t.Fatalf("workers=%d: chained segments differ from one call per stretch: %s", workers, diff)
-		}
-		seriesEqual(t, ref.series, got.series)
-		eventsEqual(t, ref.events, got.events)
-		if len(got.rest) != len(ref.rest) || len(got.rest) == 0 || got.rest[0] != ref.rest[0] {
-			t.Fatalf("workers=%d: %d flows left over, want %d", workers, len(got.rest), len(ref.rest))
-		}
+	ref := run(nil)
+	got := run(cuts)
+	if got.segments <= ref.segments {
+		t.Fatalf("the cuts added no segments (%d vs %d)", got.segments, ref.segments)
+	}
+	if diff, ok := ref.sim.Stats().BitIdentical(got.sim.Stats()); !ok {
+		t.Fatalf("chained segments differ from one call per stretch: %s", diff)
+	}
+	seriesEqual(t, ref.series, got.series)
+	eventsEqual(t, ref.events, got.events)
+	if len(got.rest) != len(ref.rest) || len(got.rest) == 0 || got.rest[0] != ref.rest[0] {
+		t.Fatalf("%d flows left over, want %d", len(got.rest), len(ref.rest))
 	}
 }
 

@@ -14,14 +14,14 @@ import (
 // sornResetConfig is the "target" configuration the bit-identity checks
 // run: per-pair saturation exercises the dirty-pair worklist and
 // freshPair accounting on top of the queues, ring, and samplers.
-func sornResetConfig(t *testing.T, workers int) Config {
+func sornResetConfig(t *testing.T) Config {
 	t.Helper()
 	sc, err := schedule.BuildSORN(schedule.SORNConfig{N: 32, Nc: 4, Q: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return Config{Schedule: sc.Schedule, Router: routing.NewSORN(sc),
-		SlotNS: 100, PropNS: 300, Seed: 7, LatencySampleEvery: 8, Workers: workers}
+		SlotNS: 100, PropNS: 300, Seed: 7, LatencySampleEvery: 8}
 }
 
 func runSaturatedTarget(t *testing.T, s *Sim) {
@@ -43,7 +43,7 @@ func runSaturatedTarget(t *testing.T, s *Sim) {
 // growth, failures and repairs, a purge, a mid-run reconfiguration.
 // What comes back is the worst case a pooled Sim hands to Reset. dense
 // runs it all on the dense reference engine.
-func dirtySim(t *testing.T, workers int, dense bool) *Sim {
+func dirtySim(t *testing.T, dense bool) *Sim {
 	t.Helper()
 	n := 32
 	sched := matching.RoundRobin(n)
@@ -53,7 +53,7 @@ func dirtySim(t *testing.T, workers int, dense bool) *Sim {
 	}
 	s, err := newEngine(Config{Schedule: sched, Router: v, SlotNS: 100, PropNS: 500,
 		Seed: 99, LatencySampleEvery: 2, Planes: 2, QueueLimit: 64,
-		Workers: workers, Obs: obs.New(obs.Options{})}, dense)
+		Obs: obs.New(obs.Options{})}, dense)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func dirtySim(t *testing.T, workers int, dense bool) *Sim {
 
 // compareSims asserts the pooled run reproduced the fresh run exactly:
 // Stats bit-identical (counters and sample streams) plus the
-// queue/flow-level invariants runScenario checks.
+// queue/flow-level invariants and the slot.
 func compareSims(t *testing.T, fresh, pooled *Sim) {
 	t.Helper()
 	statsEqual(t, &fresh.stats, &pooled.stats)
@@ -106,11 +106,12 @@ func compareSims(t *testing.T, fresh, pooled *Sim) {
 // per-worker pool relies on: a Reset simulator is indistinguishable from
 // a freshly allocated one, no matter what the previous run did to it —
 // including failures, repairs, purges, reconfigurations, plane-count and
-// schedule changes, and an attached observer.
+// schedule changes, and an attached observer. workers=k resets k
+// simulators at once, as k sweep workers do (see concurrently).
 func TestSimResetBitIdentity(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			cfg := sornResetConfig(t, workers)
+			cfg := sornResetConfig(t)
 
 			fresh, err := New(cfg)
 			if err != nil {
@@ -119,51 +120,57 @@ func TestSimResetBitIdentity(t *testing.T) {
 			runSaturatedTarget(t, fresh)
 
 			t.Run("after-faulty-run", func(t *testing.T) {
-				pooled := dirtySim(t, workers, false)
-				if err := pooled.Reset(cfg); err != nil {
-					t.Fatal(err)
-				}
-				runSaturatedTarget(t, pooled)
-				compareSims(t, fresh, pooled)
+				concurrently(t, workers, func(t *testing.T) {
+					pooled := dirtySim(t, false)
+					if err := pooled.Reset(cfg); err != nil {
+						t.Fatal(err)
+					}
+					runSaturatedTarget(t, pooled)
+					compareSims(t, fresh, pooled)
+				})
 			})
 
 			t.Run("repeated-same-config", func(t *testing.T) {
 				// The pool's hot case: same schedule pointer, new seed run,
 				// then back — exercises the hasCircuit reuse path and the
 				// rewound flow arena.
-				pooled, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				runSaturatedTarget(t, pooled)
-				other := cfg
-				other.Seed = 1234
-				if err := pooled.Reset(other); err != nil {
-					t.Fatal(err)
-				}
-				runSaturatedTarget(t, pooled)
-				if err := pooled.Reset(cfg); err != nil {
-					t.Fatal(err)
-				}
-				runSaturatedTarget(t, pooled)
-				compareSims(t, fresh, pooled)
+				concurrently(t, workers, func(t *testing.T) {
+					pooled, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					runSaturatedTarget(t, pooled)
+					other := cfg
+					other.Seed = 1234
+					if err := pooled.Reset(other); err != nil {
+						t.Fatal(err)
+					}
+					runSaturatedTarget(t, pooled)
+					if err := pooled.Reset(cfg); err != nil {
+						t.Fatal(err)
+					}
+					runSaturatedTarget(t, pooled)
+					compareSims(t, fresh, pooled)
+				})
 			})
 
 			t.Run("post-fault-reset-keeps-faults-out", func(t *testing.T) {
 				// Fault state must not leak: fail mid-run, Reset, and the
 				// target run again matches the fault-free fresh run.
-				pooled, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pooled.FailLink(0, 5)
-				pooled.FailNode(9)
-				runSaturatedTarget(t, pooled)
-				if err := pooled.Reset(cfg); err != nil {
-					t.Fatal(err)
-				}
-				runSaturatedTarget(t, pooled)
-				compareSims(t, fresh, pooled)
+				concurrently(t, workers, func(t *testing.T) {
+					pooled, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pooled.FailLink(0, 5)
+					pooled.FailNode(9)
+					runSaturatedTarget(t, pooled)
+					if err := pooled.Reset(cfg); err != nil {
+						t.Fatal(err)
+					}
+					runSaturatedTarget(t, pooled)
+					compareSims(t, fresh, pooled)
+				})
 			})
 		})
 	}
@@ -180,7 +187,7 @@ func TestSimResetOpenLoopAfterPlaneChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Schedule: sched, Router: v, SlotNS: 100, PropNS: 500,
-		Seed: 21, LatencySampleEvery: 1, Planes: 2, Workers: 1}
+		Seed: 21, LatencySampleEvery: 1, Planes: 2}
 	runTarget := func(s *Sim) *Stats {
 		s.StartMeasuring()
 		gen, err := workload.NewPoissonFlows(workload.Uniform(n), workload.FixedSize(3), 0.2, 5)
@@ -198,7 +205,7 @@ func TestSimResetOpenLoopAfterPlaneChange(t *testing.T) {
 	}
 	runTarget(fresh)
 
-	pooled := dirtySim(t, 1, false) // dirty run used Planes 2 with PropNS 500 on the same n... but a different schedule
+	pooled := dirtySim(t, false) // dirty run used Planes 2 with PropNS 500 on the same n... but a different schedule
 	if err := pooled.Reset(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +228,7 @@ func TestSimResetOpenLoopAfterPlaneChange(t *testing.T) {
 }
 
 func TestSimResetRejectsNodeCountChange(t *testing.T) {
-	s := dirtySim(t, 1, false)
+	s := dirtySim(t, false)
 	small := matching.RoundRobin(16)
 	v, err := routing.NewVLB(small)
 	if err != nil {

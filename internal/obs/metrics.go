@@ -157,8 +157,7 @@ func (r *Rate) reset() {
 // Registry is an ordered, typed collection of metrics. Accessors are
 // get-or-create and panic on a kind mismatch (a programming error, like
 // a malformed format string). Iteration follows registration order, so
-// emission is deterministic without sorting — and identical across
-// worker counts, since registration happens at simulator construction.
+// emission is deterministic without sorting.
 type Registry struct {
 	order  []metric
 	byName map[string]metric

@@ -12,13 +12,10 @@
 // one predictable branch.
 //
 // An Observer serves one simulation at a time (sequential reuse across
-// runs is fine; see StartRun). Within a simulation, the netsim engine
-// stages events per worker shard and merges them in fixed shard order at
-// the slot barrier, and phase timings go to per-(phase, shard)
-// accumulators with a unique writer each — so instrumented parallel runs
-// are race-clean and the event stream and metric series are identical
-// for every worker count. Only the wall-clock phase timings differ
-// between runs, by construction.
+// runs is fine; see StartRun). The netsim engine stages the events of a
+// slot's phases and emits them in a fixed order when it folds the slot,
+// so the event stream and metric series are identical across runs. Only
+// the wall-clock phase timings differ between runs, by construction.
 package obs
 
 import (
@@ -37,7 +34,7 @@ const (
 	PhaseLand
 	// PhaseTransmit is the transmit phase (VOQ pops onto circuits).
 	PhaseTransmit
-	// PhaseMerge is the slot barrier folding shard staging together.
+	// PhaseMerge is the end of a slot, folding the phases' staged effects.
 	PhaseMerge
 	numPhases
 )
@@ -107,11 +104,9 @@ type Observer struct {
 	// is markedly cheaper than an int64 division on that path.
 	everyMask int64
 
-	// Per-(phase, shard) wall-clock accumulators. Each (p, shard) entry
-	// has exactly one writer during a parallel phase, so AddPhase needs
-	// no locks; EnsureShards must size the slices before goroutines run.
-	phaseNS    [numPhases][]int64
-	phaseCalls [numPhases][]int64
+	// Per-phase wall-clock accumulators.
+	phaseNS    [numPhases]int64
+	phaseCalls [numPhases]int64
 }
 
 // New builds an enabled Observer.
@@ -278,36 +273,22 @@ func nowNS() int64 {
 	return time.Now().UnixNano()
 }
 
-// EnsureShards sizes the per-shard timing accumulators for up to k
-// shards. Call it from simulator construction, before any parallel
-// AddPhase; growing the slices concurrently with readers would race.
-func (o *Observer) EnsureShards(k int) {
+// AddPhase accumulates now−startNS into phase p.
+func (o *Observer) AddPhase(p Phase, startNS int64) {
 	if o == nil {
 		return
 	}
-	for p := range o.phaseNS {
-		for len(o.phaseNS[p]) < k {
-			o.phaseNS[p] = append(o.phaseNS[p], 0)
-			o.phaseCalls[p] = append(o.phaseCalls[p], 0)
-		}
-	}
-}
-
-// AddPhase accumulates now−startNS into (phase, shard). Distinct shards
-// write distinct entries, so concurrent calls from a sharded slot phase
-// are race-free without locks.
-func (o *Observer) AddPhase(p Phase, shard int, startNS int64) {
-	if o == nil {
-		return
-	}
-	o.phaseNS[p][shard] += nowNS() - startNS
-	o.phaseCalls[p][shard]++
+	o.phaseNS[p] += nowNS() - startNS
+	o.phaseCalls[p]++
 }
 
 // PhaseStat is the accumulated wall-clock time of one slot phase.
 type PhaseStat struct {
-	Phase   string
-	ShardNS []int64 // per-shard totals (index = shard)
+	Phase string
+	// Deprecated: ShardNS holds one entry, TotalNS, from the time the
+	// simulator could split a phase across goroutines. It stays until
+	// the benchmark module stops reading it (ROADMAP items 3 and 5).
+	ShardNS []int64
 	TotalNS int64
 	Calls   int64
 }
@@ -320,14 +301,9 @@ func (o *Observer) PhaseStats() []PhaseStat {
 	}
 	var out []PhaseStat
 	for p := Phase(0); p < numPhases; p++ {
-		st := PhaseStat{Phase: p.String()}
-		for sh := range o.phaseNS[p] {
-			st.ShardNS = append(st.ShardNS, o.phaseNS[p][sh])
-			st.TotalNS += o.phaseNS[p][sh]
-			st.Calls += o.phaseCalls[p][sh]
-		}
-		if st.Calls > 0 {
-			out = append(out, st)
+		if o.phaseCalls[p] > 0 {
+			out = append(out, PhaseStat{Phase: p.String(), ShardNS: []int64{o.phaseNS[p]},
+				TotalNS: o.phaseNS[p], Calls: o.phaseCalls[p]})
 		}
 	}
 	return out

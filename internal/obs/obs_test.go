@@ -237,24 +237,23 @@ func TestSeriesRingBounded(t *testing.T) {
 
 func TestPhaseTiming(t *testing.T) {
 	o := New(Options{})
-	o.EnsureShards(3)
 	start := o.Clock()
 	if start == 0 {
 		t.Fatal("enabled Clock returned 0")
 	}
-	o.AddPhase(PhaseTransmit, 0, start)
-	o.AddPhase(PhaseTransmit, 2, start)
-	o.AddPhase(PhaseMerge, 0, o.Clock())
+	o.AddPhase(PhaseTransmit, start)
+	o.AddPhase(PhaseTransmit, start)
+	o.AddPhase(PhaseMerge, o.Clock())
 	sts := o.PhaseStats()
 	if len(sts) != 2 {
 		t.Fatalf("%d phases reported", len(sts))
 	}
 	tx := sts[0]
-	if tx.Phase != "transmit" || tx.Calls != 2 || len(tx.ShardNS) != 3 {
+	if tx.Phase != "transmit" || tx.Calls != 2 || tx.TotalNS < 0 {
 		t.Fatalf("transmit stat %+v", tx)
 	}
-	if tx.ShardNS[0] < 0 || tx.ShardNS[1] != 0 || tx.TotalNS < 0 {
-		t.Fatalf("shard accounting %+v", tx)
+	if len(tx.ShardNS) != 1 || tx.ShardNS[0] != tx.TotalNS {
+		t.Fatalf("deprecated ShardNS %v, want [TotalNS]", tx.ShardNS)
 	}
 	var buf bytes.Buffer
 	if err := o.WritePhaseReport(&buf); err != nil {
@@ -282,8 +281,7 @@ func TestNilObserverInert(t *testing.T) {
 	o.Emit(Event{Type: EvFlowStart})
 	o.StartRun("x")
 	o.EndSlot(0)
-	o.EnsureShards(4)
-	o.AddPhase(PhaseLand, 0, o.Clock())
+	o.AddPhase(PhaseLand, o.Clock())
 	if o.Clock() != 0 || o.Events() != nil || o.TraceDropped() != 0 {
 		t.Fatal("nil observer recorded something")
 	}

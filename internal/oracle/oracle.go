@@ -70,8 +70,8 @@ func (r *Report) String() string {
 // router-path invariants, float-vs-rational solver agreement, the
 // independently derived closed forms, the paper's model lower bounds,
 // node-relabeling invariance, demand-scaling linearity, SORN clique
-// symmetry and δm formulas, packet-simulator saturation throughput,
-// Workers bit-identity, and zero-window fail→repair identity. An error
+// symmetry and δm formulas, packet-simulator saturation throughput, and
+// zero-window fail→repair identity. An error
 // means the spec could not be built or solved at all (itself a finding
 // when unexpected); disagreements between oracles are Violations, not
 // errors.

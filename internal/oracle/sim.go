@@ -62,20 +62,16 @@ func simComparable(sc *scenario) bool {
 	return false
 }
 
-func (sc *scenario) simConfig(workers int, sampleLatency bool) netsim.Config {
-	cfg := netsim.Config{
-		Schedule: sc.sched,
-		Router:   sc.router,
-		SlotNS:   100,
-		PropNS:   500,
-		Seed:     sc.spec.Seed,
-		Planes:   sc.spec.Planes,
-		Workers:  workers,
+func (sc *scenario) simConfig() netsim.Config {
+	return netsim.Config{
+		Schedule:           sc.sched,
+		Router:             sc.router,
+		SlotNS:             100,
+		PropNS:             500,
+		Seed:               sc.spec.Seed,
+		Planes:             sc.spec.Planes,
+		LatencySampleEvery: 1,
 	}
-	if sampleLatency {
-		cfg.LatencySampleEvery = 1
-	}
-	return cfg
 }
 
 // perPairBacklog sizes the saturation backlog so sources stay
@@ -111,8 +107,8 @@ func perPairBacklog(sc *scenario) int64 {
 }
 
 // runSaturated runs one per-pair-backlog saturation experiment.
-func runSaturated(sc *scenario, workers int) (*netsim.Stats, error) {
-	sim, err := netsim.New(sc.simConfig(workers, true))
+func runSaturated(sc *scenario) (*netsim.Stats, error) {
+	sim, err := netsim.New(sc.simConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -125,29 +121,17 @@ func runSaturated(sc *scenario, workers int) (*netsim.Stats, error) {
 	})
 }
 
-// checkSim runs the packet simulator twice — Workers=1 and
-// Workers=spec.Workers — asserts the two runs are bit-identical (the
-// simulator's determinism contract), and, on comparable scenarios,
-// checks the saturated throughput against the fluid θ within the
-// finite-horizon budget.
+// checkSim runs the packet simulator once and, on comparable
+// scenarios, checks the saturated throughput against the fluid θ within
+// the finite-horizon budget.
 func checkSim(sc *scenario, fl *fluid.Result, rep *Report) {
-	serial, err := runSaturated(sc, 1)
+	st, err := runSaturated(sc)
 	if err != nil {
-		rep.add("sim", "saturated run (workers=1): %v", err)
+		rep.add("sim", "saturated run: %v", err)
 		return
 	}
-	sharded, err := runSaturated(sc, sc.spec.Workers)
-	if err != nil {
-		rep.add("sim", "saturated run (workers=%d): %v", sc.spec.Workers, err)
-		return
-	}
-	if diff, ok := serial.BitIdentical(sharded); !ok {
-		rep.add("sim-workers", "saturated stats differ between workers=1 and workers=%d: %s",
-			sc.spec.Workers, diff)
-	}
-
 	if simComparable(sc) {
-		got := serial.Throughput(sc.sched.N)
+		got := st.Throughput(sc.sched.N)
 		tol := simTolerance(sc)
 		if !relClose(got, fl.Theta, tol) {
 			rep.add("sim-throughput", "simulator θ=%v, fluid θ=%v, finite-horizon budget %v (period=%d measure=%d)",
@@ -174,8 +158,8 @@ type drivenAction struct {
 // runDriven runs the simulator over an open-loop arrival process derived
 // from the spec seed (identical across calls), measuring from
 // drivenWarmup on, and applies the actions between RunOpenLoop segments.
-func runDriven(sc *scenario, workers int, inject float64, actions []drivenAction) (*netsim.Stats, error) {
-	sim, err := netsim.New(sc.simConfig(workers, true))
+func runDriven(sc *scenario, inject float64, actions []drivenAction) (*netsim.Stats, error) {
+	sim, err := netsim.New(sc.simConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -208,9 +192,7 @@ func runDriven(sc *scenario, workers int, inject float64, actions []drivenAction
 // zero-slot elapsed window is invisible: a run that fails and repairs a
 // node at slot 0 (before anything is queued) and fail+repairs a live
 // circuit between two mid-run slots must be bit-identical to a run that
-// never failed anything. A second comparison runs the hooked scenario at
-// Workers=1 vs Workers=k, extending the determinism contract across the
-// failure bitmaps.
+// never failed anything.
 func checkFailRepair(sc *scenario, fl *fluid.Result, rep *Report) {
 	// Moderate open-loop load: below θ so queues stay shallow, bounded
 	// away from 0 and 1.
@@ -234,26 +216,17 @@ func checkFailRepair(sc *scenario, fl *fluid.Result, rep *Report) {
 		{drivenWarmup + 300, failRepairLink},
 	}
 
-	base, err := runDriven(sc, sc.spec.Workers, inject, nil)
+	base, err := runDriven(sc, inject, nil)
 	if err != nil {
 		rep.add("fail-repair", "baseline driven run: %v", err)
 		return
 	}
-	hooked, err := runDriven(sc, sc.spec.Workers, inject, actions)
+	hooked, err := runDriven(sc, inject, actions)
 	if err != nil {
 		rep.add("fail-repair", "hooked driven run: %v", err)
 		return
 	}
 	if diff, ok := base.BitIdentical(hooked); !ok {
 		rep.add("fail-repair", "zero-window fail+repair changed the run: %s", diff)
-	}
-	hookedSerial, err := runDriven(sc, 1, inject, actions)
-	if err != nil {
-		rep.add("fail-repair", "hooked driven run (workers=1): %v", err)
-		return
-	}
-	if diff, ok := hookedSerial.BitIdentical(hooked); !ok {
-		rep.add("fail-repair-workers", "driven stats differ between workers=1 and workers=%d: %s",
-			sc.spec.Workers, diff)
 	}
 }

@@ -9,8 +9,8 @@
 //   - internal/netsim — the slotted packet simulator
 //
 // plus metamorphic relations that need no oracle at all: node-relabeling
-// invariance, demand-scaling linearity, clique symmetry, fail→repair ≡
-// never-failed, and Workers-1-vs-k bit-identity.
+// invariance, demand-scaling linearity, clique symmetry, and fail→repair
+// ≡ never-failed.
 //
 // Agreement budgets are per oracle pair (see EXPERIMENTS.md,
 // "Differential testing"): model-vs-fluid is exact — both sides are
@@ -48,7 +48,6 @@ type Spec struct {
 	TMParam float64 // locality x / hotspot fraction; unused otherwise
 
 	Planes  int   // schedule planes (parallel uplinks)
-	Workers int   // the k of the Workers-1-vs-k bit-identity check
 	Warmup  int64 // netsim warmup slots
 	Measure int64 // netsim measured slots
 
@@ -59,9 +58,9 @@ type Spec struct {
 // round-trips exactly through ParseFloat.
 func (s Spec) String() string {
 	return fmt.Sprintf(
-		"design=%s n=%d nc=%d q=%g x=%g tm=%s tmparam=%g planes=%d workers=%d warmup=%d measure=%d seed=%d",
+		"design=%s n=%d nc=%d q=%g x=%g tm=%s tmparam=%g planes=%d warmup=%d measure=%d seed=%d",
 		s.Design, s.N, s.Nc, s.Q, s.X, s.TM, s.TMParam,
-		s.Planes, s.Workers, s.Warmup, s.Measure, s.Seed)
+		s.Planes, s.Warmup, s.Measure, s.Seed)
 }
 
 // ParseSpec parses a String()-formatted line back into a Spec.
@@ -90,8 +89,6 @@ func ParseSpec(line string) (Spec, error) {
 			s.TMParam, err = parseFinite(val)
 		case "planes":
 			s.Planes, err = strconv.Atoi(val)
-		case "workers":
-			s.Workers, err = strconv.Atoi(val)
 		case "warmup":
 			s.Warmup, err = strconv.ParseInt(val, 10, 64)
 		case "measure":
@@ -141,12 +138,13 @@ func GenSpec(r *rng.RNG) Spec {
 	xR := r.Split()
 	tmR := r.Split()
 	planeR := r.Split()
-	workerR := r.Split()
+	// The stream the retired workers dimension drew from: still split,
+	// so the seed stream after it, and the generated corpus, stay put.
+	_ = r.Split()
 	seedR := r.Split()
 
 	s := Spec{
 		Planes:  1 + planeR.Intn(2),
-		Workers: []int{2, 3, 4, 7}[workerR.Intn(4)],
 		Warmup:  800,
 		Measure: 3200,
 		Seed:    seedR.Uint64(),
@@ -198,20 +196,20 @@ func GenSpec(r *rng.RNG) Spec {
 // constants — the point is that the corpus never drifts.
 func Corpus() []Spec {
 	lines := []string{
-		"design=direct n=12 tm=uniform planes=1 workers=3",
-		"design=direct n=10 tm=permutation planes=2 workers=4",
-		"design=orn1 n=16 tm=uniform planes=1 workers=4",
-		"design=orn1 n=14 tm=permutation planes=2 workers=2",
-		"design=orn1 n=12 tm=hotspot tmparam=0.3 planes=1 workers=3",
-		"design=orn2 n=16 tm=uniform planes=1 workers=4",
-		"design=orn2 n=25 tm=hotspot tmparam=0.2 planes=1 workers=2",
-		"design=sorn n=16 nc=4 x=0.5 tm=locality tmparam=0.5 planes=1 workers=4",
-		"design=sorn n=24 nc=4 x=0.56 tm=locality tmparam=0.56 planes=2 workers=3",
-		"design=sorn n=16 nc=8 x=0.25 tm=uniform planes=1 workers=2",
-		"design=sorn n=16 nc=4 x=0 tm=locality tmparam=0 planes=1 workers=4",
-		"design=sorn n=18 nc=3 q=3 x=0.75 tm=locality tmparam=0.9375 planes=1 workers=3",
-		"design=sorn n=20 nc=5 x=0.5 tm=permutation planes=2 workers=4",
-		"design=sorn n=12 nc=3 x=0.5 tm=gravity planes=1 workers=2",
+		"design=direct n=12 tm=uniform planes=1",
+		"design=direct n=10 tm=permutation planes=2",
+		"design=orn1 n=16 tm=uniform planes=1",
+		"design=orn1 n=14 tm=permutation planes=2",
+		"design=orn1 n=12 tm=hotspot tmparam=0.3 planes=1",
+		"design=orn2 n=16 tm=uniform planes=1",
+		"design=orn2 n=25 tm=hotspot tmparam=0.2 planes=1",
+		"design=sorn n=16 nc=4 x=0.5 tm=locality tmparam=0.5 planes=1",
+		"design=sorn n=24 nc=4 x=0.56 tm=locality tmparam=0.56 planes=2",
+		"design=sorn n=16 nc=8 x=0.25 tm=uniform planes=1",
+		"design=sorn n=16 nc=4 x=0 tm=locality tmparam=0 planes=1",
+		"design=sorn n=18 nc=3 q=3 x=0.75 tm=locality tmparam=0.9375 planes=1",
+		"design=sorn n=20 nc=5 x=0.5 tm=permutation planes=2",
+		"design=sorn n=12 nc=3 x=0.5 tm=gravity planes=1",
 	}
 	specs := make([]Spec, 0, len(lines))
 	for i, l := range lines {

@@ -15,10 +15,7 @@ import (
 
 // RNG is a deterministic pseudo-random number generator (xoshiro256**).
 // It is not safe for concurrent use; give each goroutine its own RNG,
-// e.g. via Split. Staged: shard-phase code draws only from per-node
-// streams (netsim's latRngs/nodeRngs), each owned by exactly one shard.
-//
-//sornlint:staged
+// e.g. via Split.
 type RNG struct {
 	s [4]uint64
 }

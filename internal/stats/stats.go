@@ -106,11 +106,6 @@ const (
 // the copy's count, and a block, once stored, is never moved. DrainTo
 // hands the blocks back to the drained Sample for reuse, so a copy taken
 // before a DrainTo must not be read after the drained Sample adds again.
-//
-// Staged: shard-phase code only ever appends into samples inside its own
-// shard's staged Stats, merged at the slot barrier in shard order.
-//
-//sornlint:staged
 type Sample struct {
 	blocks [][]float64 // every block, each full length; nil while cur is the only one
 	cur    []float64   // the block Add fills; len = values stored in it
@@ -209,10 +204,9 @@ func (s *Sample) Percentile(p float64) float64 {
 }
 
 // DrainTo appends s's observations to dst in insertion order and resets
-// s to empty, keeping its blocks for the next Adds. It is the
-// deterministic merge primitive for sharded accumulation: draining shard
-// samples in a fixed shard order yields the same dst stream regardless
-// of how observations were partitioned.
+// s to empty, keeping its blocks for the next Adds. Draining several
+// samples in a fixed order yields the same dst stream regardless of how
+// the observations were partitioned between them.
 func (s *Sample) DrainTo(dst *Sample) {
 	if s.n == 0 {
 		return

@@ -5,8 +5,8 @@
 // point, and strictly serial loops — with a fixed worker pool whose
 // results are bit-identical for every concurrency setting.
 //
-// The determinism contract mirrors netsim's worker sharding: Concurrency
-// is purely a wall-clock knob. It holds because
+// Concurrency is purely a wall-clock knob: results are bit-identical for
+// every value. That holds because
 //
 //   - each point's random stream is one rng.Split derived *serially*
 //     from the sweep seed before any worker starts, so goroutine
@@ -15,10 +15,9 @@
 //     merged implicitly by index;
 //   - a sweep that shares an observer runs serially (an obs.Observer
 //     serves one simulation at a time), so event streams also come out
-//     in point-index order.
-//
-// Per-point work composes with netsim's own Workers sharding through
-// SimWorkers, which keeps a concurrent sweep's simulations serial.
+//     in point-index order;
+//   - each simulation steps serially on its own netsim.Sim and shares
+//     only read-only inputs (schedules, routers) with other points.
 package sweep
 
 import (
@@ -36,7 +35,7 @@ type Config struct {
 	// per CPU (GOMAXPROCS), 1 runs points serially inline (no goroutines),
 	// k runs a fixed pool of k workers. Every value yields bit-identical
 	// results — see the package comment — so the choice is purely a
-	// wall-clock knob, exactly like netsim's Config.Workers.
+	// wall-clock knob.
 	Concurrency int
 	// Seed roots the per-point rng streams. Point i's stream is the i-th
 	// serial Split of rng.New(Seed), independent of worker scheduling.
@@ -60,13 +59,14 @@ func (c Config) Workers(points int) int {
 	return w
 }
 
-// SimWorkers composes the sweep's concurrency with a per-simulation
-// Workers setting. An explicit setting passes through untouched; the
-// default 0 becomes an explicit 1 when the sweep itself runs points
-// concurrently. Both mean one serial shard (netsim.Config.Workers), so
-// the demotion no longer changes any simulation; it dates from when 0
-// meant one shard per CPU. Both layers are bit-identical across worker
-// counts, so this only shapes wall-clock, never results.
+// SimWorkers maps a per-simulation Workers setting under this sweep: an
+// explicit setting passes through, and 0 becomes 1 when the sweep runs
+// points concurrently.
+//
+// Deprecated: the value reaches no simulation (core.SimOptions.Workers
+// is ignored; every simulation steps serially). It stays only while the
+// benchmark module still calls it, and goes with that module's mirrors
+// (ROADMAP items 3 and 5).
 func (c Config) SimWorkers(points, simWorkers int) int {
 	if simWorkers == 0 && c.Workers(points) > 1 {
 		return 1

@@ -120,8 +120,9 @@ func TestWorkersResolution(t *testing.T) {
 }
 
 func TestSimWorkersComposition(t *testing.T) {
-	// Explicit per-sim settings always pass through; "auto" (0) demotes
-	// to serial only when the sweep itself is concurrent.
+	// The deprecated mapping the benchmark module still calls: explicit
+	// per-sim settings pass through; "auto" (0) becomes 1 only when the
+	// sweep itself is concurrent.
 	concurrent := Config{Concurrency: 4}
 	serial := Config{Concurrency: 1}
 	if got := concurrent.SimWorkers(10, 0); got != 1 {

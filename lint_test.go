@@ -2,7 +2,7 @@
 // (internal/lint) into tier-1: `go test ./...` fails on any rule
 // violation anywhere in the module that is not tolerated by the
 // committed lint_baseline.json, so a time.Now in a simulation package,
-// a shard-phase write to shared state, or an allocation on an annotated
+// an unguarded observer call, or an allocation on an annotated
 // hot path can't land unnoticed. The same analysis is runnable
 // standalone:
 //

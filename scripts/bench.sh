@@ -94,12 +94,10 @@ benches=(
   "./internal/schedule BenchmarkBuildSORN/ -"
 )
 
-# Each run entry records its parallelism context: the GOMAXPROCS in
-# force and the simulator worker setting ("serial" = one shard, the
-# netsim default). Wall-clock entries are only comparable between runs
-# with the same context.
+# Each run entry records its parallelism context, the GOMAXPROCS in
+# force. Wall-clock entries are only comparable between runs with the
+# same context.
 gomaxprocs="${GOMAXPROCS:-$(nproc)}"
-workers="${NETSIM_WORKERS:-serial}"
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
@@ -136,7 +134,7 @@ if [ -z "$base" ]; then
       runone "$PWD" "$work/after" "$line"
     done
   done | tee /dev/stderr | go run ./cmd/benchjson -label "$label" -out "$out" \
-      -gomaxprocs "$gomaxprocs" -workers "$workers" -passes "$passes"
+      -gomaxprocs "$gomaxprocs" -passes "$passes"
   exit 0
 fi
 
@@ -160,6 +158,6 @@ for ((p = 0; p < passes; p++)); do
   done
 done
 go run ./cmd/benchjson -label "$label-before" -out "$out" \
-  -gomaxprocs "$gomaxprocs" -workers "$workers" -passes "$passes" <"$work/before.txt"
+  -gomaxprocs "$gomaxprocs" -passes "$passes" <"$work/before.txt"
 go run ./cmd/benchjson -label "$label-after" -out "$out" \
-  -gomaxprocs "$gomaxprocs" -workers "$workers" -passes "$passes" <"$work/after.txt"
+  -gomaxprocs "$gomaxprocs" -passes "$passes" <"$work/after.txt"

@@ -27,10 +27,10 @@
 #   5. go test ./...         -- tier-1 tests
 #   6. race determinism      -- the determinism invariants under the
 #                               race detector, explicitly, so a failure
-#                               names the engine invariant: sharded
-#                               stepping (Workers=1 vs k bit-identical
-#                               Stats), Sim.Reset bit-identity vs a
-#                               fresh simulator, sweep results
+#                               names the engine invariant: an attached
+#                               observer never changes Stats, Sim.Reset
+#                               bit-identity vs a fresh simulator, sweep
+#                               results
 #                               bit-identical across sweep concurrency,
 #                               and the production active-set engine
 #                               bit-identical to the dense reference
@@ -44,9 +44,9 @@
 #                               metamorphic relation must hold; budgeted
 #                               random fuzzing is scripts/fuzz.sh
 #   8. go test -race ./...   -- the race detector over the full suite;
-#                               goroutine fan-out in internal/experiments
-#                               and internal/netsim must be both
-#                               race-free and deterministic
+#                               the sweep's goroutine fan-out in
+#                               internal/sweep and internal/experiments
+#                               must be both race-free and deterministic
 #   9. bench module tests    -- (cd bench && go test ./...): bench/ is
 #                               its own module, outside go test ./...,
 #                               and its tests are the bit-identity gate
@@ -134,13 +134,12 @@ export SORNLINT_CI_RAN=1
 echo "== go test ./..."
 go test ./...
 
-# TestParallelDeterminism* covers both the plain open-loop scenarios and
-# the fault-plan variant (scripted outages + random churn between Steps).
+# TestObsNonPerturbation pins observed runs to unobserved ones,
 # TestSimResetBitIdentity pins Reset-reused sims to fresh ones, and
 # TestSweepDeterminismAcrossConcurrency pins sweep results across worker
 # counts (including pooled-Reset vs freshly built simulators).
-echo "== go test -race -run 'TestParallelDeterminism|TestObsNonPerturbation|TestSimResetBitIdentity' ./internal/netsim/"
-go test -race -run 'TestParallelDeterminism|TestObsNonPerturbation|TestSimResetBitIdentity' ./internal/netsim/
+echo "== go test -race -run 'TestObsNonPerturbation|TestSimResetBitIdentity' ./internal/netsim/"
+go test -race -run 'TestObsNonPerturbation|TestSimResetBitIdentity' ./internal/netsim/
 
 echo "== go test -race -run 'TestSweepDeterminismAcrossConcurrency' ./internal/experiments/"
 go test -race -run 'TestSweepDeterminismAcrossConcurrency' ./internal/experiments/
@@ -156,7 +155,7 @@ go test -race -run 'TestDenseActiveEquivalence|TestFastForwardTo' ./internal/net
 # The differential-oracle corpus gate: every fixed scenario must agree
 # across the closed forms, the rational solver, the float fluid solver,
 # and the packet simulator, with the metamorphic relations (relabeling,
-# scaling, clique symmetry, fail→repair, Workers 1-vs-k) holding under
+# scaling, clique symmetry, fail→repair) holding under
 # the race detector. Budgeted random fuzzing lives in scripts/fuzz.sh.
 echo "== go test -race -run 'TestOracleCorpus' ./internal/oracle/"
 go test -race -run 'TestOracleCorpus' ./internal/oracle/
