@@ -12,9 +12,10 @@
 //
 // -n, -nc and -seed default to 0, meaning the experiment's own default,
 // so a bare -exp X prints the experiment as the paper sizes it. An
-// experiment of fixed size rejects -n; -exp all passes -n only to the
-// experiments that read it. Results are bit-identical for every
-// -sweepworkers value.
+// experiment rejects each of them it does not read (-n for one of fixed
+// size, -nc for one without cliques, -seed for one that draws nothing at
+// random); -exp all passes each only to the experiments that read it.
+// Results are bit-identical for every -sweepworkers value.
 package main
 
 import (
@@ -50,8 +51,8 @@ func run(args []string, stdout io.Writer) error {
 	exp := fs.String("exp", "", "experiment: "+strings.Join(names, ", ")+", or all")
 	c := experiments.DefaultRunContext()
 	fs.IntVar(&c.N, "n", 0, "nodes (0 = the experiment's default: table1 4096, fig2f 128, ablations 64; the schedule figures, ncsweep, sync, state and phys have fixed sizes and reject it)")
-	fs.IntVar(&c.Nc, "nc", 0, "cliques (0 = the experiment's default: fig2f and ablations 8)")
-	fs.Uint64Var(&c.Seed, "seed", 0, "simulation seed (0 = the experiment's default: fig2f 42, ablations 11)")
+	fs.IntVar(&c.Nc, "nc", 0, "cliques (0 = the experiment's default: fig2f and ablations 8; table1, ncsweep, sync, state, phys and the schedule figures reject it)")
+	fs.Uint64Var(&c.Seed, "seed", 0, "simulation seed (0 = the experiment's default: fig2f 42, adapt, latency, planes and fct 11; the experiments without randomness reject it)")
 	fs.IntVar(&c.SweepWorkers, "sweepworkers", 0, "concurrent sweep points (0 = one per CPU, 1 = serial); results are bit-identical for every value")
 	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
 	tracePath := fs.String("trace", "", "write the event trace as JSONL to this file (fig2f, adapt, diurnal, fct); fig2f then runs its sweep serially")
@@ -93,8 +94,18 @@ func run(args []string, stdout io.Writer) error {
 
 	for _, e := range selected {
 		ec := c
-		if *exp == "all" && !e.ReadsN() {
-			ec.N = 0
+		if *exp == "all" {
+			// Each entry gets only the flags it reads.
+			n, nc, seed := e.Reads()
+			if !n {
+				ec.N = 0
+			}
+			if !nc {
+				ec.Nc = 0
+			}
+			if !seed {
+				ec.Seed = 0
+			}
 		}
 		r, err := e.Run(ec)
 		if err != nil {

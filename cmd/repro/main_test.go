@@ -87,6 +87,11 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"qsweep-one-clique", strings.Fields("-exp qsweep -nc 1"), "at least 2 cliques of at least 2 nodes"},
 		{"mismatch-singleton-cliques", strings.Fields("-exp mismatch -nc 64"), "at least 2 cliques of at least 2 nodes"},
 		{"mismatch-one-clique", strings.Fields("-exp mismatch -nc 1"), "at least 2 cliques of at least 2 nodes"},
+		{"sync-nc", strings.Fields("-exp sync -nc 99 -seed 5"), "does not read -nc"},
+		{"table1-nc", strings.Fields("-exp table1 -nc 7"), "does not read -nc"},
+		{"table1-seed", strings.Fields("-exp table1 -seed 3"), "does not read -seed"},
+		{"qsweep-seed", strings.Fields("-exp qsweep -n 16 -nc 4 -seed 1"), "does not read -seed"},
+		{"fig1-seed", strings.Fields("-exp fig1 -seed 2"), "does not read -seed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -175,13 +180,25 @@ func ablationNames() []string {
 	return names
 }
 
+// registryEntry returns the registry entry called name.
+func registryEntry(t *testing.T, name string) experiments.Experiment {
+	for _, e := range experiments.Registry {
+		if e.Name == name {
+			return e
+		}
+	}
+	t.Fatalf("no registry entry %q", name)
+	return experiments.Experiment{}
+}
+
 // FuzzAblationFlags drives every ablation entry with fuzzed -n, -nc and
 // -seed. Inputs over 32 nodes, or at -n 0 (an entry's own default, 64),
 // or with more than 64 cliques are skipped, so no input builds a large
 // network: at -n 16 -nc 4 every entry runs in under a second. run must
-// return an error or print at least one table row, never panic, and a
+// return an error or print at least one table row, never panic. A
 // negative -n must be an error for every entry, including those of
-// fixed size, which read no -n at all.
+// fixed size, which read no -n at all, and so must a nonzero -n, -nc or
+// -seed that the entry does not read.
 func FuzzAblationFlags(f *testing.F) {
 	names := ablationNames()
 	for i := range names {
@@ -201,12 +218,17 @@ func FuzzAblationFlags(f *testing.F) {
 		// Every input visits new (n, nc, q) keys; keep the process-wide
 		// build cache from holding all of them.
 		core.SharedBuilds.Reset()
-		args := []string{"-exp", names[int(entry)%len(names)], "-csv",
+		name := names[int(entry)%len(names)]
+		args := []string{"-exp", name, "-csv",
 			fmt.Sprintf("-n=%d", n), fmt.Sprintf("-nc=%d", nc), fmt.Sprintf("-seed=%d", seed)}
 		var out bytes.Buffer
 		err := run(args, &out)
 		if n < 0 && err == nil {
 			t.Fatalf("repro %s accepted a negative -n:\n%s", strings.Join(args, " "), out.Bytes())
+		}
+		readsN, readsNc, readsSeed := registryEntry(t, name).Reads()
+		if unread := (n != 0 && !readsN) || (nc != 0 && !readsNc) || (seed != 0 && !readsSeed); unread && err == nil {
+			t.Fatalf("repro %s accepted a flag %s does not read:\n%s", strings.Join(args, " "), name, out.Bytes())
 		}
 		if err != nil {
 			return

@@ -52,8 +52,10 @@ type Report struct {
 }
 
 // Experiment is one registry entry. N, Nc and Seed are the defaults Run
-// substitutes for a RunContext field left at 0. An entry with no N
-// default has fixed sizes and reads no N.
+// substitutes for a RunContext field left at 0. An entry reads exactly
+// the fields it has a default for: with no N default its sizes are
+// fixed, with no Nc default it has no cliques to count, and with no
+// Seed default it draws nothing at random.
 type Experiment struct {
 	Name  string
 	N, Nc int
@@ -61,23 +63,32 @@ type Experiment struct {
 	run   func(RunContext) (*Report, error)
 }
 
-// ReadsN reports whether the entry reads RunContext.N (repro's -n).
-func (e Experiment) ReadsN() bool { return e.N != 0 }
+// Reads reports which of RunContext's N, Nc and Seed (repro's -n, -nc
+// and -seed) the entry reads.
+func (e Experiment) Reads() (n, nc, seed bool) { return e.N != 0, e.Nc != 0, e.Seed != 0 }
 
 // Run runs the entry under c, with c's zero N, Nc and Seed replaced by
-// the entry's defaults. A nonzero c.N is an error for an entry that
-// does not read it.
+// the entry's defaults. A nonzero N, Nc or Seed is an error for an
+// entry that does not read it.
 func (e Experiment) Run(c RunContext) (*Report, error) {
-	if c.N != 0 && !e.ReadsN() {
+	n, nc, seed := e.Reads()
+	switch {
+	case c.N != 0 && !n:
 		return nil, fmt.Errorf("does not read -n (its sizes are fixed); got -n %d", c.N)
+	case c.Nc != 0 && !nc:
+		return nil, fmt.Errorf("does not read -nc; got -nc %d", c.Nc)
+	case c.Seed != 0 && !seed:
+		return nil, fmt.Errorf("does not read -seed (it draws nothing at random); got -seed %d", c.Seed)
 	}
 	c.N, c.Nc, c.Seed = cmp.Or(c.N, e.N), cmp.Or(c.Nc, e.Nc), cmp.Or(c.Seed, e.Seed)
 	return e.run(c)
 }
 
-// ablation is a registry entry at the ablations' shared defaults.
-func ablation(name string, run func(RunContext) (*Report, error)) Experiment {
-	return Experiment{Name: name, N: 64, Nc: 8, Seed: 11, run: run}
+// ablation is a registry entry at the ablations' shared sizes, N 64 and
+// Nc 8. seed is its default seed, or 0 for an ablation that draws
+// nothing at random and so reads no seed.
+func ablation(name string, seed uint64, run func(RunContext) (*Report, error)) Experiment {
+	return Experiment{Name: name, N: 64, Nc: 8, Seed: seed, run: run}
 }
 
 // Registry lists every experiment of the paper's evaluation, in the
@@ -94,22 +105,22 @@ var Registry = []Experiment{
 	{Name: "fig2e", run: fig2e},
 	{Name: "table1", N: 4096, run: table1},
 	{Name: "fig2f", N: 128, Nc: 8, Seed: 42, run: fig2f},
-	ablation("mismatch", mismatch),
-	ablation("qsweep", qsweep),
+	ablation("mismatch", 0, mismatch),
+	ablation("qsweep", 0, qsweep),
 	{Name: "ncsweep", run: ncsweep},
-	ablation("blast", blast),
-	ablation("adapt", adapt),
-	ablation("gravity", gravity),
-	ablation("pairs", pairs),
+	ablation("blast", 0, blast),
+	ablation("adapt", 11, adapt),
+	ablation("gravity", 0, gravity),
+	ablation("pairs", 0, pairs),
 	// Larger N separates the designs' cycle times more clearly; 256 is a
 	// perfect square (needed by the 2D ORN) and still simulates quickly.
 	{Name: "latency", N: 256, Nc: 8, Seed: 11, run: latency},
-	ablation("planes", planes),
+	ablation("planes", 11, planes),
 	{Name: "sync", run: syncOverhead},
 	{Name: "state", run: state},
-	ablation("diurnal", diurnal),
+	ablation("diurnal", 0, diurnal),
 	{Name: "phys", run: physFeasibility},
-	ablation("fct", fct),
+	ablation("fct", 11, fct),
 }
 
 // newReport starts a report with its title and table header.

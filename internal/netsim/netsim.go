@@ -50,7 +50,7 @@ const maxWaypoints = 6
 
 // flowBlockBits sizes the flow arena blocks (1024 flows, ~40 KiB each):
 // flows are reachable by index without a per-flow allocation, stay
-// pointer-stable as the arena grows, and consecutive flows share cache
+// pointer-stable as the arena grows, and neighbouring slots share cache
 // lines (the hot delivered/size pair is touched on every delivery).
 const flowBlockBits = 10
 
@@ -86,7 +86,11 @@ type Config struct {
 	Obs *obs.Observer
 }
 
-// FlowState tracks one flow through the simulator.
+// FlowState tracks one flow through the simulator. It lives in an arena
+// slot only while the flow is in flight: once every cell has been
+// delivered or lost (delivered + lost == size, the flow has settled) the
+// slot is free, and a later InjectFlow overwrites it. Until then the
+// settled state stays readable through the pointer InjectFlow returned.
 type FlowState struct {
 	id        int32
 	src, dst  int32
@@ -502,10 +506,13 @@ type Sim struct {
 	// the flat layout cost ~100 MiB before a single cell moved). A nil
 	// row means "all of u's queues are empty". A row holds only queue
 	// headers; the cells sit in pool.
-	voq     [][]fifo // rows indexed [u][next]
-	backlog []int64
-	fresh   []int64
-	pool    cellPool
+	voq [][]fifo // rows indexed [u][next]
+	// spareVOQ is the table the last Reconfigure drained, every queue
+	// empty; the next Reconfigure swaps it in instead of allocating.
+	spareVOQ [][]fifo
+	backlog  []int64
+	fresh    []int64
+	pool     cellPool
 
 	// totalBacklog tracks the queued-cell total incrementally — staged
 	// through staging.dBacklog and applied by fold at the end of each
@@ -563,10 +570,28 @@ type Sim struct {
 	dirtyMark  []bool
 
 	// flows is a chunked arena of 1<<flowBlockBits FlowStates per block:
-	// index-addressable, pointer-stable, allocation-free per flow.
-	flows    [][]FlowState
-	numFlows int
-	nextFlow int32
+	// index-addressable, pointer-stable, allocation-free per flow. A slot
+	// holds a flow only while it is in flight: settle pushes it onto
+	// freeFlows when the flow's last cell is delivered or lost, and
+	// newFlow pops the most recently settled slot before it hands out a
+	// never-used one, so the arena peaks at the flows in flight at once,
+	// not at the flows injected. nextFlow counts injections (flow ids in
+	// trace events); completed counts the flows whose every cell was
+	// delivered.
+	flows     [][]FlowState
+	usedFlows int32   // slots handed out since the last reset; the rest were never used
+	freeFlows []int32 // settled slots, most recently settled last
+	nextFlow  int32
+	completed int
+
+	// pairBits[src] holds two bitsets over destinations (see markPair):
+	// bit dst of the pairSeen set is on once a flow from src to dst was
+	// injected, of the pairHit set once one of those flows lost a cell,
+	// so AffectedPairs needs no flow history. seenPairs and hitPairs
+	// count the bits set. A row is allocated on its source's first
+	// injection, like failedLink's on its first failed link.
+	pairBits            [][]uint64
+	seenPairs, hitPairs int
 
 	stage     staging
 	routeBuf  routing.Route // scratch for the routes injection and reroutes compute
@@ -632,7 +657,7 @@ func (s *Sim) Reset(cfg Config) error {
 // buffers are rewound (VOQ headers, cell pools, flow-arena cursor) or
 // cleared, and buffers whose stale contents are unreachable (pool
 // chunks no queue holds, ring cells with a false occupancy bit, arena
-// slots past numFlows) are deliberately left dirty.
+// slots past usedFlows) are deliberately left dirty.
 func (s *Sim) init(cfg Config) error {
 	if cfg.Schedule == nil || cfg.Router == nil {
 		return fmt.Errorf("netsim: schedule and router are required")
@@ -694,6 +719,9 @@ func (s *Sim) init(cfg Config) error {
 		clear(s.fresh)
 		clear(s.freshPair)
 		clear(s.failedNode)
+		for _, row := range s.pairBits {
+			clear(row)
+		}
 	} else {
 		s.voq = newVOQ(n)
 		s.backlog = make([]int64, n)
@@ -703,6 +731,8 @@ func (s *Sim) init(cfg Config) error {
 		s.latRngs = make([]rng.RNG, n)
 		s.nodeRngs = make([]rng.RNG, n)
 		s.flows = nil
+		s.pairBits = make([][]uint64, n)
+		s.spareVOQ = nil
 	}
 	s.totalBacklog = 0
 	s.failedCount = 0
@@ -763,8 +793,11 @@ func (s *Sim) init(cfg Config) error {
 	// Rewind the flow arena: existing blocks are reused (newFlow fills
 	// them before growing) and InjectFlow overwrites every field of a
 	// recycled FlowState.
-	s.numFlows = 0
+	s.usedFlows = 0
+	s.freeFlows = s.freeFlows[:0]
 	s.nextFlow = 0
+	s.completed = 0
+	s.seenPairs, s.hitPairs = 0, 0
 
 	s.stage.landed = 0
 	s.stage.dBacklog = 0
@@ -829,32 +862,64 @@ func (s *Sim) flow(i int32) *FlowState {
 	return &s.flows[i>>flowBlockBits][i&(1<<flowBlockBits-1)]
 }
 
-// newFlow appends a FlowState to the arena and returns it with its index.
-// After a Reset the arena cursor rewinds but the blocks stay allocated;
-// growth happens only past the high-water mark of every run so far.
+// newFlow hands out an arena slot and its index: the most recently
+// settled one, else the first never-used one, growing the arena by a
+// block when none is left. After a Reset the blocks stay allocated, so
+// growth happens only past the most flows any run had in flight at once.
 func (s *Sim) newFlow() (*FlowState, int32) {
+	if k := len(s.freeFlows) - 1; k >= 0 {
+		i := s.freeFlows[k]
+		s.freeFlows = s.freeFlows[:k]
+		return s.flow(i), i
+	}
 	const mask = 1<<flowBlockBits - 1
-	if s.numFlows&mask == 0 && s.numFlows>>flowBlockBits == len(s.flows) {
+	i := s.usedFlows
+	if i&mask == 0 && int(i>>flowBlockBits) == len(s.flows) {
 		s.flows = append(s.flows, make([]FlowState, 1<<flowBlockBits))
 	}
-	i := int32(s.numFlows)
-	s.numFlows++
+	s.usedFlows++
 	return &s.flows[i>>flowBlockBits][i&mask], i
 }
 
-// eachFlow calls fn for every injected flow, in injection order.
-func (s *Sim) eachFlow(fn func(*FlowState)) {
-	left := s.numFlows
-	for _, blk := range s.flows {
-		m := len(blk)
-		if m > left {
-			m = left
-		}
-		for i := 0; i < m; i++ {
-			fn(&blk[i])
-		}
-		left -= m
+// settle frees the slot of flow i, whose last cell has just been
+// delivered or lost. The slot keeps the flow's final state until
+// newFlow reuses it.
+func (s *Sim) settle(i int32) { s.freeFlows = append(s.freeFlows, i) }
+
+// loseCells charges k lost cells to flow i: the flow's pair counts as
+// hit from its first lost cell, and the flow settles if they were its
+// last.
+func (s *Sim) loseCells(i, k int32) {
+	f := s.flow(i)
+	if f.lost == 0 && s.markPair(int(f.src), int(f.dst), pairHit) {
+		s.hitPairs++
 	}
+	f.lost += k
+	if f.delivered+f.lost == f.size {
+		s.settle(i)
+	}
+}
+
+// The two per-pair bitsets of a pairBits row, in row order.
+const (
+	pairSeen = iota // a flow from src to dst was injected
+	pairHit         // one of those flows lost a cell
+)
+
+// markPair sets bit dst of src's set bitset, allocating src's row on
+// first use, and reports whether the bit was clear.
+func (s *Sim) markPair(src, dst, set int) bool {
+	row := s.pairBits[src]
+	if row == nil {
+		row = make([]uint64, 2*((s.n+63)/64))
+		s.pairBits[src] = row
+	}
+	w, b := set*len(row)/2+dst>>6, uint64(1)<<(dst&63)
+	if row[w]&b != 0 {
+		return false
+	}
+	row[w] |= b
+	return true
 }
 
 // Backlog returns the total number of queued cells. The total is
@@ -940,7 +1005,7 @@ func (s *Sim) FailNode(u int) {
 				if c.isFresh() {
 					s.noteFreshConsumed(u, c.dst(v))
 				}
-				s.flow(c.flow).lost++
+				s.loseCells(c.flow, 1)
 				purged++
 			}
 		}
@@ -996,14 +1061,23 @@ func (s *Sim) RepairNode(u int) {
 
 // InjectFlow source-routes a flow's cells and queues them at the source.
 // Each cell's route is computed as if injected one slot later than the
-// previous, rotating the load-balancing hop across circuits.
+// previous, rotating the load-balancing hop across circuits. The
+// returned FlowState stays valid until the flow settles (every cell
+// delivered or lost) and a later InjectFlow reuses its arena slot: read
+// a settled flow before the next InjectFlow.
 func (s *Sim) InjectFlow(src, dst, size int) *FlowState {
 	if src == dst {
 		panic("netsim: self flow")
 	}
+	if size < 1 {
+		panic(fmt.Sprintf("netsim: flow of %d cells", size))
+	}
 	s.nextFlow++
 	f, fi := s.newFlow()
 	*f = FlowState{id: s.nextFlow, src: int32(src), dst: int32(dst), size: int32(size), arrival: s.slot, done: -1}
+	if s.markPair(src, dst, pairSeen) {
+		s.seenPairs++
+	}
 	if s.traceFlows {
 		s.obs.Emit(obs.Event{Slot: s.slot, Type: obs.EvFlowStart, Flow: int64(f.id), Src: src, Dst: dst, Cells: int64(size)})
 	}
@@ -1012,7 +1086,7 @@ func (s *Sim) InjectFlow(src, dst, size int) *FlowState {
 		// lost at injection instead of parking its cells in queues no
 		// transmit phase will ever pop. Conservation holds and
 		// Drained() stays reachable.
-		f.lost = int32(size)
+		s.loseCells(fi, int32(size))
 		if s.measuring {
 			s.stats.InjectedCells += int64(size)
 			s.stats.LostCells += int64(size)
@@ -1286,7 +1360,7 @@ func (s *Sim) fold() {
 	st.dBacklog = 0
 	if len(st.losses) > 0 {
 		for _, l := range st.losses {
-			s.flow(l.flow).lost += l.cells
+			s.loseCells(l.flow, l.cells)
 		}
 		st.losses = st.losses[:0]
 	}
@@ -1373,17 +1447,21 @@ func (s *Sim) deliver(v int, c *cell) {
 			st.LatencyByHops[c.hopCount()].Add(lat)
 		}
 	}
-	if f.delivered == f.size {
-		f.done = s.slot
-		if s.measuring {
-			st.CompletedFlows++
-			st.FCTSlots.Add(float64(s.slot - f.arrival))
+	if f.delivered+f.lost == f.size {
+		if f.lost == 0 {
+			f.done = s.slot
+			s.completed++
+			if s.measuring {
+				st.CompletedFlows++
+				st.FCTSlots.Add(float64(s.slot - f.arrival))
+			}
+			if s.traceFlows {
+				// Staged, and emitted by the fold in landing order.
+				s.stage.events = append(s.stage.events, obs.Event{Slot: s.slot, Type: obs.EvFlowFinish, Flow: int64(f.id),
+					Src: int(f.src), Dst: int(f.dst), Cells: int64(f.size), Val: float64(s.slot - f.arrival)})
+			}
 		}
-		if s.traceFlows {
-			// Staged, and emitted by the fold in landing order.
-			s.stage.events = append(s.stage.events, obs.Event{Slot: s.slot, Type: obs.EvFlowFinish, Flow: int64(f.id),
-				Src: int(f.src), Dst: int(f.dst), Cells: int64(f.size), Val: float64(s.slot - f.arrival)})
-		}
+		s.settle(c.flow)
 	}
 }
 
@@ -1922,7 +2000,10 @@ func (s *Sim) Reconfigure(sched *matching.Schedule, router routing.Router) error
 	// land() if their old next circuit disappeared. The active-source
 	// lists are rebuilt as rerouteFrom re-enqueues.
 	old := s.voq
-	s.voq = newVOQ(s.n)
+	s.voq = s.spareVOQ
+	if s.voq == nil {
+		s.voq = newVOQ(s.n)
+	}
 	for i := range s.backlog {
 		s.backlog[i] = 0
 	}
@@ -1950,6 +2031,9 @@ func (s *Sim) Reconfigure(sched *matching.Schedule, router routing.Router) error
 			q.drop(&s.pool)
 		}
 	}
+	// Every queue of the old table is now dropped to the empty state, so
+	// it is the next Reconfigure's new table.
+	s.spareVOQ = old
 	// Fold before the commit event, so the flow_finish events of cells
 	// delivered in place precede it in the trace.
 	s.fold()
@@ -2015,35 +2099,18 @@ func (s *Sim) rerouteFrom(u int, c *cell) {
 	s.enqueue(u, p[1], &nc)
 }
 
-// FlowsCompleted returns how many injected flows have finished.
-func (s *Sim) FlowsCompleted() int {
-	done := 0
-	s.eachFlow(func(f *FlowState) {
-		if f.done >= 0 {
-			done++
-		}
-	})
-	return done
-}
+// FlowsCompleted returns how many injected flows have delivered every
+// cell.
+func (s *Sim) FlowsCompleted() int { return s.completed }
 
 // AffectedPairs returns the fraction of distinct (src, dst) pairs with
 // injected traffic that lost at least one cell — the packet-level blast
 // radius of the injected failures.
 func (s *Sim) AffectedPairs() float64 {
-	type pair struct{ s, d int32 }
-	seen := map[pair]bool{}
-	hit := map[pair]bool{}
-	s.eachFlow(func(f *FlowState) {
-		p := pair{f.src, f.dst}
-		seen[p] = true
-		if f.lost > 0 {
-			hit[p] = true
-		}
-	})
-	if len(seen) == 0 {
+	if s.seenPairs == 0 {
 		return 0
 	}
-	return float64(len(hit)) / float64(len(seen))
+	return float64(s.hitPairs) / float64(s.seenPairs)
 }
 
 // ReconfigureGraceful performs the §5 update protocol: identify the

@@ -320,6 +320,58 @@ func TestReconfigureDrainsAndCompletes(t *testing.T) {
 	}
 }
 
+// TestReconfigureReusesDrainedVOQ: Reconfigure drains every queue of
+// the table it replaces, keeps that table, and swaps it back in on the
+// next call, so alternating between two schedules allocates no VOQ
+// table after the first swap. Traffic still drains and conserves.
+func TestReconfigureReusesDrainedVOQ(t *testing.T) {
+	a, err := schedule.BuildSORN(schedule.SORNConfig{N: 16, Nc: 2, Q: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := schedule.BuildSORN(schedule.SORNConfig{N: 16, Nc: 4, Q: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newSim(t, a.Schedule, routing.NewSORN(a), 12)
+	s.StartMeasuring()
+	tables := map[*fifo]bool{}
+	for round := 0; round < 6; round++ {
+		for i := 0; i < 16; i++ {
+			s.InjectFlow(i, (i+3+round)%16, 6)
+		}
+		for i := 0; i < 5; i++ {
+			s.Step()
+		}
+		next := a
+		if round%2 == 0 {
+			next = b
+		}
+		if err := s.Reconfigure(next.Schedule, routing.NewSORN(next)); err != nil {
+			t.Fatal(err)
+		}
+		tables[&s.voq[0][0]] = true
+		for _, row := range s.spareVOQ {
+			for v := range row {
+				if row[v] != (fifo{}) {
+					t.Fatalf("round %d: the spare table's queue %d holds %d cells", round, v, row[v].len())
+				}
+			}
+		}
+		checkConservation(t, s)
+	}
+	if len(tables) != 2 {
+		t.Fatalf("six reconfigurations used %d VOQ tables, want the first and one spare", len(tables))
+	}
+	for i := 0; i < 20000 && !s.Drained(); i++ {
+		s.Step()
+	}
+	checkConservation(t, s)
+	if st := s.Stats(); st.DeliveredCells != st.InjectedCells {
+		t.Fatalf("delivered %d of %d cells", st.DeliveredCells, st.InjectedCells)
+	}
+}
+
 func TestReconfigureRejectsMismatchedSchedule(t *testing.T) {
 	sched := matching.RoundRobin(8)
 	v, _ := routing.NewVLB(sched)
@@ -658,7 +710,7 @@ func TestNoDuplicationOrLossProperty(t *testing.T) {
 			return false
 		}
 		s.StartMeasuring()
-		var flows []*FlowState
+		var total int64
 		nflows := 1 + r.Intn(20)
 		for i := 0; i < nflows; i++ {
 			src := r.Intn(n)
@@ -666,7 +718,9 @@ func TestNoDuplicationOrLossProperty(t *testing.T) {
 			if dst == src {
 				dst = (src + 1) % n
 			}
-			flows = append(flows, s.InjectFlow(src, dst, 1+r.Intn(30)))
+			size := 1 + r.Intn(30)
+			s.InjectFlow(src, dst, size)
+			total += int64(size)
 			if r.Intn(3) == 0 {
 				s.Step()
 			}
@@ -677,14 +731,12 @@ func TestNoDuplicationOrLossProperty(t *testing.T) {
 		if !s.Drained() {
 			return false
 		}
-		var total int64
-		for _, f := range flows {
-			if !f.Done() || f.Delivered() != int(f.size) || f.Lost() != 0 {
-				return false
-			}
-			total += int64(f.size)
-		}
-		return s.Stats().DeliveredCells == total && s.Stats().InjectedCells == total
+		// Settled slots are reused, so the flows are checked through the
+		// arena: every slot settled exactly once with delivered + lost ==
+		// size, every flow completed, nothing lost.
+		st := s.Stats()
+		return checkFlowSlots(s) == nil && st.CompletedFlows == int64(nflows) && st.LostCells == 0 &&
+			st.DeliveredCells == total && st.InjectedCells == total
 	}, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
@@ -1181,7 +1233,8 @@ func TestLatencySamplingDoesNotPerturbTraffic(t *testing.T) {
 
 // checkConservation asserts the cell-conservation invariant: every
 // injected cell is exactly one of delivered, dropped (QueueLimit), lost
-// (failures), queued, or in flight.
+// (failures), queued, or in flight. Once the sim is drained every flow
+// has settled, so checkFlowSlots must hold too.
 func checkConservation(t *testing.T, s *Sim) {
 	t.Helper()
 	st := s.Stats()
@@ -1190,6 +1243,40 @@ func checkConservation(t *testing.T, s *Sim) {
 		t.Fatalf("cell conservation violated: injected %d != delivered %d + dropped %d + lost %d + backlog %d + in-flight %d",
 			st.InjectedCells, st.DeliveredCells, st.DroppedCells, st.LostCells, s.Backlog(), s.InFlight())
 	}
+	if s.Drained() {
+		if err := checkFlowSlots(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// checkFlowSlots checks the flow arena of a drained sim: every slot
+// handed out is on the free list exactly once and holds a flow with
+// delivered + lost == size. A flow settled twice is on the list twice;
+// a duplicated cell settles its flow early and then overshoots its size.
+func checkFlowSlots(s *Sim) error {
+	onList := make([]bool, s.usedFlows)
+	for _, i := range s.freeFlows {
+		if i < 0 || i >= s.usedFlows {
+			return fmt.Errorf("free list holds slot %d, only %d handed out", i, s.usedFlows)
+		}
+		if onList[i] {
+			return fmt.Errorf("slot %d is on the free list twice (a flow settled twice)", i)
+		}
+		onList[i] = true
+	}
+	for i, free := range onList {
+		f := s.flow(int32(i))
+		if !free {
+			return fmt.Errorf("drained sim: slot %d (flow %d, %d->%d) never settled: delivered %d + lost %d of %d",
+				i, f.id, f.src, f.dst, f.delivered, f.lost, f.size)
+		}
+		if f.delivered+f.lost != f.size {
+			return fmt.Errorf("slot %d (flow %d, %d->%d): delivered %d + lost %d != size %d",
+				i, f.id, f.src, f.dst, f.delivered, f.lost, f.size)
+		}
+	}
+	return nil
 }
 
 func TestCellConservationQueueLimit(t *testing.T) {
@@ -1675,13 +1762,9 @@ func TestCellConservationNodeFailureMidRun(t *testing.T) {
 	if !s.Drained() {
 		t.Fatal("network did not drain after node failure (cells stuck or vanished)")
 	}
+	// Drained, so this also checks every flow settled exactly once with
+	// delivered + lost == size.
 	checkConservation(t, s)
-	s.eachFlow(func(fl *FlowState) {
-		if int32(fl.Delivered())+int32(fl.Lost()) != fl.size {
-			t.Fatalf("flow %d->%d: delivered %d + lost %d != size %d",
-				fl.src, fl.dst, fl.Delivered(), fl.Lost(), fl.size)
-		}
-	})
 }
 
 // TestFailureDuringStepPanics pins the injection contract: failures are

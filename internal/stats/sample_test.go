@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -46,16 +45,6 @@ func (s *sliceSample) Percentile(p float64) float64 {
 		return xs[len(xs)-1]
 	}
 	return xs[lo] + frac*(xs[lo+1]-xs[lo])
-}
-
-func (s *sliceSample) DrainTo(dst *sliceSample) {
-	if len(s.xs) == 0 {
-		return
-	}
-	dst.xs = append(dst.xs, s.xs...)
-	dst.sorted = nil
-	s.xs = s.xs[:0]
-	s.sorted = nil
 }
 
 func (s *sliceSample) Values() []float64 { return slices.Clone(s.xs) }
@@ -135,17 +124,16 @@ func sampleValue(b byte) float64 {
 	return float64(b % 32)
 }
 
-// runSampleOps drives two Samples and their references through the op
-// stream in data and compares them, and every value copy taken along the
-// way, after each op. Ops (op byte mod 9, then an argument byte):
-// add one value, add a run of up to 255·64 values, Percentile, drain a
-// into b, drain b into a, take a value copy of a, Add to a and query the
-// copy, query a, query b.
+// runSampleOps drives a Sample and its reference through the op stream
+// in data and compares them, and every value copy taken along the way,
+// after each op. Ops (op byte mod 6, then an argument byte): add one
+// value, add a run of up to 255·64 values, Percentile, take a value
+// copy, Add and query the copies, query everything.
 func runSampleOps(t *testing.T, data []byte) {
-	var a, b samplePair
-	var snapsA, snapsB []samplePair
+	var a samplePair
+	var snaps []samplePair
 	for i := 0; i+1 < len(data); i += 2 {
-		op, arg := data[i]%9, data[i+1]
+		op, arg := data[i]%6, data[i+1]
 		p := float64(arg)/2 - 10 // covers p < 0, fractions, p > 100
 		switch op {
 		case 0:
@@ -163,60 +151,40 @@ func runSampleOps(t *testing.T, data []byte) {
 				t.Fatalf("op %d: Percentile(%v) %v, reference %v", i/2, p, g, w)
 			}
 		case 3:
-			a.got.DrainTo(&b.got)
-			a.want.DrainTo(&b.want)
-			// DrainTo hands a's blocks back for reuse: copies of a are
-			// no longer valid once a adds again.
-			snapsA = snapsA[:0]
+			snaps = append(snaps, samplePair{got: a.got, want: a.want.clone()})
 		case 4:
-			b.got.DrainTo(&a.got)
-			b.want.DrainTo(&a.want)
-			snapsB = snapsB[:0]
-		case 5:
-			snapsA = append(snapsA, samplePair{got: a.got, want: a.want.clone()})
-			if arg&1 == 1 {
-				snapsB = append(snapsB, samplePair{got: b.got, want: b.want.clone()})
-			}
-		case 6:
 			for k := 0; k <= int(arg%8); k++ {
 				v := sampleValue(arg + byte(k))
 				a.got.Add(v)
 				a.want.Add(v)
 			}
-			for j := range snapsA {
-				s := &snapsA[j]
+			for j := range snaps {
+				s := &snaps[j]
 				if g, w := s.got.Percentile(p), s.want.Percentile(p); !sameBits(g, w) {
 					t.Fatalf("op %d: copy %d Percentile(%v) %v, reference %v", i/2, j, p, g, w)
 				}
 			}
-		case 7:
-			checkSample(t, "a", &a.got, &a.want, p)
-		case 8:
-			checkSample(t, "b", &b.got, &b.want, p)
+		case 5:
+			checkSample(t, "sample", &a.got, &a.want, p)
 		}
-		for j := range snapsA {
-			checkSample(t, "copy of a", &snapsA[j].got, &snapsA[j].want, p)
-		}
-		for j := range snapsB {
-			checkSample(t, "copy of b", &snapsB[j].got, &snapsB[j].want, p)
+		for j := range snaps {
+			checkSample(t, "copy", &snaps[j].got, &snaps[j].want, p)
 		}
 	}
-	checkSample(t, "a at end", &a.got, &a.want, 50)
-	checkSample(t, "b at end", &b.got, &b.want, 99)
+	checkSample(t, "sample at end", &a.got, &a.want, 50)
 }
 
 // FuzzSampleMatchesSlice checks the block-storage Sample against the
 // flat-slice reference bit for bit over random interleavings of Add,
-// Percentile, DrainTo, Values, Mean, Max, Count and value copies.
+// Percentile, Values, Mean, Max, Count and value copies.
 func FuzzSampleMatchesSlice(f *testing.F) {
-	f.Add([]byte{0, 5, 0, 9, 2, 100, 7, 50})
-	f.Add([]byte{1, 80, 5, 0, 1, 80, 7, 120, 6, 3, 3, 0, 1, 2, 8, 218})
-	f.Add([]byte{1, 255, 5, 1, 3, 0, 1, 70, 4, 0, 7, 220, 8, 30, 6, 7, 1, 255, 3, 0})
-	f.Add([]byte{0, 0, 0, 4, 0, 3, 0, 1, 0, 2, 2, 20, 7, 220, 5, 0, 6, 0, 7, 0})
+	f.Add([]byte{0, 5, 0, 9, 2, 100, 5, 50})
+	f.Add([]byte{1, 80, 3, 0, 1, 80, 5, 120, 4, 3, 1, 2, 5, 218})
+	f.Add([]byte{1, 255, 3, 1, 1, 70, 5, 220, 4, 7, 1, 255, 5, 0})
+	f.Add([]byte{0, 0, 0, 4, 0, 3, 0, 1, 0, 2, 2, 20, 5, 220, 3, 0, 4, 0, 5, 0})
 	// Queries between changes: a stale sorted copy after Add (p105 after
-	// adding +Inf) or after DrainTo into a queried sample (p0 after
-	// draining -Inf in) reads the old extreme.
-	f.Add([]byte{0, 40, 0, 41, 2, 230, 0, 1, 2, 230, 3, 0, 8, 230, 0, 2, 3, 0, 8, 0})
+	// adding +Inf) reads the old extreme.
+	f.Add([]byte{0, 40, 0, 41, 2, 230, 0, 1, 2, 230, 5, 230})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			data = data[:512]
@@ -256,56 +224,8 @@ func TestSampleAddAllocatesBlocks(t *testing.T) {
 	}
 }
 
-// mallocs returns the heap allocations of one call of f after a fresh
-// setup, for steps that change the state AllocsPerRun would repeat them
-// on. It keeps the least of five tries: a background allocation by the
-// runtime or the test framework only ever adds.
-func mallocs(setup, f func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	least := uint64(math.MaxUint64)
-	for try := 0; try < 5; try++ {
-		setup()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		least = min(least, after.Mallocs-before.Mallocs)
-	}
-	return least
-}
-
-// TestSampleReuseAfterDrainAllocatesNothing: a staged shard sample is
-// drained into the run's sample every slot. DrainTo keeps the drained
-// sample's blocks, so moving values back into it, or adding them again,
-// allocates nothing up to its old size.
-func TestSampleReuseAfterDrainAllocatesNothing(t *testing.T) {
-	const n = 10000
-	var s, dst Sample
-	setup := func() {
-		s, dst = Sample{}, Sample{}
-		for i := 0; i < n; i++ {
-			s.Add(float64(i))
-		}
-		s.DrainTo(&dst)
-	}
-	setup()
-	if got := testing.AllocsPerRun(20, func() {
-		dst.DrainTo(&s)
-		s.DrainTo(&dst)
-	}); got != 0 {
-		t.Errorf("draining back and forth: %v allocations, want 0", got)
-	}
-	if got := mallocs(setup, func() {
-		for i := 0; i < n; i++ {
-			s.Add(float64(i))
-		}
-	}); got != 0 {
-		t.Errorf("refilling a drained sample: %d allocations, want 0", got)
-	}
-}
-
 // TestSamplePercentileAllocatesOncePerChange: the first Percentile (or
-// Max) after an Add or DrainTo sorts one new copy; later queries reuse it.
+// Max) after an Add sorts one new copy; later queries reuse it.
 func TestSamplePercentileAllocatesOncePerChange(t *testing.T) {
 	var s Sample
 	for i := 0; i < 5000; i++ { // 912 values into a 4096-value block
@@ -321,24 +241,6 @@ func TestSamplePercentileAllocatesOncePerChange(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(100, func() { _ = s.Percentile(50) }); got != 0 {
 		t.Errorf("query of an unchanged sample: %v allocations, want 0", got)
-	}
-	var small, dst Sample
-	setup := func() {
-		small, dst = Sample{}, Sample{}
-		for i := 0; i < 1000; i++ {
-			small.Add(float64(i))
-		}
-		for i := 0; i < 4089; i++ { // one value into a 4096-value block
-			dst.Add(float64(i))
-		}
-		_ = dst.Percentile(50)
-	}
-	if got := mallocs(setup, func() {
-		small.DrainTo(&dst) // fits dst's spare block capacity
-		_ = dst.Percentile(50)
-		_ = dst.Percentile(99)
-	}); got != 1 {
-		t.Errorf("DrainTo then two queries: %d allocations, want 1", got)
 	}
 }
 

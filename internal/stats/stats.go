@@ -103,9 +103,7 @@ const (
 // allocates about n + sampleBlock slots where an append-grown slice
 // allocates about five times n. A Sample copied by value keeps seeing exactly its
 // own observations while the original keeps adding: Add writes only past
-// the copy's count, and a block, once stored, is never moved. DrainTo
-// hands the blocks back to the drained Sample for reuse, so a copy taken
-// before a DrainTo must not be read after the drained Sample adds again.
+// the copy's count, and a block, once stored, is never moved or reused.
 type Sample struct {
 	blocks [][]float64 // every block, each full length; nil while cur is the only one
 	cur    []float64   // the block Add fills; len = values stored in it
@@ -127,10 +125,10 @@ func (s *Sample) Add(v float64) {
 	s.sorted = nil
 }
 
-// grow makes cur the next empty block: the one after it when DrainTo left
-// blocks to reuse, else a new one twice cur's size (up to sampleBlock).
-// The first block goes without a blocks table until a second one exists,
-// so a Sample of at most sampleFirstBlock values makes one allocation.
+// grow makes cur a new empty block twice cur's size (up to
+// sampleBlock). The first block goes without a blocks table until a
+// second one exists, so a Sample of at most sampleFirstBlock values
+// makes one allocation.
 func (s *Sample) grow() {
 	switch {
 	case s.cur == nil:
@@ -140,11 +138,8 @@ func (s *Sample) grow() {
 		s.blocks = make([][]float64, 1, 8)
 		s.blocks[0] = s.cur[:cap(s.cur)]
 	}
+	s.blocks = append(s.blocks, make([]float64, min(2*cap(s.cur), sampleBlock)))
 	s.bi++
-	if s.bi == len(s.blocks) {
-		last := s.blocks[len(s.blocks)-1]
-		s.blocks = append(s.blocks, make([]float64, min(2*len(last), sampleBlock)))
-	}
 	s.cur = s.blocks[s.bi][:0]
 }
 
@@ -155,20 +150,6 @@ func (s *Sample) chunk(i int) []float64 {
 		return s.cur
 	}
 	return s.blocks[i]
-}
-
-// addAll appends vs in order, a block-sized copy at a time.
-func (s *Sample) addAll(vs []float64) {
-	s.n += len(vs)
-	s.sorted = nil
-	for len(vs) > 0 {
-		if len(s.cur) == cap(s.cur) {
-			s.grow()
-		}
-		k := min(len(vs), cap(s.cur)-len(s.cur))
-		s.cur = append(s.cur, vs[:k]...)
-		vs = vs[k:]
-	}
 }
 
 // Count returns the number of observations.
@@ -201,24 +182,6 @@ func (s *Sample) Percentile(p float64) float64 {
 		return xs[len(xs)-1]
 	}
 	return xs[lo] + frac*(xs[lo+1]-xs[lo])
-}
-
-// DrainTo appends s's observations to dst in insertion order and resets
-// s to empty, keeping its blocks for the next Adds. Draining several
-// samples in a fixed order yields the same dst stream regardless of how
-// the observations were partitioned between them.
-func (s *Sample) DrainTo(dst *Sample) {
-	if s.n == 0 {
-		return
-	}
-	for i := 0; i <= s.bi; i++ {
-		dst.addAll(s.chunk(i))
-	}
-	if s.blocks != nil {
-		s.cur = s.blocks[0]
-	}
-	s.cur = s.cur[:0]
-	s.n, s.bi, s.sorted = 0, 0, nil
 }
 
 // Values returns a copy of the retained observations in insertion order.
