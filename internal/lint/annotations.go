@@ -18,12 +18,6 @@ import (
 //	//sornlint:coldpath    func: deliberate slow path; hotalloc stops
 //	                       its traversal here (e.g. a grow-and-copy
 //	                       branch taken O(log n) times)
-//	//sornlint:shardphase  func: a slot-phase body; nothing it
-//	                       transitively calls may emit to the Observer
-//	                       directly (rule obsnil)
-//	//sornlint:drain       func: the path that emits staged events;
-//	                       exempt from obsnil, and slot-phase traversal
-//	                       stops here
 //	//sornlint:obsguard    func or bool struct field: evaluating true
 //	                       implies the Observer is non-nil (rule obsnil
 //	                       accepts it as a guard)
@@ -38,8 +32,6 @@ import (
 const (
 	annoHotpath = 1 << iota
 	annoColdpath
-	annoShardphase
-	annoDrain
 	annoObsguard
 	annoObsguarded
 )
@@ -49,8 +41,6 @@ const (
 var annoVerbs = map[string]int{
 	"hotpath":    annoHotpath,
 	"coldpath":   annoColdpath,
-	"shardphase": annoShardphase,
-	"drain":      annoDrain,
 	"obsguard":   annoObsguard,
 	"obsguarded": annoObsguarded,
 }
@@ -169,7 +159,7 @@ func (c *annoCollector) collectFile(f *ast.File) {
 				continue // indexed by the directive parser
 			}
 			if _, known := annoVerbs[verb]; !known {
-				c.issuef(cm.Pos(), "unknown //sornlint:%s directive; known verbs: ignore, hotpath, coldpath, shardphase, drain, obsguard, obsguarded", verb)
+				c.issuef(cm.Pos(), "unknown //sornlint:%s directive; known verbs: ignore, hotpath, coldpath, obsguard, obsguarded", verb)
 				continue
 			}
 			annos = append(annos, cm)

@@ -9,9 +9,8 @@ import (
 
 // Module is the whole-program context shared by every Pass of one Run:
 // the annotation index, a lightweight callgraph over the type-checked
-// module, and the two reachability closures the callgraph-driven rules
-// consume. It is built once, serially, before the per-package passes
-// fan out.
+// module, and the hot-path reachability closure hotalloc consumes. It
+// is built once, serially, before the per-package passes fan out.
 type Module struct {
 	ModulePath string
 	Anno       *Annotations
@@ -22,10 +21,6 @@ type Module struct {
 	// follow dynamic dispatch conservatively.
 	calls map[string][]string
 
-	// ShardReach maps every function reachable from a //sornlint:shardphase
-	// slot-phase body (stopping at //sornlint:drain) to the root that
-	// reaches it.
-	ShardReach map[string]string
 	// HotReach maps every function reachable from a //sornlint:hotpath
 	// root (stopping at //sornlint:coldpath) to the root that reaches it.
 	HotReach map[string]string
@@ -36,7 +31,7 @@ type Module struct {
 }
 
 // BuildModule indexes annotations, builds the callgraph, and computes
-// the reachability closures over the given analysis units.
+// the hot-path reachability closure over the given analysis units.
 func BuildModule(pkgs []*Package) *Module {
 	m := &Module{calls: make(map[string][]string)}
 	if len(pkgs) == 0 {
@@ -71,7 +66,6 @@ func BuildModule(pkgs []*Package) *Module {
 		m.calls[from] = callees
 	}
 
-	m.ShardReach = m.reach(annoShardphase, annoDrain)
 	m.HotReach = m.reach(annoHotpath, annoColdpath)
 	return m
 }

@@ -12,10 +12,10 @@
 // callgraph.go) builds a lightweight callgraph over the type-checked
 // module and enforces the simulator's conventions statically: annotated
 // hot paths must not heap-allocate (hotalloc), Observer calls must be
-// nil-guarded and never emitted from slot-phase code (obsnil), and
-// suppression directives that suppress nothing are themselves findings
-// (stalesuppress). The invariants the rules consume are declared in
-// source with //sornlint:<verb> annotations (see annotations.go).
+// nil-guarded (obsnil), and suppression directives that suppress
+// nothing are themselves findings (stalesuppress). The invariants the
+// rules consume are declared in source with //sornlint:<verb>
+// annotations (see annotations.go).
 //
 // The analyzers run over fully type-checked packages (see Loader), are
 // wired into tier-1 via the repository-root lint_test.go, and are

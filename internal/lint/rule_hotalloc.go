@@ -18,8 +18,9 @@ import (
 // Appends to fields, parameters, and slices made with an explicit
 // capacity are allowed: amortized growth of a reused buffer is the
 // repository's standard hot-path idiom (Route buffers, the simulator's
-// staging lists), and the zero-alloc RouteInto benchmark test keeps the
-// rule honest against what the runtime actually does.
+// free list and per-pair worklist), and the zero-alloc RouteInto
+// benchmark test keeps the rule honest against what the runtime
+// actually does.
 const hotAllocName = "hotalloc"
 
 var HotAlloc = &Analyzer{

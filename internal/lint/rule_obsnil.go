@@ -12,13 +12,7 @@ import (
 // on `o == nil`, a bool local assigned from such a test, a
 // //sornlint:obsguard predicate or field, or an assignment from
 // obs.New earlier in the block. Functions annotated //sornlint:obsguarded
-// or //sornlint:drain are exempt: their callers own the guarantee.
-//
-// Separately, an Observer call inside slot-phase code (reachable from a
-// //sornlint:shardphase body and not on the //sornlint:drain path) is a
-// violation regardless of guards: phase code stages its events and the
-// drain path emits them, so every slot's events reach the trace through
-// one path, in one order.
+// are exempt: their callers own the guarantee.
 //
 // The obs package itself is exempt — its methods are the nil-safe
 // boundary the rule protects.
@@ -26,7 +20,7 @@ const obsNilName = "obsnil"
 
 var ObsNil = &Analyzer{
 	Name: obsNilName,
-	Doc:  "require nil-check domination for *obs.Observer calls; forbid direct emission from slot-phase code",
+	Doc:  "require nil-check domination for *obs.Observer calls",
 	Run:  runObsNil,
 }
 
@@ -48,14 +42,13 @@ func runObsNil(p *Pass) {
 				continue
 			}
 			key := p.FuncKey(fd)
+			if p.Mod.Anno.funcIs(key, annoObsguarded) {
+				continue
+			}
 			w := &obsWalker{
 				p:     p,
 				facts: make(map[types.Object]bool),
 			}
-			if root, ok := p.Mod.ShardReach[key]; ok && !p.Mod.Anno.funcIs(key, annoDrain) {
-				w.shardRoot = root
-			}
-			w.skipGuard = p.Mod.Anno.funcIs(key, annoObsguarded|annoDrain)
 			w.block(fd.Body.List, false)
 		}
 	}
@@ -66,10 +59,8 @@ func runObsNil(p *Pass) {
 // or an assignment from obs.New, guards everything after it; a positive
 // guard condition guards its branch.
 type obsWalker struct {
-	p         *Pass
-	facts     map[types.Object]bool // bool locals that imply the observer is non-nil
-	shardRoot string                // non-empty: function is slot-phase reachable
-	skipGuard bool                  // obsguarded/drain: nil-guard checking off
+	p     *Pass
+	facts map[types.Object]bool // bool locals that imply the observer is non-nil
 }
 
 // block walks a statement list, threading the guarded state.
@@ -214,16 +205,10 @@ func (w *obsWalker) expr(e ast.Expr, guarded bool) {
 			w.block(x.Body.List, false)
 			return false
 		case *ast.CallExpr:
-			if method := w.observerMethod(x); method != "" {
-				if w.shardRoot != "" {
-					w.p.Reportf(x.Pos(), obsNilName,
-						"(*obs.Observer).%s called from slot-phase code (reachable from %s); stage the events and emit them on the //sornlint:drain path",
-						method, w.shardRoot)
-				} else if !guarded && !w.skipGuard {
-					w.p.Reportf(x.Pos(), obsNilName,
-						"(*obs.Observer).%s call is not dominated by a nil check; guard it or annotate the function //sornlint:obsguarded",
-						method)
-				}
+			if method := w.observerMethod(x); method != "" && !guarded {
+				w.p.Reportf(x.Pos(), obsNilName,
+					"(*obs.Observer).%s call is not dominated by a nil check; guard it or annotate the function //sornlint:obsguarded",
+					method)
 			}
 		}
 		return true

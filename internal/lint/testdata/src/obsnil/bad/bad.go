@@ -1,5 +1,5 @@
-// Package fixture exercises obsnil: unguarded Observer calls and
-// direct emission from slot-phase code must be flagged.
+// Package fixture exercises obsnil: unguarded Observer calls must be
+// flagged.
 package fixture
 
 import "repro/internal/obs"
@@ -30,14 +30,4 @@ func (s *sim) escaped(slot int64) func() {
 		}
 	}
 	return nil
-}
-
-// phase is slot-phase code: emission is a violation even when guarded,
-// because phase code stages its events for the drain path.
-//
-//sornlint:shardphase
-func (s *sim) phase(slot int64) {
-	if s.o != nil {
-		s.o.Emit(obs.Event{Slot: slot}) // want:obsnil
-	}
 }

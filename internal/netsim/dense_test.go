@@ -46,10 +46,11 @@ func newEngine(cfg Config, dense bool) (*Sim, error) {
 func (s *Sim) transmitDense() {
 	n := s.n
 	st := &s.stats
-	landBase := int((s.slot+s.propSlots)%int64(s.ringSlots)) * n * s.planes
+	landRow := int((s.slot + s.propSlots) % int64(s.ringSlots))
+	landBase := landRow * n * s.planes
 	landed := int32(0)
 	idle := int64(0)
-	dBacklog := int64(0)
+	pops := int64(0)
 	measuring := s.measuring
 	planes := s.planes
 	rows := s.matchRows
@@ -80,13 +81,13 @@ func (s *Sim) transmitDense() {
 				continue
 			}
 			backlog[u]--
-			dBacklog--
+			pops++
 			if c.isFresh() {
 				s.noteFreshConsumed(u, c.dst(v))
 				c.hops &^= freshBit
 			}
 			if failedNode[v] || (hasFailedLink && failedLink[u] != nil && failedLink[u][v]) {
-				s.stage.losses = append(s.stage.losses, flowLoss{flow: c.flow, cells: 1})
+				s.loseCells(c.flow, 1)
 				if measuring {
 					st.LostCells++
 				}
@@ -106,6 +107,6 @@ func (s *Sim) transmitDense() {
 	if measuring {
 		st.IdleSlots += idle
 	}
-	s.stage.landed = landed
-	s.stage.dBacklog += dBacklog
+	s.ringCount[landRow] += landed
+	s.totalBacklog -= pops
 }

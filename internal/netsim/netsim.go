@@ -17,15 +17,16 @@
 //
 // Step runs one slot serially, in a fixed order: the landing phase walks
 // destinations in (node, plane) order, then the transmit phase pops
-// sources' VOQs, then fold applies the effects both phases staged (the
-// backlog total, flow losses, the per-pair worklist and trace events).
-// Every slot of every plane is a matching, so each delay-line entry has
-// one possible writer and the ordered pass is deterministic by
-// construction. The serial calls between Steps (InjectFlow, FailNode,
-// Reconfigure) stage the same way and fold before they return, so there
-// is one accounting path. Latency sampling and landing-time reroutes
-// draw from per-node rng streams split serially at construction, so
-// their draw sequences depend only on each node's own event order.
+// sources' VOQs. Every slot of every plane is a matching, so each
+// delay-line entry has one possible writer and the ordered pass is
+// deterministic by construction. Each effect — the backlog total, a
+// flow's lost cells, the per-pair worklist, a trace event — is written
+// where it happens, by a phase or by a serial call between Steps
+// (InjectFlow, FailNode, Reconfigure), so it is visible the moment the
+// call that made it returns, and trace events are emitted in the order
+// they happen. Latency sampling and landing-time reroutes draw from
+// per-node rng streams split serially at construction, so their draw
+// sequences depend only on each node's own event order.
 package netsim
 
 import (
@@ -374,25 +375,6 @@ func (s *Stats) MeanHops() float64 {
 	return float64(s.SentCells) / float64(s.DeliveredCells)
 }
 
-// flowLoss stages a lost-cell increment against a flow until fold
-// applies it.
-type flowLoss struct {
-	flow  int32
-	cells int32
-}
-
-// staging holds the effects a slot's phases, or a serial call between
-// Steps, defer to fold: the backlog total, flow losses, the per-pair
-// saturation worklist, the cells written into the delay line and trace
-// events. Counters and samples go straight into the Sim's Stats.
-type staging struct {
-	losses   []flowLoss  // FlowState.lost increments
-	dirty    []int32     // per-pair saturation worklist entries
-	landed   int32       // cells written into the delay line this slot
-	dBacklog int64       // Sim.totalBacklog delta
-	events   []obs.Event // trace events, emitted in staging order
-}
-
 // poppedCell is one pop of the saturated transmit waiting to be forwarded:
 // the cell, still in its pool (see fifo.pop), and the circuit u→v it
 // leaves on.
@@ -514,9 +496,8 @@ type Sim struct {
 	fresh    []int64
 	pool     cellPool
 
-	// totalBacklog tracks the queued-cell total incrementally — staged
-	// through staging.dBacklog and applied by fold at the end of each
-	// Step or serial call — so Backlog() is O(1). The quiescence
+	// totalBacklog tracks the queued-cell total incrementally — every
+	// push and pop updates it — so Backlog() is O(1). The quiescence
 	// fast-forward consults it every open-loop slot.
 	totalBacklog int64
 
@@ -540,8 +521,9 @@ type Sim struct {
 	// ringCount[slot%ringSlots] is the number of occupied entries in
 	// that ring slot, so a slot with nothing arriving skips the
 	// n×planes occupancy scan — most steps of a draining or lightly
-	// loaded run. Updated by fold, read by the landing phase. Maintained
-	// by both engines; InFlight() sums it in O(ringSlots).
+	// loaded run. Step zeroes the row the landing phase emptied, the
+	// transmit phase adds what it writes, and the landing phase reads
+	// it; InFlight() sums it in O(ringSlots).
 	ringCount []int32
 
 	// Active-set engine state. activeSrc is the unordered list of
@@ -593,7 +575,6 @@ type Sim struct {
 	pairBits            [][]uint64
 	seenPairs, hitPairs int
 
-	stage     staging
 	routeBuf  routing.Route // scratch for the routes injection and reroutes compute
 	popped    []poppedCell  // the saturated transmit's pops of one plane, one per node
 	matchRows [][]int       // per-plane matching of the current slot
@@ -749,9 +730,8 @@ func (s *Sim) init(cfg Config) error {
 
 	rs := int(prop) + 1
 	if int64(rs)*int64(n)*int64(cfg.Planes) > math.MaxInt32 {
-		// Ring rows count their cells in int32s (ringCount,
-		// staging.landed); a ring this large would need ~50 GiB of cells
-		// anyway.
+		// Ring rows count their cells in int32s (ringCount); a ring
+		// this large would need ~50 GiB of cells anyway.
 		return fmt.Errorf("netsim: delay ring of %d slots × %d nodes × %d planes exceeds int32 indexing", rs, n, cfg.Planes)
 	}
 	if reuse && len(s.ringCells) == rs*n*cfg.Planes {
@@ -799,11 +779,6 @@ func (s *Sim) init(cfg Config) error {
 	s.completed = 0
 	s.seenPairs, s.hitPairs = 0, 0
 
-	s.stage.landed = 0
-	s.stage.dBacklog = 0
-	s.stage.losses = s.stage.losses[:0]
-	s.stage.dirty = s.stage.dirty[:0]
-	s.stage.events = s.stage.events[:0]
 	s.pool.reset()
 	if len(s.popped) != n {
 		s.popped = make([]poppedCell, n)
@@ -923,9 +898,8 @@ func (s *Sim) markPair(src, dst, set int) bool {
 }
 
 // Backlog returns the total number of queued cells. The total is
-// maintained incrementally (staged, and applied by fold at the end of
-// each Step or serial call), so the call is O(1) —
-// cheap enough for a driver loop to consult every slot.
+// maintained incrementally, so the call is O(1) — cheap enough for a
+// driver loop to consult every slot.
 func (s *Sim) Backlog() int64 { return s.totalBacklog }
 
 // InFlight returns the number of cells currently propagating on links,
@@ -993,9 +967,15 @@ func (s *Sim) FailNode(u int) {
 	}
 	s.failedNode[u] = true
 	s.failedCount++
+	// Only the node's backlog is purged: skip the queue scan when it is
+	// empty, and stop it once every queued cell is out.
 	purged := int64(0)
-	if row := s.voq[u]; row != nil {
+	if queued := s.backlog[u]; queued > 0 {
+		row := s.voq[u]
 		for v := range row {
+			if purged == queued {
+				break
+			}
 			q := &row[v]
 			for {
 				c, ok := q.pop(&s.pool)
@@ -1013,7 +993,6 @@ func (s *Sim) FailNode(u int) {
 	s.backlog[u] -= purged
 	s.totalBacklog -= purged
 	s.deactivateSrc(u)
-	s.fold()
 	if s.measuring {
 		s.stats.LostCells += purged
 	}
@@ -1108,7 +1087,6 @@ func (s *Sim) InjectFlow(src, dst, size int) *FlowState {
 		}
 		s.enqueue(src, p[1], &c)
 	}
-	s.fold()
 	if s.measuring {
 		s.stats.InjectedCells += int64(size)
 	}
@@ -1117,8 +1095,8 @@ func (s *Sim) InjectFlow(src, dst, size int) *FlowState {
 
 // noteFreshConsumed updates the fresh-cell accounting when a cell leaves
 // its source (transmitted, dropped at injection, purged or delivered in
-// place) and, under per-pair saturation, stages the pair for the
-// deficit worklist; the fold appends it to Sim.dirtyPairs.
+// place) and, under per-pair saturation, appends the pair to the
+// deficit worklist, Sim.dirtyPairs.
 func (s *Sim) noteFreshConsumed(u, dst int) {
 	s.fresh[u]--
 	if !s.trackPairs {
@@ -1128,14 +1106,13 @@ func (s *Sim) noteFreshConsumed(u, dst int) {
 	s.freshPair[pair]--
 	if !s.dirtyMark[pair] {
 		s.dirtyMark[pair] = true
-		s.stage.dirty = append(s.stage.dirty, int32(pair))
+		s.dirtyPairs = append(s.dirtyPairs, int32(pair))
 	}
 }
 
 // enqueue places a cell into node u's VOQ for next, its next waypoint,
-// dropping it if the queue is at its limit. The backlog total and the
-// flow's loss are staged for fold; the drop count goes straight into
-// Stats.
+// dropping it if the queue is at its limit: the flow loses the cell and
+// Stats counts the drop.
 func (s *Sim) enqueue(u, next int, c *cell) {
 	row := s.voq[u]
 	if row == nil {
@@ -1148,7 +1125,7 @@ func (s *Sim) enqueue(u, next int, c *cell) {
 			// never returns to its source once transmitted.
 			s.noteFreshConsumed(u, c.dst(next))
 		}
-		s.stage.losses = append(s.stage.losses, flowLoss{flow: c.flow, cells: 1})
+		s.loseCells(c.flow, 1)
 		if s.measuring {
 			s.stats.DroppedCells++
 		}
@@ -1156,7 +1133,7 @@ func (s *Sim) enqueue(u, next int, c *cell) {
 	}
 	q.push(&s.pool, c)
 	s.backlog[u]++
-	s.stage.dBacklog++
+	s.totalBacklog++
 	if s.backlog[u] == 1 {
 		s.activateSrc(u)
 	}
@@ -1250,8 +1227,8 @@ func (s *Sim) phaseTimed() bool {
 	return s.obs != nil && s.slot&(phaseTimeSample-1) == 0
 }
 
-// Step advances the simulation by one slot: the landing phase, the
-// transmit phase, then the fold of what both staged.
+// Step advances the simulation by one slot: the landing phase, then the
+// transmit phase.
 func (s *Sim) Step() {
 	s.stepping = true
 	period := int64(s.sched.Period())
@@ -1264,15 +1241,11 @@ func (s *Sim) Step() {
 		transmit = s.reference
 	}
 	s.runPhase(obs.PhaseLand, timed, (*Sim).landPhase)
+	// Landing emptied this slot's ring row; the transmit phase counts
+	// the cells it writes into the row propSlots ahead, which with no
+	// propagation delay is this one.
 	s.ringCount[s.slot%int64(s.ringSlots)] = 0
 	s.runPhase(obs.PhaseTransmit, timed, transmit)
-	if timed {
-		t0 := s.obs.Clock()
-		s.foldSlot()
-		s.obs.AddPhase(obs.PhaseMerge, t0)
-	} else {
-		s.foldSlot()
-	}
 	if s.om != nil {
 		s.obsEndSlot()
 	}
@@ -1313,7 +1286,7 @@ func (s *Sim) FastForwardTo(target int64) int64 {
 	if s.measuring {
 		s.stats.MeasuredSlots += skipped
 		// Every live node idles on all its planes in an empty slot —
-		// the same accounting the per-slot transmit phase would stage
+		// the same accounting the per-slot transmit phase would do
 		// (a validated schedule has no self-circuits to exclude).
 		s.stats.IdleSlots += skipped * int64(s.n-s.failedCount) * int64(s.planes)
 	}
@@ -1338,44 +1311,6 @@ func (s *Sim) runPhase(p obs.Phase, timed bool, fn func(*Sim)) {
 	s.obs.AddPhase(p, t0)
 }
 
-// foldSlot ends a Step: it adds the cells the transmit phase wrote into
-// the delay line to the landing row's count and folds the slot's
-// staging.
-func (s *Sim) foldSlot() {
-	landIdx := (s.slot + s.propSlots) % int64(s.ringSlots)
-	s.ringCount[landIdx] += s.stage.landed
-	s.stage.landed = 0
-	s.fold()
-}
-
-// fold applies the staged effects to the shared state and empties the
-// staging: the backlog total, flow losses, dirty pairs and trace events.
-// Staged events only exist when the observer does, so the drain emits
-// unguarded.
-//
-//sornlint:drain
-func (s *Sim) fold() {
-	st := &s.stage
-	s.totalBacklog += st.dBacklog
-	st.dBacklog = 0
-	if len(st.losses) > 0 {
-		for _, l := range st.losses {
-			s.loseCells(l.flow, l.cells)
-		}
-		st.losses = st.losses[:0]
-	}
-	if len(st.dirty) > 0 {
-		s.dirtyPairs = append(s.dirtyPairs, st.dirty...)
-		st.dirty = st.dirty[:0]
-	}
-	if len(st.events) > 0 {
-		for _, e := range st.events {
-			s.obs.Emit(e)
-		}
-		st.events = st.events[:0]
-	}
-}
-
 // landPhase lands everything in this slot's ring row, in (node, plane)
 // order — the canonical landing order, which fixes the per-node rng
 // draws and the sample streams. Each slot of every plane is a matching,
@@ -1383,7 +1318,6 @@ func (s *Sim) fold() {
 // each entry once; a row with nothing arriving (ringCount 0, most steps
 // of a draining or lightly loaded run) is skipped outright.
 //
-//sornlint:shardphase
 //sornlint:hotpath
 func (s *Sim) landPhase() {
 	cur := int(s.slot % int64(s.ringSlots))
@@ -1408,7 +1342,7 @@ func (s *Sim) land(v int, c *cell) {
 	if s.failedNode[v] {
 		// v failed while the cell was in flight (transmit-time drops
 		// cover only cells sent after the failure): lost on arrival.
-		s.stage.losses = append(s.stage.losses, flowLoss{flow: c.flow, cells: 1})
+		s.loseCells(c.flow, 1)
 		if s.measuring {
 			s.stats.LostCells++
 		}
@@ -1456,8 +1390,7 @@ func (s *Sim) deliver(v int, c *cell) {
 				st.FCTSlots.Add(float64(s.slot - f.arrival))
 			}
 			if s.traceFlows {
-				// Staged, and emitted by the fold in landing order.
-				s.stage.events = append(s.stage.events, obs.Event{Slot: s.slot, Type: obs.EvFlowFinish, Flow: int64(f.id),
+				s.obs.Emit(obs.Event{Slot: s.slot, Type: obs.EvFlowFinish, Flow: int64(f.id),
 					Src: int(f.src), Dst: int(f.dst), Cells: int64(f.size), Val: float64(s.slot - f.arrival)})
 			}
 		}
@@ -1476,9 +1409,9 @@ const splitTransmitCells = 4 << 20 / cellBytes
 // so the cache misses of a plane's cells overlap instead of each
 // stalling the loop. The pointers stay valid: pops never write cell
 // memory, and nothing pushes into the pool during the transmit phase.
-// Each pass keeps source order, so every staged effect lands in the
-// order the one-pass loop gives. It returns the cells popped, the cells
-// written into the delay line and the sources drained.
+// Each pass keeps source order, so every effect lands in the order the
+// one-pass loop gives. It returns the cells popped, the cells written
+// into the delay line and the sources drained.
 //
 //sornlint:hotpath
 func (s *Sim) transmitPlaneSplit(p, landBase int, checkPos bool) (pops, landed int32, drained int) {
@@ -1518,7 +1451,7 @@ func (s *Sim) transmitPlaneSplit(p, landBase int, checkPos bool) (pops, landed i
 			c.hops &^= freshBit
 		}
 		if failedNode[v] || (hasFailedLink && failedLink[u] != nil && failedLink[u][v]) {
-			s.stage.losses = append(s.stage.losses, flowLoss{flow: c.flow, cells: 1})
+			s.loseCells(c.flow, 1)
 			if measuring {
 				st.LostCells++
 			}
@@ -1546,23 +1479,23 @@ func (s *Sim) transmitPlaneSplit(p, landBase int, checkPos bool) (pops, landed i
 // tests' reference engine: transmit order across nodes carries no
 // state. Each active source still tries its planes in ascending order,
 // and every other mutation is per-source (pops, backlog, fresh
-// counters), commutative (counter and loss sums), uniquely addressed
-// (delay-line entries), or order-canonicalized downstream (the
-// dirty-pair worklist is sorted before each drain). The idle total is
-// computed by identity — live sources × planes − successful pops —
-// rather than counted, which matches the dense count exactly because a
-// validated schedule has no self-circuits. List order is irrelevant to
-// all of it.
+// counters), commutative (counter and loss sums; the order in which
+// losses settle flows only reorders the arena's free list, which no
+// result reads), uniquely addressed (delay-line entries), or
+// order-canonicalized downstream (the dirty-pair worklist is sorted
+// before each drain). The idle total is computed by identity — live
+// sources × planes − successful pops — rather than counted, which
+// matches the dense count exactly because a validated schedule has no
+// self-circuits. List order is irrelevant to all of it.
 //
-//sornlint:shardphase
 //sornlint:hotpath
 func (s *Sim) transmitActive() {
 	n := s.n
 	st := &s.stats
-	landBase := int((s.slot+s.propSlots)%int64(s.ringSlots)) * n * s.planes
+	landRow := int((s.slot + s.propSlots) % int64(s.ringSlots))
+	landBase := landRow * n * s.planes
 	landed := int32(0)
 	pops := int64(0)
-	dBacklog := int64(0)
 	measuring := s.measuring
 	planes := s.planes
 	rows := s.matchRows
@@ -1599,7 +1532,6 @@ func (s *Sim) transmitActive() {
 			if split {
 				np, nl, nd := s.transmitPlaneSplit(p, landBase, checkPos)
 				pops += int64(np)
-				dBacklog -= int64(np)
 				landed += nl
 				drained += nd
 				continue
@@ -1620,13 +1552,12 @@ func (s *Sim) transmitActive() {
 				if nb == 0 {
 					drained++
 				}
-				dBacklog--
 				if c.isFresh() {
 					s.noteFreshConsumed(u, c.dst(v))
 					c.hops &^= freshBit
 				}
 				if failedNode[v] || (hasFailedLink && failedLink[u] != nil && failedLink[u][v]) {
-					s.stage.losses = append(s.stage.losses, flowLoss{flow: c.flow, cells: 1})
+					s.loseCells(c.flow, 1)
 					if measuring {
 						st.LostCells++
 					}
@@ -1662,8 +1593,8 @@ func (s *Sim) transmitActive() {
 		if measuring {
 			st.IdleSlots += live*int64(planes) - pops
 		}
-		s.stage.landed = landed
-		s.stage.dBacklog += dBacklog
+		s.ringCount[landRow] += landed
+		s.totalBacklog -= pops
 		return
 	}
 	for k := 0; k < len(list); {
@@ -1683,13 +1614,12 @@ func (s *Sim) transmitActive() {
 			}
 			pops++
 			backlog[u]--
-			dBacklog--
 			if c.isFresh() {
 				s.noteFreshConsumed(u, c.dst(v))
 				c.hops &^= freshBit
 			}
 			if failedNode[v] || (flRow != nil && flRow[v]) {
-				s.stage.losses = append(s.stage.losses, flowLoss{flow: c.flow, cells: 1})
+				s.loseCells(c.flow, 1)
 				if measuring {
 					st.LostCells++
 				}
@@ -1723,8 +1653,8 @@ func (s *Sim) transmitActive() {
 		// the dense scan counts those as non-idle as well.
 		st.IdleSlots += live*int64(planes) - pops
 	}
-	s.stage.landed = landed
-	s.stage.dBacklog += dBacklog
+	s.ringCount[landRow] += landed
+	s.totalBacklog -= pops
 }
 
 // RunOpenLoop injects the flows arriving before until at their arrival
@@ -2034,9 +1964,6 @@ func (s *Sim) Reconfigure(sched *matching.Schedule, router routing.Router) error
 	// Every queue of the old table is now dropped to the empty state, so
 	// it is the next Reconfigure's new table.
 	s.spareVOQ = old
-	// Fold before the commit event, so the flow_finish events of cells
-	// delivered in place precede it in the trace.
-	s.fold()
 	if s.obs != nil {
 		s.obs.Emit(obs.Event{Slot: s.slot, Type: obs.EvReconfigCommit, Src: -1, Dst: -1, Cells: moved})
 	}

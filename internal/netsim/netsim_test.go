@@ -1701,7 +1701,6 @@ func TestRerouteFreshCellAtDestinationConsumesFresh(t *testing.T) {
 	c := cell{flow: 0, hops: 2 | freshBit}
 	c.rest[0] = 3 // waypoint 0 (node 5) is implied by the VOQ
 	s.rerouteFrom(3, &c)
-	s.fold()
 	if s.fresh[3] != 0 {
 		t.Fatalf("fresh counter leaked: fresh[3] = %d, want 0", s.fresh[3])
 	}

@@ -61,7 +61,7 @@ func statDelta(cur int64, prev *int64) int64 {
 }
 
 // obsEndSlot is the per-slot observability hook, run at the end of Step
-// after the slot's fold: it folds the slot's Stats deltas into the
+// after the transmit phase: it folds the slot's Stats deltas into the
 // registry counters and observes the slot's per-node-per-plane
 // throughput into the windowed rate. The point-in-time gauges (backlog
 // sweep, in-flight sum) cost a loop each, so they are computed only on

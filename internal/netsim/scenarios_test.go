@@ -120,8 +120,8 @@ func scenarios() []scenario {
 				t.Fatal(err)
 			}
 			flows := gen.Window(0, 1200)
-			// Fail a link and a node mid-run, so losses are staged by
-			// both phases and by the FailNode purge.
+			// Fail a link and a node mid-run, so cells are lost in both
+			// phases and in the FailNode purge.
 			if _, err := s.RunOpenLoop(flows[:len(flows)/2], 600); err != nil {
 				t.Fatal(err)
 			}
@@ -275,11 +275,11 @@ func (r viaDst) AddLoads(load []float64, stride, src, dst int, rate, hopWeighted
 }
 
 // TestSerialCallsPublishBeforeReturn: InjectFlow, FailNode and
-// Reconfigure stage their shared effects like a Step does, and must
-// fold them before they return — a caller reading Stats, a flow or the
-// backlog between Steps sees every effect of the call, with other
-// simulators stepping alongside, and a cell Reconfigure delivers in
-// place finishes its flow inside the reconfiguration's trace bracket.
+// Reconfigure write each effect where it happens, like a Step does, so
+// a caller reading Stats, a flow or the backlog between Steps sees
+// every effect of the call, with other simulators stepping alongside,
+// and a cell Reconfigure delivers in place finishes its flow inside the
+// reconfiguration's trace bracket.
 func TestSerialCallsPublishBeforeReturn(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -350,5 +350,127 @@ func checkSerialCallsPublish(t *testing.T) {
 	}
 	if want := fmt.Sprintf("%s flow %d", obs.EvFlowFinish, f1.id); len(bracket) != 1 || bracket[0] != want {
 		t.Fatalf("events between reconfig_begin and reconfig_commit = %v, want [%s]", bracket, want)
+	}
+}
+
+// parityRelay routes a cell injected at an even slot through relay even
+// and one injected at an odd slot through relay odd; a negative relay
+// routes directly. A flow's consecutive cells are injected at
+// consecutive slots, so its two cells take the two routes.
+type parityRelay struct{ n, even, odd int }
+
+func (r parityRelay) Name() string { return "parity-relay" }
+func (r parityRelay) N() int       { return r.n }
+func (r parityRelay) MaxHops() int { return 2 }
+func (r parityRelay) route(buf routing.Route, src, dst, relay int) routing.Route {
+	if relay < 0 {
+		return append(buf, src, dst)
+	}
+	return append(buf, src, relay, dst)
+}
+func (r parityRelay) RouteInto(buf routing.Route, src, dst, slot int, g *rng.RNG) routing.Route {
+	if slot%2 == 0 {
+		return r.route(buf, src, dst, r.even)
+	}
+	return r.route(buf, src, dst, r.odd)
+}
+func (r parityRelay) Paths(buf routing.Route, src, dst int, fn func(routing.Route, float64)) routing.Route {
+	for _, relay := range []int{r.even, r.odd} {
+		buf = r.route(buf[:0], src, dst, relay)
+		fn(buf, 0.5)
+	}
+	return buf
+}
+func (r parityRelay) AddLoads(load []float64, stride, src, dst int, rate, hopWeighted float64) float64 {
+	w := rate * 0.5
+	var buf routing.Route
+	for _, relay := range []int{r.even, r.odd} {
+		buf = r.route(buf[:0], src, dst, relay)
+		for h := 1; h < len(buf); h++ {
+			load[buf[h-1]*stride+buf[h]] += w
+		}
+		hopWeighted += w * float64(len(buf)-1)
+	}
+	return hopWeighted
+}
+
+// TestSameSlotLossAndDelivery: a two-cell flow loses one cell and
+// delivers the other in the same Step. Whichever comes first, the flow
+// settles exactly once, is not Done, completes no flow and emits no
+// flow_finish event. On the 8-node round robin with one-slot
+// propagation, u's circuit at slot t goes to u + t%7 + 1.
+func TestSameSlotLossAndDelivery(t *testing.T) {
+	cases := []struct {
+		name string
+		// The flow 0→dst is injected at slot inject; its even-slot cell
+		// goes through relay even, its odd-slot cell through relay odd.
+		dst, even, odd int
+		inject         int64
+		failLink       [2]int // failed before the first Step; {0, 0} for none
+		failNode       int    // failed just before Step at slot failAt; -1 for none
+		failAt         int64
+		steps          int64 // Steps run; the last one loses and delivers
+		inFlight       int   // of the two cells, in flight before the last Step
+	}{
+		// Both cells leave at slot 8 (0→2 and, via relay 3, 3→5) and land
+		// at slot 9: the one at failed node 2 is lost before the one at
+		// node 5 is delivered.
+		{name: "land-loss-before-dst", dst: 5, even: 3, odd: 2, inject: 2,
+			failNode: 2, failAt: 9, steps: 10, inFlight: 2},
+		// Both cells leave at slot 5 (0→6 and, via relay 5, 5→3) and land
+		// at slot 6: node 3 delivers before failed node 6 loses.
+		{name: "land-loss-after-dst", dst: 3, even: 5, odd: 6, inject: 0,
+			failNode: 6, failAt: 6, steps: 7, inFlight: 2},
+		// The direct cell leaves on 0→1 at slot 0 and is delivered at slot
+		// 1, whose transmit pops the other cell onto the failed link 0→2.
+		{name: "transmit-loss-after-delivery", dst: 1, even: -1, odd: 2, inject: 0,
+			failLink: [2]int{0, 2}, failNode: -1, steps: 2, inFlight: 1},
+	}
+	for _, tc := range cases {
+		for _, dense := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/dense=%v", tc.name, dense), func(t *testing.T) {
+				const n = 8
+				ob := newTestObserver()
+				s, err := newEngine(Config{Schedule: matching.RoundRobin(n),
+					Router: parityRelay{n, tc.even, tc.odd}, SlotNS: 100, PropNS: 100, Obs: ob}, dense)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.StartMeasuring()
+				if tc.failLink != [2]int{} {
+					s.FailLink(tc.failLink[0], tc.failLink[1])
+				}
+				var f *FlowState
+				for s.Slot() < tc.steps {
+					if s.Slot() == tc.inject {
+						f = s.InjectFlow(0, tc.dst, 2)
+					}
+					if tc.failNode >= 0 && s.Slot() == tc.failAt {
+						s.FailNode(tc.failNode)
+					}
+					if s.Slot() == tc.steps-1 && (f.Delivered() != 0 || f.Lost() != 0 ||
+						s.InFlight() != tc.inFlight || s.Backlog() != int64(2-tc.inFlight)) {
+						t.Fatalf("scenario broken before the last Step: delivered %d, lost %d, %d cells in flight, %d queued",
+							f.Delivered(), f.Lost(), s.InFlight(), s.Backlog())
+					}
+					s.Step()
+				}
+				if f.Lost() != 1 || f.Delivered() != 1 || f.Done() {
+					t.Fatalf("flow: lost %d, delivered %d, done %v; want 1, 1, false", f.Lost(), f.Delivered(), f.Done())
+				}
+				if s.FlowsCompleted() != 0 || s.Stats().CompletedFlows != 0 {
+					t.Fatalf("FlowsCompleted %d, Stats.CompletedFlows %d; want 0, 0", s.FlowsCompleted(), s.Stats().CompletedFlows)
+				}
+				for _, e := range ob.Events() {
+					if e.Type == obs.EvFlowFinish {
+						t.Fatalf("unexpected %s event %+v", e.Type, e)
+					}
+				}
+				if !s.Drained() {
+					t.Fatalf("not drained: %d queued, %d in flight", s.Backlog(), s.InFlight())
+				}
+				checkConservation(t, s)
+			})
+		}
 	}
 }

@@ -12,9 +12,9 @@
 // one predictable branch.
 //
 // An Observer serves one simulation at a time (sequential reuse across
-// runs is fine; see StartRun). The netsim engine stages the events of a
-// slot's phases and emits them in a fixed order when it folds the slot,
-// so the event stream and metric series are identical across runs. Only
+// runs is fine; see StartRun). The netsim engine runs each slot's
+// phases in a fixed order and emits each event where it happens, so the
+// event stream and metric series are identical across runs. Only
 // the wall-clock phase timings differ between runs, by construction.
 package obs
 
@@ -34,7 +34,11 @@ const (
 	PhaseLand
 	// PhaseTransmit is the transmit phase (VOQ pops onto circuits).
 	PhaseTransmit
-	// PhaseMerge is the end of a slot, folding the phases' staged effects.
+	// PhaseMerge is never timed: the simulator writes each effect of a
+	// slot where it happens, so no phase follows transmit.
+	//
+	// Deprecated: kept only for the benchmark module's phase-name loop
+	// (bench/trace.go), which runs up to it.
 	PhaseMerge
 	numPhases
 )

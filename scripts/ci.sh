@@ -29,8 +29,12 @@
 #                               race detector, explicitly, so a failure
 #                               names the engine invariant: an attached
 #                               observer never changes Stats, Sim.Reset
-#                               bit-identity vs a fresh simulator, sweep
-#                               results
+#                               bit-identity vs a fresh simulator, every
+#                               effect of InjectFlow, FailNode and
+#                               Reconfigure visible when the call
+#                               returns, a flow that loses and delivers
+#                               a cell in the same Step settling once,
+#                               sweep results
 #                               bit-identical across sweep concurrency,
 #                               and the production active-set engine
 #                               bit-identical to the dense reference
@@ -135,11 +139,17 @@ echo "== go test ./..."
 go test ./...
 
 # TestObsNonPerturbation pins observed runs to unobserved ones,
-# TestSimResetBitIdentity pins Reset-reused sims to fresh ones, and
-# TestSweepDeterminismAcrossConcurrency pins sweep results across worker
-# counts (including pooled-Reset vs freshly built simulators).
-echo "== go test -race -run 'TestObsNonPerturbation|TestSimResetBitIdentity' ./internal/netsim/"
-go test -race -run 'TestObsNonPerturbation|TestSimResetBitIdentity' ./internal/netsim/
+# TestSimResetBitIdentity pins Reset-reused sims to fresh ones,
+# TestSerialCallsPublishBeforeReturn pins that the serial calls between
+# Steps write every effect before they return (with simulators stepping
+# alongside), TestSameSlotLossAndDelivery pins that a flow losing one
+# cell and delivering another in one Step settles once and is not done,
+# whichever comes first, and TestSweepDeterminismAcrossConcurrency pins
+# sweep results across worker counts (including pooled-Reset vs freshly
+# built simulators).
+netsim_race='TestObsNonPerturbation|TestSimResetBitIdentity|TestSerialCallsPublishBeforeReturn|TestSameSlotLossAndDelivery'
+echo "== go test -race -run '$netsim_race' ./internal/netsim/"
+go test -race -run "$netsim_race" ./internal/netsim/
 
 echo "== go test -race -run 'TestSweepDeterminismAcrossConcurrency' ./internal/experiments/"
 go test -race -run 'TestSweepDeterminismAcrossConcurrency' ./internal/experiments/
